@@ -3,27 +3,23 @@ and execute the verification suites.
 
 Reports are JSON (default) or CSV and are byte-identical across runs
 with the same arguments and seed; wall-clock timings go to stderr only.
-Exit codes: 0 all checks pass, 1 any check failure, 2 usage error.
+Exit codes: 0 all checks pass, 1 any check failure, 2 usage error or
+invalid parameters.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .gf import Fel, FieldCtx, field_create
+from .gf import BadParams, Fel, FieldCtx, field_create
 from .linalg import MatF
 from . import modrep as mr
 from . import symrep as sr
 from . import variety as vy
 from . import suites
 from .modrep import EAModule, Point
-
-
-class BadParams(ValueError):
-    """Raised for invalid command parameters."""
 
 
 class ParseFailure(ValueError):
@@ -102,20 +98,6 @@ def parse_point(field: FieldCtx, text: str) -> Point:
 def parse_vectors(field: FieldCtx, text: str):
     """Semicolon-separated vectors of comma-separated coordinates."""
     return [list(parse_point(field, chunk).coords) for chunk in text.split(";") if chunk.strip()]
-
-
-def _worker_cap() -> int:
-    """Validated EAMOD_THREADS cap (sweeps currently run on one worker)."""
-    raw = os.environ.get("EAMOD_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise BadParams(f"EAMOD_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise BadParams("EAMOD_THREADS must be >= 1")
-    return cap
 
 
 def _emit(payload, out_path, fmt="json"):
@@ -232,7 +214,7 @@ def cmd_query(args) -> int:
                 "point": str(pt),
                 "jordan_type": str(jt),
                 "multiplicities": list(jt.mult),
-                "free": mr.is_free_at(module, pt),
+                "free": jt.is_free(),
             },
             args.out,
         )
@@ -366,7 +348,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _worker_cap()
         return args.fn(args)
     except (BadParams, ParseFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)

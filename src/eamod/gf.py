@@ -13,11 +13,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-class NonPrime(ValueError):
+class BadParams(ValueError):
+    """Raised for parameters outside the domain the computation supports."""
+
+
+class NonPrime(BadParams):
     """Raised when a field modulus is not prime."""
 
 
-class DegreeOutOfRange(ValueError):
+class DegreeOutOfRange(BadParams):
     """Raised when an extension degree falls outside 1..8."""
 
 
@@ -43,7 +47,7 @@ class FieldCtx:
     reduces mod p only.  Instances are immutable and safe to share.
     """
 
-    __slots__ = ("p", "m", "irr", "_red", "_red_np")
+    __slots__ = ("p", "m", "irr", "max_inner", "_red", "_red_np")
 
     def __init__(self, p: int, m: int, irr: Sequence[int]):
         self.p = int(p)
@@ -51,6 +55,13 @@ class FieldCtx:
         self.irr = tuple(int(c) % p for c in irr)
         if len(self.irr) != m + 1 or self.irr[-1] != 1:
             raise ValueError("irr must be monic of degree m (ascending coefficients)")
+        # int64 peak of one product term: m residue products per convolution
+        # plane, then 2m-1 planes folded through reduction rows (entries < p);
+        # an inner product of length n peaks at n times this.
+        term = (self.p - 1) ** 2 * (1 if self.m == 1 else (2 * self.m - 1) * (self.p - 1) * self.m)
+        self.max_inner = int(np.iinfo(np.int64).max) // term
+        if self.max_inner < 1:
+            raise BadParams(f"products over F_{self.p}^{self.m} overflow int64 (peak {term})")
         # rows d = 0..2m-2: coefficients of x^d reduced mod irr
         red = []
         for d in range(self.m):

@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .gf import Fel, FieldCtx
+from .gf import BadParams, Fel, FieldCtx
 
 
 class NotNilpotent(ValueError):
@@ -232,7 +232,7 @@ class MatF:
         ctx = self.ctx
         work = self.data.copy()
         pivots = _eliminate(work, ctx, full=True)
-        free = [j for j in range(self.cols) if j not in set(pivots)]
+        free = sorted(set(range(self.cols)) - set(pivots))
         out = np.zeros((len(free), self.cols, ctx.m), dtype=np.int64)
         for v, j in enumerate(free):
             out[v, j, 0] = 1
@@ -268,6 +268,9 @@ class MatF:
             raise ValueError("mixed field contexts")
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
+        if self.cols > self.ctx.max_inner:
+            raise BadParams(f"matmul over p={self.ctx.p}, m={self.ctx.m} with inner dimension "
+                            f"n={self.cols} can overflow int64 (at most {self.ctx.max_inner})")
 
 
 def _row_scale(ctx, row, coeffs):
@@ -371,7 +374,7 @@ class JordanType:
         return out
 
     def is_free(self) -> bool:
-        return self.total > 0 and self.total == self.p * self.mult[self.p - 1]
+        return self.total == self.p * self.mult[self.p - 1]
 
     def __str__(self):
         parts = []

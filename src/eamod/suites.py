@@ -193,15 +193,14 @@ def suite_jtd1(p: int, k: int, ext: int = 4, trials: int = 24, seed: int = 7) ->
         str(got) if got is not None else "inconclusive",
     )
     field2 = field_create(p, 2)
-    mod2 = sr.block_model_d1(ctx, field2)
-    poly = sr.PkPoly(p, k)
+    report = vy.variety_points(sr.block_model_d1(ctx, field2), field2)
+    pk_zeros = {pt.codes() for pt in vy.zero_points(sr.PkPoly(p, k), field2)}
     mismatches = []
-    for pt in vy.enumerate_projective(field2, k):
+    for rec in report.points:
+        pt = rec.point
         zeros = sum(1 for c in pt.coords if not c)
-        pk_zero = not sr.pk_eval(poly, pt)
-        want = _max_set_expected(p, pk_zero, zeros)
-        have = vy.in_max_jordan_set(mod2, pt, expected)
-        if want != have:
+        want = _max_set_expected(p, pt.codes() in pk_zeros, zeros)
+        if want != (rec.jordan_type == expected):
             mismatches.append(str(pt))
     target = (
         "V(p_k) + coordinate hyperplanes" if p >= 5 else "V(p_k) (p=3 amendment)"
@@ -461,13 +460,11 @@ def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
     # sum / tensor point-set laws
     sum_mod = mr.direct_sum(d1_f2, line)
     tensor_mod = mr.tensor(d1_f2, line)
-    bad_sum, bad_tensor = [], []
-    for pt in vy.enumerate_projective(field2, 2):
-        a, b = mr.variety_contains(d1_f2, pt), mr.variety_contains(line, pt)
-        if mr.variety_contains(sum_mod, pt) != (a or b):
-            bad_sum.append(str(pt))
-        if mr.variety_contains(tensor_mod, pt) != (a and b):
-            bad_tensor.append(str(pt))
+    reports = [vy.variety_points(mod, field2) for mod in (d1_f2, line, sum_mod, tensor_mod)]
+    v_a, v_b, v_sum, v_tensor = (r.variety_codes() for r in reports)
+    off_sum, off_tensor = v_sum ^ (v_a | v_b), v_tensor ^ (v_a & v_b)
+    bad_sum = [str(r.point) for r in reports[0].points if r.point.codes() in off_sum]
+    bad_tensor = [str(r.point) for r in reports[0].points if r.point.codes() in off_tensor]
     rep.add(
         "axioms/sum-law",
         f"variety of a direct sum is the union, over F_{field2.q}",
@@ -508,11 +505,11 @@ def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
             coords[0] = field2.one()
         dual_mod = mr.dual(base)
         tag = f"trial {trial} at {Point(tuple(coords))}"
-        if mr.is_free_at(dual_mod, coords) != mr.is_free_at(base, coords):
-            bad_dual_free.append(tag)
         gt, _ = vy.generic_type(base, 2, 8, seed=trial)
         t_base = mr.point_jordan_type(base, coords)
         t_dual = mr.point_jordan_type(dual_mod, coords)
+        if t_dual.is_free() != t_base.is_free():
+            bad_dual_free.append(tag)
         if t_base == gt and t_dual != t_base:
             bad_dual_maximal.append(tag)
         if t_dual != t_base:
@@ -561,10 +558,11 @@ def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
                     sampled.append(pt)
             for base_mod, wedge_mod, alphas in ((mod1, w1, pts), (mod2, w2, sampled)):
                 for pt in alphas:
+                    t_base = mr.point_jordan_type(base_mod, pt)
                     lhs = mr.point_jordan_type(wedge_mod, pt)
-                    rhs = mr.wedge_jordan(mr.point_jordan_type(base_mod, pt), r, p)
+                    rhs = mr.wedge_jordan(t_base, r, p)
                     agree = lhs == rhs
-                    maximal = mr.point_jordan_type(base_mod, pt) == generic
+                    maximal = t_base == generic
                     if maximal and not agree:
                         wedge_required.append(f"k={ctx.k} r={r} {pt}")
                     if not maximal and not agree:
@@ -609,10 +607,11 @@ def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
         gens = [(tuple([units[-1]] + [1] * (k - 1)), tuple(range(k)))]
         gens.append((tuple([1] * k), tuple([1, 0] + list(range(2, k)))))
         gens.append((tuple([1] * k), tuple(list(range(1, k)) + [0])))
+        var = vy.variety_points(module, field1).variety_codes()
         for pt in vy.enumerate_projective(field1, k):
             for gamma, sigma in gens:
                 moved = vy.wreath_act(gamma, sigma, pt)
-                if mr.variety_contains(module, pt) != mr.variety_contains(module, moved):
+                if (pt.codes() in var) != (moved.normalize().codes() in var):
                     bad_wreath.append(f"k={k} {pt} -> {moved}")
     rep.add(
         "axioms/wreath-invariance",

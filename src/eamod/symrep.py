@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import Fel, FieldCtx, is_prime, NonPrime
+from .gf import BadParams, Fel, FieldCtx, is_prime, NonPrime
 from .linalg import MatF, arr_mul, arr_pow
 from .modrep import EAModule, Point, wedge, x_alpha
 from .stream import CounterStream
@@ -36,9 +36,9 @@ class SymContext:
         if not is_prime(self.p):
             raise NonPrime(f"{self.p} is not prime")
         if self.p < 3:
-            raise ValueError("p must be an odd prime (p >= 3)")
+            raise BadParams("p must be an odd prime (p >= 3)")
         if self.k < 1:
-            raise ValueError("rank k must be >= 1")
+            raise BadParams("rank k must be >= 1")
 
     @property
     def n(self) -> int:

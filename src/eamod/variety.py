@@ -24,7 +24,6 @@ from .modrep import (
     Point,
     ZeroPoint,
     direct_sum,
-    is_free_at,
     lift_to_extension,
     linear_variety_module,
     point_jordan_type,
@@ -47,7 +46,6 @@ class DuplicateDirection(ValueError):
 class PointRecord:
     point: Point
     jordan_type: JordanType
-    free: bool
 
 
 @dataclass
@@ -62,10 +60,10 @@ class PointSetReport:
     witnesses: Optional[dict] = None
 
     def variety_codes(self) -> set:
-        return {r.point.codes() for r in self.points if not r.free}
+        return {r.point.codes() for r in self.points if not r.jordan_type.is_free()}
 
     def counts(self) -> dict:
-        nv = sum(1 for r in self.points if not r.free)
+        nv = sum(1 for r in self.points if not r.jordan_type.is_free())
         return {"points": len(self.points), "variety": nv, "free": len(self.points) - nv}
 
     def to_dict(self) -> dict:
@@ -76,7 +74,7 @@ class PointSetReport:
                 {
                     "coords": [list(c.coeffs) for c in r.point.coords],
                     "type": list(r.jordan_type.mult),
-                    "free": r.free,
+                    "free": r.jordan_type.is_free(),
                 }
                 for r in self.points
             ],
@@ -93,7 +91,7 @@ class PointSetReport:
             writer = csv.writer(fh)
             writer.writerow(["point", "jordan_type", "free"])
             for r in self.points:
-                writer.writerow([str(r.point), str(r.jordan_type), r.free])
+                writer.writerow([str(r.point), str(r.jordan_type), r.jordan_type.is_free()])
 
 
 def enumerate_projective(field: FieldCtx, k: int):
@@ -126,17 +124,17 @@ def _coords_array(points) -> np.ndarray:
 
 
 def variety_points(module: EAModule, field: FieldCtx) -> PointSetReport:
-    """Classify every projective point by freeness, with Jordan data.
+    """Jordan type at every projective point; freeness is read from the type.
 
     The module must already live over the sweep field; subfield modules
     are re-built over the larger field rather than embedded.
     """
     if field != module.field:
         raise MismatchedContext("module must be constructed over the sweep field")
-    records = []
-    for pt in enumerate_projective(field, module.k):
-        jt = point_jordan_type(module, pt)
-        records.append(PointRecord(pt, jt, is_free_at(module, pt)))
+    records = [
+        PointRecord(pt, point_jordan_type(module, pt))
+        for pt in enumerate_projective(field, module.k)
+    ]
     return PointSetReport(field, module.k, records)
 
 
@@ -344,7 +342,7 @@ def green_witness(module: EAModule, field: FieldCtx) -> Optional[Point]:
     for d in range(1, k):
         subspaces.extend(fp_subspaces(p, k, d))
     report = variety_points(module, field)
-    var_pts = [r.point for r in report.points if not r.free]
+    var_pts = [r.point for r in report.points if not r.jordan_type.is_free()]
     if len(subspaces) * max(len(var_pts), 1) > POINT_SWEEP_CAP:
         raise TooLarge("subspace membership sweep exceeds the cap")
     for pt in var_pts:

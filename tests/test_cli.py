@@ -193,10 +193,7 @@ def test_verify_exploratory_always_zero(capsys):
     assert payload["exploratory"] is True
 
 
-def test_threads_env_validation(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("EAMOD_THREADS", "zero")
-    code, _, err = run(capsys, "verify", "--suite", "basis-change", "--p", "3", "--k", "2")
-    assert code == 2 and "EAMOD_THREADS" in err
-    monkeypatch.setenv("EAMOD_THREADS", "2")
-    code, _, _ = run(capsys, "verify", "--suite", "basis-change", "--p", "3", "--k", "2")
-    assert code == 0
+@pytest.mark.parametrize("p,k", [("2", "2"), ("4", "2"), ("3", "0")])
+def test_verify_bad_parameters_are_usage_errors(capsys, p, k):
+    code, _, err = run(capsys, "verify", "--suite", "main-thm", "--p", p, "--k", k)
+    assert code == 2 and "error" in err

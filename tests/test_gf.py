@@ -184,6 +184,16 @@ def test_field_serialization_roundtrip():
     assert FieldCtx.from_dict(f25.to_dict()) == f25
 
 
+def test_field_refuses_int64_overflow():
+    # (p-1)^2 overflows int64 for p = 2^32 + 15
+    with pytest.raises(ValueError, match="overflow"):
+        FieldCtx.from_dict({"p": 2**32 + 15, "m": 1, "irr": [0, 1]})
+    # m = 2 folds 3 (p-1) * 2 (p-1)^2 through the reduction rows
+    with pytest.raises(ValueError, match="overflow"):
+        FieldCtx(2**31 - 1, 2, (7, 0, 1))
+    assert FieldCtx(2**31 - 1, 1, (0, 1)).max_inner == 2
+
+
 def test_factor_even_characteristic():
     # the equal-degree split for q even goes through the trace map
     f2 = field_create(2, 1)

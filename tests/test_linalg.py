@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eamod.gf import field_create
+from eamod.gf import FieldCtx, field_create
 from eamod.linalg import (
     Dominance,
     JordanType,
@@ -182,3 +182,15 @@ def test_compound_identity_and_multiplicativity():
 def test_jordan_type_free_flag():
     assert JordanType.from_blocks(3, [3, 3]).is_free()
     assert not JordanType.from_blocks(3, [3, 1]).is_free()
+    # the zero module is free of rank 0
+    assert JordanType.from_blocks(3, []).is_free()
+
+
+def test_matmul_refuses_int64_overflow():
+    big = FieldCtx(2**31 - 1, 1, (0, 1))
+    a = MatF(big, np.full((4, 4, 1), big.p - 1, dtype=np.int64))
+    with pytest.raises(ValueError, match=r"p=2147483647, m=1 .*n=4"):
+        a @ a
+    # two terms of (p-1)^2 still fit in int64
+    b = MatF(big, np.full((2, 2, 1), big.p - 1, dtype=np.int64))
+    assert (b @ b).get(0, 0) == big.el(2)

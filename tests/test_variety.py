@@ -85,6 +85,22 @@ def test_variety_points_regular_empty():
     assert vy.variety_points(reg, F9).variety_codes() == set()
 
 
+@pytest.mark.parametrize(
+    "module",
+    [
+        mr.zero_module(3, 2, F9),
+        mr.trivial_module(3, 2, F9),
+        mr.regular_module(3, 2, F9),
+        sr.d_r(sr.SymContext(3, 2), F9, 2),
+    ],
+    ids=["zero", "trivial", "regular", "d2"],
+)
+def test_variety_points_freeness_matches_is_free_at(module):
+    report = vy.variety_points(module, F9)
+    for rec in report.points:
+        assert rec.jordan_type.is_free() == mr.is_free_at(module, rec.point)
+
+
 def test_variety_points_field_mismatch():
     module = sr.d_r(sr.SymContext(3, 2), F3, 2)
     with pytest.raises(mr.MismatchedContext):
