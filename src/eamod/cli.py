@@ -4,7 +4,7 @@ and execute the verification suites.
 Reports are JSON (default) or CSV and are byte-identical across runs
 with the same arguments and seed; wall-clock timings go to stderr only.
 Exit codes: 0 all checks pass, 1 any check failure, 2 usage error or
-invalid parameters.
+invalid input (bad parameters, module files or points).
 """
 
 from __future__ import annotations
@@ -349,12 +349,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (BadParams, ParseFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

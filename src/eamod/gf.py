@@ -380,13 +380,6 @@ def poly_x(ctx: FieldCtx) -> tuple:
     return (ctx.zero(), ctx.one())
 
 
-def poly_add(f, g) -> tuple:
-    n = max(len(f), len(g))
-    ctx = (f or g)[0].ctx
-    z = ctx.zero()
-    return poly_trim(tuple((f[i] if i < len(f) else z) + (g[i] if i < len(g) else z) for i in range(n)))
-
-
 def poly_sub(f, g) -> tuple:
     n = max(len(f), len(g))
     ctx = (f or g)[0].ctx
@@ -458,25 +451,6 @@ def poly_pow_mod(f, e: int, mod) -> tuple:
     return out
 
 
-def poly_eval(f, x: Fel) -> Fel:
-    acc = x.ctx.zero()
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def poly_derivative(f) -> tuple:
-    if len(f) <= 1:
-        return ()
-    return poly_trim(tuple(f[i] * i for i in range(1, len(f))))
-
-
-def poly_key(f) -> tuple:
-    """Canonical sort key: (degree, coefficient codes ascending powers)."""
-    ctx = f[0].ctx
-    return (poly_deg(f), tuple(ctx.code(c.coeffs) for c in f))
-
-
 # -- field construction --
 
 
@@ -527,123 +501,3 @@ def poly_is_irreducible(f) -> bool:
         if poly_deg(g) != 0:
             return False
     return True
-
-
-# -- factorization: square-free, distinct-degree, Cantor-Zassenhaus --
-
-
-def _pth_root(f):
-    """Write f = v(x)^p and return v; valid when f' = 0."""
-    ctx = f[0].ctx
-    root_exp = ctx.p ** (ctx.m - 1)
-    coeffs = []
-    for j in range(0, poly_deg(f) + 1, ctx.p):
-        coeffs.append(f[j] ** root_exp)
-    return poly_trim(tuple(coeffs))
-
-
-def _squarefree_parts(f):
-    """Decompose monic f into [(g_i, e_i)] with g_i squarefree, pairwise coprime."""
-    ctx = f[0].ctx
-    out = []
-    df = poly_derivative(f)
-    if not df:
-        for g, e in _squarefree_parts(_pth_root(f)):
-            out.append((g, e * ctx.p))
-        return out
-    c = poly_gcd(f, df)
-    w = poly_divmod(f, c)[0]
-    i = 1
-    while poly_deg(w) > 0:
-        y = poly_gcd(w, c)
-        fac = poly_divmod(w, y)[0]
-        if poly_deg(fac) > 0:
-            out.append((fac, i))
-        w = y
-        c = poly_divmod(c, y)[0]
-        i += 1
-    if poly_deg(c) > 0:
-        for g, e in _squarefree_parts(_pth_root(c)):
-            out.append((g, e * ctx.p))
-    return out
-
-
-def _distinct_degree(f):
-    """Split squarefree monic f into [(product of factors of degree d, d)]."""
-    ctx = f[0].ctx
-    out = []
-    h = poly_mod(poly_x(ctx), f)
-    d = 0
-    while poly_deg(f) > 2 * d:
-        d += 1
-        h = poly_pow_mod(h, ctx.q, f)
-        g = poly_gcd(f, poly_sub(h, poly_x(ctx)))
-        if poly_deg(g) > 0:
-            out.append((g, d))
-            f = poly_divmod(f, g)[0]
-            h = poly_mod(h, f)
-    if poly_deg(f) > 0:
-        out.append((f, poly_deg(f)))
-    return out
-
-
-def _random_poly(ctx, deg, stream):
-    coeffs = [ctx.el(ctx.from_code(stream.below(ctx.q))) for _ in range(deg + 1)]
-    return poly_trim(tuple(coeffs))
-
-
-def _equal_degree(f, d, stream):
-    """Cantor-Zassenhaus split of squarefree f whose factors all have degree d."""
-    n = poly_deg(f)
-    if n == d:
-        return [f]
-    ctx = f[0].ctx
-    q = ctx.q
-    one = (ctx.one(),)
-    while True:
-        r = _random_poly(ctx, n - 1, stream)
-        if poly_deg(r) < 1:
-            continue
-        g = poly_gcd(f, r)
-        if 0 < poly_deg(g) < n:
-            split = g
-        elif q % 2 == 1:
-            s = poly_pow_mod(r, (q ** d - 1) // 2, f)
-            split = poly_gcd(f, poly_sub(s, one))
-        else:
-            t = poly_mod(r, f)
-            acc = t
-            for _ in range(d * ctx.m - 1):
-                t = poly_pow_mod(t, 2, f)
-                acc = poly_add(acc, t)
-            split = poly_gcd(f, acc)
-        if 0 < poly_deg(split) < n:
-            rest = poly_divmod(f, split)[0]
-            return _equal_degree(split, d, stream) + _equal_degree(rest, d, stream)
-
-
-def poly_factor(f, seed: int) -> list:
-    """Factor f into monic irreducibles with multiplicities.
-
-    Returns [(factor, multiplicity)] sorted by degree then coefficient
-    sequence; the product of factor^multiplicity times the leading unit
-    re-multiplies to f.  Equal-degree splitting is randomized but fully
-    determined by the seed.
-    """
-    from .stream import CounterStream
-
-    f = poly_trim(f)
-    if poly_deg(f) < 1:
-        raise ValueError("degree must be >= 1")
-    stream = CounterStream(seed)
-    f = poly_monic(f)
-    found = {}
-    for g, e in _squarefree_parts(f):
-        for h, d in _distinct_degree(g):
-            for irr_f in _equal_degree(h, d, stream):
-                key = poly_key(irr_f)
-                if key in found:
-                    found[key] = (irr_f, found[key][1] + e)
-                else:
-                    found[key] = (irr_f, e)
-    return [found[k] for k in sorted(found)]

@@ -229,23 +229,9 @@ class MatF:
 
     def kernel_array(self) -> np.ndarray:
         """Null-space basis as an (nullity, cols, m) array."""
-        ctx = self.ctx
         work = self.data.copy()
-        pivots = _eliminate(work, ctx, full=True)
-        free = sorted(set(range(self.cols)) - set(pivots))
-        out = np.zeros((len(free), self.cols, ctx.m), dtype=np.int64)
-        for v, j in enumerate(free):
-            out[v, j, 0] = 1
-            for r, c in enumerate(pivots):
-                out[v, c] = (-work[r, j]) % ctx.p
-        # scale so the first nonzero coordinate is 1
-        for v in range(len(free)):
-            for j in range(self.cols):
-                if out[v, j].any():
-                    inv = np.array(ctx.cinv(tuple(int(x) for x in out[v, j])), dtype=np.int64)
-                    out[v] = arr_mul(ctx, out[v], inv[None, :])
-                    break
-        return out
+        pivots = _eliminate(work, self.ctx, full=True)
+        return null_space(self.ctx, work, pivots)
 
     def inv(self) -> "MatF":
         if self.rows != self.cols:
@@ -271,6 +257,28 @@ class MatF:
         if self.cols > self.ctx.max_inner:
             raise BadParams(f"matmul over p={self.ctx.p}, m={self.ctx.m} with inner dimension "
                             f"n={self.cols} can overflow int64 (at most {self.ctx.max_inner})")
+
+
+def null_space(ctx: FieldCtx, reduced: np.ndarray, pivots) -> np.ndarray:
+    """Null-space basis read from an RREF and its pivot columns.
+
+    Returns an (nullity, cols, m) array, one vector per free column in
+    ascending order, each scaled so its first nonzero coordinate is 1.
+    """
+    cols = reduced.shape[1]
+    free = sorted(set(range(cols)) - set(pivots))
+    out = np.zeros((len(free), cols, ctx.m), dtype=np.int64)
+    for v, j in enumerate(free):
+        out[v, j, 0] = 1
+        for r, c in enumerate(pivots):
+            out[v, c] = (-reduced[r, j]) % ctx.p
+    for v in range(len(free)):
+        for j in range(cols):
+            if out[v, j].any():
+                inv = np.array(ctx.cinv(tuple(int(x) for x in out[v, j])), dtype=np.int64)
+                out[v] = arr_mul(ctx, out[v], inv[None, :])
+                break
+    return out
 
 
 def _row_scale(ctx, row, coeffs):

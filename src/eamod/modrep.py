@@ -17,8 +17,15 @@ from itertools import product
 
 import numpy as np
 
-from .gf import Fel, FieldCtx, poly_factor, poly_trim
-from .linalg import MatF, JordanType, NotNilpotent, canonical_nilpotent, jordan_type_nilpotent
+from .gf import FieldCtx
+from .linalg import (
+    JordanType,
+    MatF,
+    NotNilpotent,
+    canonical_nilpotent,
+    jordan_type_nilpotent,
+    null_space,
+)
 from .stream import CounterStream
 
 
@@ -588,42 +595,60 @@ class FittingResult:
         return self.status == "decomposed"
 
 
-def _minimal_polynomial(theta: MatF):
-    """Monic minimal polynomial of a square matrix over its field."""
+def _fitting(t: MatF):
+    """Fitting's lemma for t: the columns [ker t^n | im t^n] and dim ker t^n.
+
+    The space is the direct sum of the two, and both are submodules when
+    t commutes with the generators.
+    """
+    power = t.mat_pow(t.rows)
+    reduced, pivots = power.rref()
+    kernel = null_space(t.ctx, reduced.data, pivots)
+    cols = np.concatenate([kernel.transpose(1, 0, 2), power.data[:, pivots]], axis=1)
+    return cols, kernel.shape[0]
+
+
+def _character(theta: MatF, d: int) -> MatF:
+    """theta^((q^d-1)/2) - 1 (odd q), or the trace sum of theta^(2^i), i < dm (even q).
+
+    On an eigenvalue in F_{q^d} it is nilpotent exactly when the
+    eigenvalue is a nonzero square (odd q) or has absolute trace 0
+    (even q).
+    """
     field = theta.ctx
+    if field.p != 2:
+        return theta.mat_pow((field.q ** d - 1) // 2) - MatF.identity(field, theta.rows)
+    trace = power = theta
+    for _ in range(d * field.m - 1):
+        power = power @ power
+        trace = trace + power
+    return trace
+
+
+def _fitting_split(theta: MatF):
+    """The first nontrivial Fitting split along a polynomial in theta, or None.
+
+    psi_d = theta^(q^d) - theta is nilpotent exactly on the generalized
+    eigenspaces whose eigenvalues lie in F_{q^d}, so its split separates
+    those from the rest.  The first d with a nonzero kernel is the least
+    eigenvalue degree (at most n); if psi_d is nilpotent there, every
+    eigenvalue lies in F_{q^d}, and the last tries are the character of
+    theta and theta itself, which separates the eigenvalue 0.
+    """
     n = theta.rows
-    vecs = [MatF.identity(field, n).data.reshape(n * n, field.m)]
-    power = MatF.identity(field, n)
-    for _ in range(n):
-        power = power @ theta
-        vecs.append(power.data.reshape(n * n, field.m))
-        stacked = np.stack(vecs, axis=0)
-        mat = MatF(field, stacked.transpose(1, 0, 2).copy())
-        null = mat.kernel_array()
-        if null.shape[0]:
-            coeffs = [Fel(field, tuple(int(c) for c in null[0, j])) for j in range(len(vecs))]
-            poly = poly_trim(tuple(coeffs))
-            lead_inv = poly[-1].inverse()
-            return tuple(c * lead_inv for c in poly)
-    raise AssertionError("minimal polynomial not found within n steps")
-
-
-def _poly_at_matrix(coeffs, mat: MatF) -> MatF:
-    acc = MatF.zeros(mat.ctx, mat.rows, mat.cols)
-    for c in reversed(coeffs):
-        acc = acc @ mat
-        if c:
-            acc = acc + MatF.identity(mat.ctx, mat.rows).scale(c)
-    return acc
-
-
-def _poly_power(factor, e: int):
-    from .gf import poly_mul
-
-    out = (factor[0].ctx.one(),)
-    for _ in range(e):
-        out = poly_mul(out, factor)
-    return out
+    frob = theta
+    for d in range(1, n + 1):
+        frob = frob.mat_pow(theta.ctx.q)
+        cols, dim = _fitting(frob - theta)
+        if dim == n:
+            break
+        if dim:
+            return cols, dim
+    for t in (_character(theta, d), theta):
+        cols, dim = _fitting(t)
+        if 0 < dim < n:
+            return cols, dim
+    return None
 
 
 def _try_split(module: EAModule, trials: int, stream: CounterStream):
@@ -640,24 +665,11 @@ def _try_split(module: EAModule, trials: int, stream: CounterStream):
             c = field.el(field.from_code(stream.below(q)))
             if c:
                 theta = theta + b.scale(c)
-        minpoly = _minimal_polynomial(theta)
-        if len(minpoly) <= 2:
+        split = _fitting_split(theta)
+        if split is None:
             continue
-        factors = poly_factor(minpoly, seed=stream.next_u64())
-        if len(factors) < 2:
-            continue
-        f_poly = _poly_power(factors[0][0], factors[0][1])
-        g_poly = (field.one(),)
-        from .gf import poly_mul
-
-        for fac, e in factors[1:]:
-            g_poly = poly_mul(g_poly, _poly_power(fac, e))
-        ker_f = _poly_at_matrix(f_poly, theta).kernel_array()
-        ker_g = _poly_at_matrix(g_poly, theta).kernel_array()
-        da, db = ker_f.shape[0], ker_g.shape[0]
-        assert da + db == module.n and da > 0 and db > 0
-        cols = np.concatenate([ker_f, ker_g], axis=0).transpose(1, 0, 2)
-        basis_change = MatF(field, cols.copy())
+        cols, da = split
+        basis_change = MatF(field, cols)
         inv = basis_change.inv()
         gens_a, gens_b = [], []
         for x in module.gens:
@@ -674,10 +686,11 @@ def _try_split(module: EAModule, trials: int, stream: CounterStream):
 def fitting_decompose(module: EAModule, trials: int, seed: int) -> FittingResult:
     """Split into direct summands via random commutant elements.
 
-    Draws up to `trials` random endomorphisms per remaining piece from a
-    counter-based stream keyed by seed, splits along coprime factors of
-    their minimal polynomials and recurses.  NoSplitFound is evidence,
-    not proof, of indecomposability.
+    Draws up to `trials` random endomorphisms theta per remaining piece
+    from a counter-based stream keyed by seed, splits at the first
+    polynomial in theta whose Fitting decomposition ker t^n + im t^n is
+    nontrivial (see _fitting_split) and recurses on both parts.
+    "no_split_found" is evidence, not proof, of indecomposability.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -543,9 +543,10 @@ def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
         mod1 = sr.block_model_d1(ctx, field1)
         mod2 = sr.block_model_d1(ctx, field2)
         generic = _jt(p, [p] * (ctx.k - 1) + [p - 2])
+        pts = list(vy.enumerate_projective(field1, ctx.k))
+        pts_types = [mr.point_jordan_type(mod1, pt) for pt in pts]
         for r in rr:
             w1, w2 = mr.wedge(mod1, r), mr.wedge(mod2, r)
-            pts = list(vy.enumerate_projective(field1, ctx.k))
             sampled = []
             for j in range(30):
                 stream_j = CounterStream(seed, ctx.k, r, j)
@@ -556,17 +557,17 @@ def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
                 pt = Point(coords)
                 if not pt.is_zero():
                     sampled.append(pt)
-            for base_mod, wedge_mod, alphas in ((mod1, w1, pts), (mod2, w2, sampled)):
-                for pt in alphas:
-                    t_base = mr.point_jordan_type(base_mod, pt)
-                    lhs = mr.point_jordan_type(wedge_mod, pt)
-                    rhs = mr.wedge_jordan(t_base, r, p)
-                    agree = lhs == rhs
-                    maximal = t_base == generic
-                    if maximal and not agree:
-                        wedge_required.append(f"k={ctx.k} r={r} {pt}")
-                    if not maximal and not agree:
-                        wedge_observed.append(f"k={ctx.k} r={r} {pt}: {lhs} vs {rhs}")
+            typed = [(w1, pt, t) for pt, t in zip(pts, pts_types)]
+            typed += [(w2, pt, mr.point_jordan_type(mod2, pt)) for pt in sampled]
+            for wedge_mod, pt, t_base in typed:
+                lhs = mr.point_jordan_type(wedge_mod, pt)
+                rhs = mr.wedge_jordan(t_base, r, p)
+                agree = lhs == rhs
+                maximal = t_base == generic
+                if maximal and not agree:
+                    wedge_required.append(f"k={ctx.k} r={r} {pt}")
+                if not maximal and not agree:
+                    wedge_observed.append(f"k={ctx.k} r={r} {pt}: {lhs} vs {rhs}")
     rep.add(
         "axioms/wedge-law-maximal",
         "pointwise exterior-power law at every maximal point of the stated sweeps",

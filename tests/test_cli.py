@@ -197,3 +197,34 @@ def test_verify_exploratory_always_zero(capsys):
 def test_verify_bad_parameters_are_usage_errors(capsys, p, k):
     code, _, err = run(capsys, "verify", "--suite", "main-thm", "--p", p, "--k", k)
     assert code == 2 and "error" in err
+
+
+INVALID_INPUTS = {
+    "dr-degree-out-of-range": ["build", "dr", "--p", "3", "--k", "2", "-r", "9", "--out", "{tmp}/x.json"],
+    "wedge-degree-out-of-range": ["build", "wedge", "--module", "{d1}", "-r", "9", "--out", "{tmp}/x.json"],
+    "rank-lemma-k1": ["verify", "--suite", "rank-lemma", "--p", "3", "--k", "1"],
+    "decomp-k2-p5": ["verify", "--suite", "decomp-k2", "--p", "5"],
+    "file-wrong-format": ["query", "projective", "--module", "{tmp}/format.json"],
+    "file-entry-out-of-range": ["query", "projective", "--module", "{tmp}/entry.json"],
+    "file-not-nilpotent": ["query", "projective", "--module", "{tmp}/nilpotent.json"],
+    "file-malformed-json": ["query", "projective", "--module", "{tmp}/malformed.json"],
+    "point-too-many-coordinates": ["query", "jordan", "--module", "{d1}", "--alpha", "1,1,1"],
+    "point-zero": ["query", "jordan", "--module", "{d1}", "--alpha", "0,0"],
+}
+
+
+@pytest.mark.parametrize("argv", list(INVALID_INPUTS.values()), ids=list(INVALID_INPUTS))
+def test_invalid_input_is_usage_error(tmp_path, capsys, argv):
+    d1 = tmp_path / "d1.json"
+    run(capsys, "build", "d1", "--p", "3", "--k", "2", "--out", str(d1))  # dim 4
+    raw = json.loads(d1.read_text())
+    (tmp_path / "format.json").write_text(json.dumps(dict(raw, format="eamod-v0")))
+    entry = json.loads(d1.read_text())
+    entry["generators"][0][0][0] = [3]
+    (tmp_path / "entry.json").write_text(json.dumps(entry))
+    nilpotent = json.loads(d1.read_text())
+    nilpotent["generators"][0] = [[[int(i == j)] for j in range(4)] for i in range(4)]
+    (tmp_path / "nilpotent.json").write_text(json.dumps(nilpotent))
+    (tmp_path / "malformed.json").write_text("{\"format\": ")
+    code, _, err = run(capsys, *[a.format(tmp=tmp_path, d1=d1) for a in argv])
+    assert code == 2 and "error" in err

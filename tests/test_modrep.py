@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eamod.gf import field_create
-from eamod.linalg import JordanType, MatF, NotNilpotent
+from eamod.linalg import JordanType, MatF, NotNilpotent, canonical_nilpotent
 from eamod import modrep as mr
 from eamod.modrep import (
     DependentGenerators,
@@ -15,6 +17,7 @@ from eamod.modrep import (
     ZeroPoint,
 )
 from eamod.stream import CounterStream
+from eamod.variety import enumerate_projective
 
 F3 = field_create(3, 1)
 F9 = field_create(3, 2)
@@ -316,6 +319,119 @@ def test_fitting_deterministic():
     r1 = mr.fitting_decompose(mod, trials=25, seed=5)
     r2 = mr.fitting_decompose(mod, trials=25, seed=5)
     assert [s.gens for s in r1.summands] == [s.gens for s in r2.summands]
+
+
+def restrict_matrix(mat):
+    """A matrix over F_{p^m} viewed over F_p: every entry becomes the
+    m x m matrix of multiplication by it in the basis 1, w, ..., w^{m-1}."""
+    field = mat.ctx
+    n, m = mat.rows, field.m
+    units = [tuple(int(t == c) for t in range(m)) for c in range(m)]
+    big = np.zeros((n * m, n * m, 1), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            entry = tuple(int(v) for v in mat.data[i, j])
+            for c, unit in enumerate(units):
+                big[i * m : (i + 1) * m, j * m + c, 0] = field.cmul(entry, unit)
+    return MatF(field_create(field.p, 1), big)
+
+
+def restrict_scalars(module):
+    """The module over F_{p^m} viewed over F_p."""
+    gens = [restrict_matrix(g) for g in module.gens]
+    return EAModule(module.p, module.k, gens[0].ctx, gens)
+
+
+def restricted_line(p, c):
+    """The line module through (1, w + c) over F_{p^2}, viewed over F_p."""
+    big = field_create(p, 2)
+    return restrict_scalars(mr.linear_variety_module(p, 2, big, [[1, big.gen() + c]]))
+
+
+@pytest.mark.parametrize("p", [3, 2])
+def test_fitting_splits_restricted_lines(p):
+    # End/J of each summand is F_{p^2}, so most eigenvalues of theta lie
+    # outside F_p; for p = 2 the two lines are Galois conjugate, the
+    # summands are isomorphic and End/J is M_2(F_4)
+    a = restricted_line(p, 0)
+    b = restricted_line(p, 1)
+    result = mr.fitting_decompose(mr.direct_sum(a, b), trials=60, seed=7)
+    assert result.status == "decomposed"
+    assert sorted(s.n for s in result.summands) == [2 * p, 2 * p]
+    for s in result.summands:
+        mr.validate(s)
+
+
+@pytest.mark.parametrize("p", [3, 2])
+def test_fitting_keeps_restricted_line_whole(p):
+    result = mr.fitting_decompose(restricted_line(p, 0), trials=30, seed=7)
+    assert result.status == "no_split_found" and [s.n for s in result.summands] == [2 * p]
+
+
+@pytest.mark.parametrize("p", [3, 2])
+def test_fitting_splits_rational_line_off_restricted_line(p):
+    rational = mr.linear_variety_module(p, 2, field_create(p, 1), [[1, 0]])
+    mod = mr.direct_sum(rational, restricted_line(p, 0))
+    result = mr.fitting_decompose(mod, trials=60, seed=7)
+    assert result.status == "decomposed"
+    assert sorted(s.n for s in result.summands) == [p, 2 * p]
+
+
+# theta = diag(c_1, c_2) over F_{p^2} (entries by code: w is code p), viewed
+# over F_p or not; kernel_dim is dim ker t^n of the split returned, or None
+@pytest.mark.parametrize("p,restrict,codes,kernel_dim", [
+    (3, True, (1, 3), 2),      # psi_1: an F_3 eigenvalue against the pair w, w^3
+    (3, True, (3, 4), 2),      # psi_2 nilpotent; the square w against the non-square w+1
+    (3, True, (0, 2), 2),      # psi_1 nilpotent, character invertible; theta splits 0 off
+    (3, True, (3, 3), None),   # one eigenvalue pair: nothing to split
+    (2, False, (1, 2), 1),     # over F_4: trace 0 (eigenvalue 1) against trace 1 (w)
+    (2, True, (0, 2), 2),      # psi_1 over F_2
+    (2, True, (2, 2), None),
+])
+def test_fitting_split_steps(p, restrict, codes, kernel_dim):
+    big = field_create(p, 2)
+    theta = MatF.from_rows(big, [[big.from_code(c) if i == j else 0 for j in range(len(codes))]
+                                 for i, c in enumerate(codes)])
+    split = mr._fitting_split(restrict_matrix(theta) if restrict else theta)
+    assert (None if split is None else split[1]) == kernel_dim
+
+
+@st.composite
+def small_sums(draw):
+    """2-3 indecomposable pieces over one of F_3, F_9, F_4, F_5."""
+    field = draw(st.sampled_from([F3, F9, field_create(2, 2), field_create(5, 1)]))
+    p = field.p
+    k = draw(st.sampled_from([1, 2]))
+    pieces = []
+    for _ in range(draw(st.integers(2, 3))):
+        if k == 1:
+            size = draw(st.integers(1, p))
+            nil = canonical_nilpotent(field, JordanType.from_blocks(p, [size]))
+            pieces.append(EAModule(p, 1, field, [nil]))
+        elif draw(st.booleans()):
+            pieces.append(mr.trivial_module(p, 2, field))
+        else:
+            codes = draw(st.tuples(st.integers(0, field.q - 1), st.integers(0, field.q - 1)).filter(any))
+            pieces.append(mr.linear_variety_module(p, 2, field, [[field.from_code(c) for c in codes]]))
+    return pieces
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_sums())
+def test_fitting_summands_property(pieces):
+    mod = pieces[0]
+    for piece in pieces[1:]:
+        mod = mr.direct_sum(mod, piece)
+    result = mr.fitting_decompose(mod, trials=10, seed=1)
+    for s in result.summands:
+        mr.validate(s)
+    assert sum(s.n for s in result.summands) == mod.n
+    assert len(result.summands) <= len(pieces)
+    recombined = result.summands[0]
+    for s in result.summands[1:]:
+        recombined = mr.direct_sum(recombined, s)
+    for pt in enumerate_projective(mod.field, mod.k):
+        assert mr.point_jordan_type(recombined, pt) == mr.point_jordan_type(mod, pt)
 
 
 def test_module_file_roundtrip(tmp_path):
