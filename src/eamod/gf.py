@@ -1,9 +1,10 @@
 """Exact arithmetic in prime fields F_p and extensions F_{p^m}.
 
 A FieldCtx fixes (p, m, irr) where irr is a monic irreducible of degree m
-over F_p; every element, polynomial and matrix in the package is
-interpreted relative to one such context.  Elements are coefficient
-vectors in ascending powers of the generator w (a root of irr).
+over F_p; every element and matrix in the package is interpreted
+relative to one such context.  Elements are coefficient vectors in
+ascending powers of the generator w (a root of irr).  Polynomials over
+F_p are plain integer lists, ascending.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ class FieldCtx:
     def __init__(self, p: int, m: int, irr: Sequence[int]):
         self.p = int(p)
         self.m = int(m)
+        if not is_prime(self.p):
+            raise NonPrime(f"{self.p} is not prime")
+        if self.m < 1:
+            raise DegreeOutOfRange(f"extension degree {self.m} is below 1")
         self.irr = tuple(int(c) % p for c in irr)
         if len(self.irr) != m + 1 or self.irr[-1] != 1:
             raise ValueError("irr must be monic of degree m (ascending coefficients)")
@@ -62,6 +67,8 @@ class FieldCtx:
         self.max_inner = int(np.iinfo(np.int64).max) // term
         if self.max_inner < 1:
             raise BadParams(f"products over F_{self.p}^{self.m} overflow int64 (peak {term})")
+        if self.m >= 2 and not poly_is_irreducible(self.p, self.irr):
+            raise BadParams(f"{list(self.irr)} is reducible over F_{self.p}")
         # rows d = 0..2m-2: coefficients of x^d reduced mod irr
         red = []
         for d in range(self.m):
@@ -200,10 +207,9 @@ class FieldCtx:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FieldCtx":
-        ctx = cls(int(d["p"]), int(d["m"]), d["irr"])
-        if not is_prime(ctx.p):
-            raise NonPrime(f"{ctx.p} is not prime")
-        return ctx
+        if not isinstance(d, dict) or not {"p", "m", "irr"} <= d.keys():
+            raise ValueError("field must be an object with keys p, m and irr")
+        return cls(int(d["p"]), int(d["m"]), d["irr"])
 
     def __eq__(self, other):
         return (
@@ -313,7 +319,7 @@ class Fel:
         return "+".join(terms) if terms else "0"
 
 
-# -- prime-subfield polynomial helpers on bare int lists (used by cinv) --
+# -- prime-subfield polynomial helpers on bare int lists (cinv, irreducibility) --
 
 
 def _fp_trim(a):
@@ -357,96 +363,13 @@ def _fp_divmod(a, b, p):
     return q, r
 
 
-# -- polynomials over a FieldCtx, as trimmed tuples of Fel (ascending) --
-
-
-def poly(ctx: FieldCtx, coeffs) -> tuple:
-    """Build a trimmed polynomial from ints/Fels, ascending powers."""
-    return poly_trim(tuple(ctx.el(c) for c in coeffs))
-
-
-def poly_trim(f) -> tuple:
-    i = len(f) - 1
-    while i >= 0 and not f[i]:
-        i -= 1
-    return tuple(f[: i + 1])
-
-
-def poly_deg(f) -> int:
-    return len(f) - 1
-
-
-def poly_x(ctx: FieldCtx) -> tuple:
-    return (ctx.zero(), ctx.one())
-
-
-def poly_sub(f, g) -> tuple:
-    n = max(len(f), len(g))
-    ctx = (f or g)[0].ctx
-    z = ctx.zero()
-    return poly_trim(tuple((f[i] if i < len(f) else z) - (g[i] if i < len(g) else z) for i in range(n)))
-
-
-def poly_scale(f, s: Fel) -> tuple:
-    return poly_trim(tuple(c * s for c in f))
-
-
-def poly_mul(f, g) -> tuple:
-    if not f or not g:
-        return ()
-    ctx = f[0].ctx
-    out = [ctx.zero()] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = out[i + j] + a * b
-    return poly_trim(tuple(out))
-
-
-def poly_divmod(f, g) -> tuple:
-    g = poly_trim(g)
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    ctx = g[0].ctx
-    inv_lead = g[-1].inverse()
-    r = list(poly_trim(f))
-    q = [ctx.zero()] * max(len(r) - len(g) + 1, 0)
-    while len(r) >= len(g) and r:
-        c = r[-1] * inv_lead
-        d = len(r) - len(g)
-        q[d] = c
-        for i in range(len(g)):
-            r[d + i] = r[d + i] - c * g[i]
-        r = list(poly_trim(r))
-    return poly_trim(tuple(q)), poly_trim(tuple(r))
-
-
-def poly_mod(f, g) -> tuple:
-    return poly_divmod(f, g)[1]
-
-
-def poly_gcd(f, g) -> tuple:
-    f, g = poly_trim(f), poly_trim(g)
-    while g:
-        f, g = g, poly_mod(f, g)
-    return poly_monic(f) if f else ()
-
-
-def poly_monic(f) -> tuple:
-    f = poly_trim(f)
-    if not f:
-        return ()
-    return poly_scale(f, f[-1].inverse())
-
-
-def poly_pow_mod(f, e: int, mod) -> tuple:
-    ctx = mod[0].ctx
-    out = (ctx.one(),)
-    base = poly_mod(f, mod)
+def _fp_powmod(a, e, f, p):
+    """a^e mod f over F_p."""
+    out, base = [1], _fp_divmod(a, f, p)[1]
     while e:
         if e & 1:
-            out = poly_mod(poly_mul(out, base), mod)
-        base = poly_mod(poly_mul(base, base), mod)
+            out = _fp_divmod(_fp_mul(out, base, p), f, p)[1]
+        base = _fp_divmod(_fp_mul(base, base, p), f, p)[1]
         e >>= 1
     return out
 
@@ -467,37 +390,30 @@ def field_create(p: int, m: int) -> FieldCtx:
         raise DegreeOutOfRange(f"extension degree {m} outside 1..8")
     if m == 1:
         return FieldCtx(p, 1, (0, 1))
-    prime = FieldCtx(p, 1, (0, 1))
     for t in range(p ** m):
-        digits = []
-        v = t
-        for _ in range(m):
-            digits.append(v % p)
-            v //= p
         # digits[0] = a_0 (least significant of t)
-        cand = poly(prime, digits + [1])
-        if poly_is_irreducible(cand):
-            return FieldCtx(p, m, [c.coeffs[0] for c in cand])
+        digits = [(t // p ** i) % p for i in range(m)] + [1]
+        if poly_is_irreducible(p, digits):
+            return FieldCtx(p, m, digits)
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
-def poly_is_irreducible(f) -> bool:
-    """Irreducibility over the coefficients' field, by gcd with x^{q^d} - x.
+def poly_is_irreducible(p: int, coeffs) -> bool:
+    """Irreducibility over F_p of the polynomial with ascending coefficients.
 
-    A monic f of degree n is reducible iff it shares a factor with
-    x^{q^d} - x for some d <= n/2.
+    f of degree n is reducible iff it shares a factor with x^{p^d} - x
+    for some d <= n/2.
     """
-    f = poly_monic(f)
-    n = poly_deg(f)
+    f = _fp_trim([int(c) % p for c in coeffs])
+    n = len(f) - 1
     if n < 1:
         raise ValueError("degree must be >= 1")
-    if n == 1:
-        return True
-    ctx = f[0].ctx
-    h = poly_mod(poly_x(ctx), f)
+    h = [0, 1]
     for _ in range(n // 2):
-        h = poly_pow_mod(h, ctx.q, f)
-        g = poly_gcd(f, poly_sub(h, poly_x(ctx)))
-        if poly_deg(g) != 0:
+        h = _fp_powmod(h, p, f, p)
+        g, r = f, _fp_sub(h, [0, 1], p)
+        while r:
+            g, r = r, _fp_divmod(g, r, p)[1]
+        if len(g) > 1:
             return False
     return True

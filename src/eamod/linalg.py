@@ -31,17 +31,33 @@ class UnequalTotals(ValueError):
 # -- batched coefficient-plane arithmetic on (..., m) arrays --
 
 
-def arr_mul(ctx: FieldCtx, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise field product of two (..., m) coefficient arrays."""
+def _planes(ctx: FieldCtx, x: np.ndarray, y: np.ndarray, op) -> np.ndarray:
+    """Field product of two (..., m) coefficient arrays under a bilinear op.
+
+    op (np.multiply, np.matmul or np.kron) is applied to each pair of
+    nonzero planes; the product of planes a and b lands in plane a + b,
+    and the 2m - 1 planes are folded through the reduction rows.
+    """
     m, p = ctx.m, ctx.p
     if m == 1:
-        return (x * y) % p
-    conv = np.zeros(x.shape[:-1] + (2 * m - 1,), dtype=np.int64)
-    for a in range(m):
-        xa = x[..., a]
-        for b in range(m):
-            conv[..., a + b] += xa * y[..., b]
-    return np.tensordot(conv, ctx.reduction_planes(), axes=([-1], [0])) % p
+        return op(x[..., 0], y[..., 0])[..., None] % p
+    xs = [(a, x[..., a]) for a in range(m) if x[..., a].any()]
+    ys = [(b, y[..., b]) for b in range(m) if y[..., b].any()]
+    if not xs or not ys:
+        return np.zeros(op(x[..., 0], y[..., 0]).shape + (m,), dtype=np.int64)
+    conv = None
+    for a, xa in xs:
+        for b, yb in ys:
+            prod = op(xa, yb)
+            if conv is None:
+                conv = np.zeros(prod.shape + (2 * m - 1,), dtype=np.int64)
+            conv[..., a + b] += prod
+    return (conv @ ctx.reduction_planes()) % p
+
+
+def arr_mul(ctx: FieldCtx, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise field product of two (..., m) coefficient arrays."""
+    return _planes(ctx, x, y, np.multiply)
 
 
 def arr_pow(ctx: FieldCtx, x: np.ndarray, e: int) -> np.ndarray:
@@ -141,22 +157,7 @@ class MatF:
 
     def __matmul__(self, other: "MatF") -> "MatF":
         self._check_mul(other)
-        ctx = self.ctx
-        m, p = ctx.m, ctx.p
-        if m == 1:
-            prod = (self.data[:, :, 0] @ other.data[:, :, 0]) % p
-            return MatF(ctx, prod[:, :, None])
-        conv = np.zeros((self.rows, other.cols, 2 * m - 1), dtype=np.int64)
-        for a in range(m):
-            pa = self.data[:, :, a]
-            if not pa.any():
-                continue
-            for b in range(m):
-                qb = other.data[:, :, b]
-                if qb.any():
-                    conv[:, :, a + b] += pa @ qb
-        out = np.tensordot(conv, ctx.reduction_planes(), axes=([2], [0])) % p
-        return MatF(ctx, out)
+        return MatF(self.ctx, _planes(self.ctx, self.data, other.data, np.matmul))
 
     def mat_pow(self, e: int) -> "MatF":
         if self.rows != self.cols:
@@ -176,21 +177,7 @@ class MatF:
     def kron(self, other: "MatF") -> "MatF":
         """Kronecker (tensor) product over the field."""
         self._check(other, shape=False)
-        ctx = self.ctx
-        m = ctx.m
-        r = self.rows * other.rows
-        c = self.cols * other.cols
-        conv = np.zeros((r, c, 2 * m - 1), dtype=np.int64)
-        for a in range(m):
-            pa = self.data[:, :, a]
-            if not pa.any():
-                continue
-            for b in range(m):
-                qb = other.data[:, :, b]
-                if qb.any():
-                    conv[:, :, a + b] += np.kron(pa, qb)
-        out = np.tensordot(conv, ctx.reduction_planes(), axes=([2], [0])) % ctx.p
-        return MatF(ctx, out)
+        return MatF(self.ctx, _planes(self.ctx, self.data, other.data, np.kron))
 
     @staticmethod
     def block_diag(blocks) -> "MatF":
@@ -281,21 +268,13 @@ def null_space(ctx: FieldCtx, reduced: np.ndarray, pivots) -> np.ndarray:
     return out
 
 
-def _row_scale(ctx, row, coeffs):
-    """Multiply a (cols, m) row by a scalar coefficient tuple."""
-    s = np.array(coeffs, dtype=np.int64)
-    return arr_mul(ctx, row, s[None, :])
-
-
 def _eliminate(work: np.ndarray, ctx: FieldCtx, full: bool) -> list:
     """In-place Gaussian elimination; returns pivot columns.
 
     full=False clears below pivots only (rank); full=True normalizes
     pivots to 1 and clears above as well (RREF).
     """
-    rows, cols, m = work.shape
-    p = ctx.p
-    red = ctx.reduction_planes()
+    rows, cols = work.shape[:2]
     r = 0
     pivots = []
     for c in range(cols):
@@ -308,31 +287,16 @@ def _eliminate(work: np.ndarray, ctx: FieldCtx, full: bool) -> list:
         pr = r + int(nz[0])
         if pr != r:
             work[[r, pr]] = work[[pr, r]]
-        inv = ctx.cinv(tuple(int(x) for x in work[r, c]))
-        work[r] = _row_scale(ctx, work[r], inv)
+        inv = np.array(ctx.cinv(tuple(int(x) for x in work[r, c])), dtype=np.int64)
+        work[r] = arr_mul(ctx, work[r], inv[None, :])
         if full:
             targets = np.nonzero(work[:, c, :].any(axis=1))[0]
             targets = targets[targets != r]
         else:
             targets = r + 1 + np.nonzero(work[r + 1 :, c, :].any(axis=1))[0]
         if targets.size:
-            factors = work[targets, c, :]
-            pivrow = work[r]
-            if m == 1:
-                work[targets, :, 0] = (
-                    work[targets, :, 0] - factors[:, 0][:, None] * pivrow[None, :, 0]
-                ) % p
-            else:
-                conv = np.zeros((targets.size, cols, 2 * m - 1), dtype=np.int64)
-                for a in range(m):
-                    fa = factors[:, a]
-                    if not fa.any():
-                        continue
-                    for b in range(m):
-                        pb = pivrow[:, b]
-                        conv[:, :, a + b] += fa[:, None] * pb[None, :]
-                upd = np.tensordot(conv, red, axes=([2], [0]))
-                work[targets] = (work[targets] - upd) % p
+            upd = arr_mul(ctx, work[targets, c, None], work[r][None])
+            work[targets] = (work[targets] - upd) % ctx.p
         pivots.append(c)
         r += 1
     return pivots

@@ -150,18 +150,17 @@ class EAModule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EAModule":
+        if not isinstance(d, dict):
+            raise ValueError("module file is not a JSON object")
         if d.get("format") != "eamod-v1":
             raise ValueError(f"unsupported module format {d.get('format')!r}")
+        missing = [key for key in ("field", "p", "k", "dim", "generators") if key not in d]
+        if missing:
+            raise ValueError(f"module file lacks {', '.join(missing)}")
         field = FieldCtx.from_dict(d["field"])
         p, k, n = int(d["p"]), int(d["k"]), int(d["dim"])
         if field.p != p:
             raise ValueError("field characteristic does not match module prime")
-        if field.m >= 2:
-            from .gf import poly, poly_is_irreducible
-
-            prime = FieldCtx(p, 1, (0, 1))
-            if not poly_is_irreducible(poly(prime, field.irr)):
-                raise ValueError("stored field polynomial is reducible")
         gens = []
         raw = d["generators"]
         if len(raw) != k:

@@ -652,11 +652,13 @@ def suite_dimension(p: int = 3) -> SuiteReport:
     q = p ** 2
     n2 = vy.count_affine_zeros(sr.PkPoly(p, 2), f2)
     n4 = vy.count_affine_zeros(sr.PkPoly(p, 2), f4)
+    # F_{p^m} with m even holds the 2(p-1)-th roots of unity, so
+    # x^{p-1} = -y^{p-1} has p-1 solutions x/y for each y != 0
     rep.add(
         "dimension/pk2-counts",
         f"affine zero counts of p_2 over F_{q} and F_{q ** 2}",
         "Eq (p_k)",
-        [17, 161] if p == 3 else [n2, n4],
+        [1 + (q - 1) * (p - 1), 1 + (q * q - 1) * (p - 1)],
         [n2, n4],
     )
     rep.add(

@@ -323,31 +323,22 @@ def fp_subspaces(p: int, k: int, dim: int):
     return out
 
 
-def _in_field_span(field: FieldCtx, basis_rows, pt: Point) -> bool:
-    base = MatF.from_rows(field, basis_rows)
-    stacked = MatF.from_rows(field, list(basis_rows) + [[c for c in pt.coords]])
-    return stacked.rank() == base.rank()
-
-
 def green_witness(module: EAModule, field: FieldCtx) -> Optional[Point]:
     """A variety point lying in no proper base subspace, if one exists.
 
-    Base subspaces are spanned by vectors with prime-field coordinates;
-    there are finitely many, enumerated by RREF pattern.  A witness
-    certifies that the variety is not covered by proper base subspaces.
+    Base subspaces are spanned by vectors with prime-field coordinates.
+    Each proper one lies in a base hyperplane sum c_i x_i = 0 with c in
+    F_p^k, so a point avoids them all exactly when its coordinates are
+    linearly independent over F_p.  A witness certifies that the variety
+    is not covered by proper base subspaces.
     """
-    k = module.k
-    p = module.p
-    subspaces = []
-    for d in range(1, k):
-        subspaces.extend(fp_subspaces(p, k, d))
-    report = variety_points(module, field)
-    var_pts = [r.point for r in report.points if not r.jordan_type.is_free()]
-    if len(subspaces) * max(len(var_pts), 1) > POINT_SWEEP_CAP:
-        raise TooLarge("subspace membership sweep exceeds the cap")
-    for pt in var_pts:
-        if not any(_in_field_span(field, rows, pt) for rows in subspaces):
-            return pt
+    prime = field_create(field.p, 1)
+    for rec in variety_points(module, field).points:
+        if rec.jordan_type.is_free():
+            continue
+        coeffs = np.array([c.coeffs for c in rec.point.coords], dtype=np.int64)
+        if MatF(prime, coeffs[:, :, None]).rank() == module.k:
+            return rec.point
     return None
 
 

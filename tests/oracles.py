@@ -1,13 +1,12 @@
 """Independent slow oracles used to cross-check the production paths.
 
-Everything here works on Fel objects with plain Python loops and stays
-deliberately naive: rank by textbook elimination on lists, and
-irreducibility by trial division over all monic divisors.
+Everything here uses plain Python loops and stays deliberately naive:
+rank and products by textbook arithmetic on lists of Fel, and
+irreducibility over F_p by trial division over all monic divisors,
+written out on integer lists.
 """
 
 from itertools import product
-
-from eamod.gf import poly, poly_deg, poly_divmod, poly_trim
 
 
 def slow_rank(rows):
@@ -51,17 +50,21 @@ def slow_matmul(a_rows, b_rows):
     return out
 
 
-def brute_irreducible(f):
-    """Trial division by every monic polynomial of degree <= deg(f)/2."""
-    f = poly_trim(f)
-    ctx = f[0].ctx
-    n = poly_deg(f)
-    if n == 1:
-        return True
-    els = list(ctx.elements())
+def brute_irreducible(p, coeffs):
+    """Trial division over F_p by every monic polynomial of degree <= deg(f)/2.
+
+    coeffs are ascending integers; the leading one must be nonzero mod p.
+    """
+    f = [c % p for c in coeffs]
+    n = len(f) - 1
     for d in range(1, n // 2 + 1):
-        for coeffs in product(els, repeat=d):
-            divisor = poly(ctx, list(coeffs) + [ctx.one()])
-            if not poly_divmod(f, divisor)[1]:
+        for low in product(range(p), repeat=d):
+            divisor = list(low) + [1]
+            rem = list(f)
+            for top in range(n, d - 1, -1):
+                c = rem[top]
+                for i in range(d + 1):
+                    rem[top - d + i] = (rem[top - d + i] - c * divisor[i]) % p
+            if not any(rem):
                 return False
     return True

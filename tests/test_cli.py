@@ -208,6 +208,9 @@ INVALID_INPUTS = {
     "file-entry-out-of-range": ["query", "projective", "--module", "{tmp}/entry.json"],
     "file-not-nilpotent": ["query", "projective", "--module", "{tmp}/nilpotent.json"],
     "file-malformed-json": ["query", "projective", "--module", "{tmp}/malformed.json"],
+    "file-missing-field": ["query", "projective", "--module", "{tmp}/nofield.json"],
+    "file-not-object": ["query", "projective", "--module", "{tmp}/list.json"],
+    "file-field-incomplete": ["query", "projective", "--module", "{tmp}/noirr.json"],
     "point-too-many-coordinates": ["query", "jordan", "--module", "{d1}", "--alpha", "1,1,1"],
     "point-zero": ["query", "jordan", "--module", "{d1}", "--alpha", "0,0"],
 }
@@ -226,5 +229,8 @@ def test_invalid_input_is_usage_error(tmp_path, capsys, argv):
     nilpotent["generators"][0] = [[[int(i == j)] for j in range(4)] for i in range(4)]
     (tmp_path / "nilpotent.json").write_text(json.dumps(nilpotent))
     (tmp_path / "malformed.json").write_text("{\"format\": ")
+    (tmp_path / "nofield.json").write_text(json.dumps({k: v for k, v in raw.items() if k != "field"}))
+    (tmp_path / "list.json").write_text("[1,2]")
+    (tmp_path / "noirr.json").write_text(json.dumps(dict(raw, field={"p": 3, "m": 1})))
     code, _, err = run(capsys, *[a.format(tmp=tmp_path, d1=d1) for a in argv])
     assert code == 2 and "error" in err

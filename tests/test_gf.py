@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from eamod.gf import (
     FieldCtx,
     NonPrime,
     field_create,
-    poly,
     poly_is_irreducible,
 )
 from eamod.linalg import arr_mul
@@ -87,23 +88,30 @@ def test_inverse_and_frobenius(p, m):
 
 
 def test_irreducibility_examples():
-    f3 = field_create(3, 1)
-    assert poly_is_irreducible(poly(f3, [1, 0, 1]))      # x^2 + 1
-    assert not poly_is_irreducible(poly(f3, [-1, 0, 1]))  # x^2 - 1
-    assert poly_is_irreducible(poly(f3, [0, 1]))          # x
-    f2 = field_create(2, 1)
-    assert poly_is_irreducible(poly(f2, [1, 1, 1]))       # x^2 + x + 1
+    assert poly_is_irreducible(3, [1, 0, 1])       # x^2 + 1
+    assert not poly_is_irreducible(3, [-1, 0, 1])  # x^2 - 1
+    assert poly_is_irreducible(3, [0, 1])          # x
+    assert poly_is_irreducible(2, [1, 1, 1])       # x^2 + x + 1
+    assert not poly_is_irreducible(2, [1, 0, 1])   # (x + 1)^2
 
 
-@pytest.mark.parametrize("p,m,deg", [(3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2), (3, 2, 2)])
+# poly_is_irreducible works over the prime field, so m is 1 throughout
+@pytest.mark.parametrize("p,m,deg", [(3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2), (2, 1, 6)])
 def test_irreducibility_against_trial_division(p, m, deg):
-    ctx = field_create(p, m)
-    els = list(ctx.elements())
-    from itertools import product as iproduct
+    for low in product(range(p), repeat=deg):
+        f = list(low) + [1]
+        assert poly_is_irreducible(p, f) == brute_irreducible(p, f)
 
-    for coeffs in iproduct(els, repeat=deg):
-        f = poly(ctx, list(coeffs) + [1])
-        assert poly_is_irreducible(f) == brute_irreducible(f)
+
+def test_field_refuses_reducible_or_nonprime():
+    with pytest.raises(ValueError, match="reducible"):
+        FieldCtx(3, 2, (2, 0, 1))  # x^2 - 1
+    with pytest.raises(NonPrime):
+        FieldCtx(4, 1, (0, 1))
+    with pytest.raises(NonPrime):
+        FieldCtx.from_dict({"p": 9, "m": 2, "irr": [1, 0, 1]})
+    with pytest.raises(DegreeOutOfRange):
+        FieldCtx(3, 0, (1,))
 
 
 def test_field_serialization_roundtrip():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eamod.gf import FieldCtx, field_create
 from eamod.linalg import (
@@ -8,6 +9,7 @@ from eamod.linalg import (
     MatF,
     NotNilpotent,
     UnequalTotals,
+    arr_mul,
     canonical_nilpotent,
     compound_matrix,
     dominance_compare,
@@ -69,6 +71,49 @@ def test_matmul_matches_slow_oracle(ctx):
         prod = a @ b
         expect = slow_matmul(as_fel_rows(a), as_fel_rows(b))
         assert as_fel_rows(prod) == expect
+
+
+@st.composite
+def matrix_pairs(draw):
+    """A (rows x inner) and an (inner x cols) matrix over one small field.
+
+    Each matrix draws its entries from all of F_q, from the prime field
+    only, or is zero, so products meet zero coefficient planes.
+    """
+    ctx = draw(st.sampled_from([field_create(2, 1), F3, field_create(2, 2),
+                                field_create(2, 3), F9, F25]))
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    mats = []
+    for r, c in ((rows, inner), (inner, cols)):
+        top = draw(st.sampled_from([ctx.q, ctx.p, 1]))
+        codes = draw(st.lists(st.sampled_from(range(top)), min_size=r * c, max_size=r * c))
+        data = np.array([ctx.from_code(v) for v in codes], dtype=np.int64)
+        mats.append(MatF(ctx, data.reshape(r, c, ctx.m)))
+    return mats
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(matrix_pairs())
+def test_products_match_fel_oracle(pair):
+    a, b = pair
+    ctx = a.ctx
+    rows_a, rows_b = as_fel_rows(a), as_fel_rows(b)
+    prod = slow_matmul(rows_a, rows_b)
+    assert as_fel_rows(a @ b) == prod
+    assert a.rank() == slow_rank(rows_a)
+    assert (a @ b).rank() == slow_rank(prod)
+    kron = a.kron(b)
+    assert as_fel_rows(kron) == [
+        [rows_a[i][j] * rows_b[k][l] for j in range(a.cols) for l in range(b.cols)]
+        for i in range(a.rows) for k in range(b.rows)
+    ]
+    # terms[i, j, t] = a[i, t] * b[t, j], broadcast over (rows, 1, inner) x (1, cols, inner)
+    terms = arr_mul(ctx, a.data[:, None], b.data.transpose(1, 0, 2)[None])
+    assert terms.shape == (a.rows, b.cols, a.cols, ctx.m)
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for t in range(a.cols):
+                assert ctx.el(terms[i, j, t].tolist()) == rows_a[i][t] * rows_b[t][j]
 
 
 def test_kernel_vectors_annihilated_and_sized():

@@ -224,6 +224,13 @@ def test_count_affine_zeros_p2():
     assert vy.count_affine_zeros(sr.PkPoly(3, 2), f81) == 161
 
 
+@pytest.mark.parametrize("p,m", [(5, 2), (5, 4), (7, 2)])
+def test_count_affine_zeros_p2_closed_form(p, m):
+    # m even: x^{p-1} = -y^{p-1} has p-1 solutions x/y for each y != 0
+    q = p ** m
+    assert vy.count_affine_zeros(sr.PkPoly(p, 2), field_create(p, m)) == 1 + (q - 1) * (p - 1)
+
+
 def test_count_affine_zeros_matches_bruteforce():
     # independent slow count over F_9, k = 3
     poly = sr.PkPoly(3, 3)
@@ -257,6 +264,14 @@ def test_green_witness_examples():
     line = mr.linear_variety_module(3, 2, F9, [[1, 1]])
     assert vy.green_witness(line, F9) is None
     assert vy.green_witness(mr.regular_module(3, 2, F9), F9) is None
+    # the coordinates of the line's point are F_3-independent exactly when it is a witness
+    f27 = field_create(3, 3)
+    u = f27.gen()
+    line = mr.linear_variety_module(3, 3, f27, [[1, u, u * u]])
+    assert vy.green_witness(line, f27).codes() == codes(f27, [1, u, u * u])
+    assert vy.green_witness(mr.linear_variety_module(3, 3, f27, [[1, u, 1 + u]]), f27) is None
+    # three coordinates in the 2-dimensional F_9 are always F_3-dependent
+    assert vy.green_witness(mr.linear_variety_module(3, 3, F9, [[1, w, w + 2]]), F9) is None
 
 
 def test_complementary_wedge_carries_same_variety():
