@@ -48,7 +48,7 @@ class FieldCtx:
     reduces mod p only.  Instances are immutable and safe to share.
     """
 
-    __slots__ = ("p", "m", "irr", "max_inner", "_red", "_red_np")
+    __slots__ = ("p", "m", "irr", "max_inner", "_red", "_regular")
 
     def __init__(self, p: int, m: int, irr: Sequence[int]):
         self.p = int(p)
@@ -60,13 +60,13 @@ class FieldCtx:
         self.irr = tuple(int(c) % p for c in irr)
         if len(self.irr) != m + 1 or self.irr[-1] != 1:
             raise ValueError("irr must be monic of degree m (ascending coefficients)")
-        # int64 peak of one product term: m residue products per convolution
-        # plane, then 2m-1 planes folded through reduction rows (entries < p);
-        # an inner product of length n peaks at n times this.
-        term = (self.p - 1) ** 2 * (1 if self.m == 1 else (2 * self.m - 1) * (self.p - 1) * self.m)
-        self.max_inner = int(np.iinfo(np.int64).max) // term
+        # float64 products of F_p expansions are exact while n*m terms of at
+        # most (p-1)^2 sum to at most 2^53 (see linalg)
+        term = self.m * (self.p - 1) ** 2
+        self.max_inner = 2 ** 53 // term
         if self.max_inner < 1:
-            raise BadParams(f"products over F_{self.p}^{self.m} overflow int64 (peak {term})")
+            raise BadParams(f"products over F_{self.p}^{self.m} overflow float64 exactness "
+                            f"(m(p-1)^2 = {term} > 2^53)")
         if self.m >= 2 and not poly_is_irreducible(self.p, self.irr):
             raise BadParams(f"{list(self.irr)} is reducible over F_{self.p}")
         # rows d = 0..2m-2: coefficients of x^d reduced mod irr
@@ -82,7 +82,10 @@ class FieldCtx:
             row = [(shifted[t] - top * self.irr[t]) % self.p for t in range(self.m)]
             red.append(tuple(row))
         self._red = tuple(red)
-        self._red_np = np.array(red, dtype=np.int64)
+        # column b of C^t is w^(t+b) mod irr, C the companion matrix of irr
+        self._regular = np.array([[red[t + b] for b in range(self.m)] for t in range(self.m)],
+                                 dtype=np.int64).transpose(0, 2, 1)
+        self._regular.flags.writeable = False
 
     @property
     def q(self) -> int:
@@ -198,9 +201,9 @@ class FieldCtx:
         for v in range(self.q):
             yield Fel(self, self.from_code(v))
 
-    def reduction_planes(self) -> np.ndarray:
-        """(2m-1, m) int64 array: row d holds x^d mod irr."""
-        return self._red_np
+    def regular(self) -> np.ndarray:
+        """(m, m, m) array: entry t is C^t, multiplication by w^t (C the companion matrix of irr)."""
+        return self._regular
 
     def to_dict(self) -> dict:
         return {"p": self.p, "m": self.m, "irr": list(self.irr)}
@@ -209,6 +212,8 @@ class FieldCtx:
     def from_dict(cls, d: dict) -> "FieldCtx":
         if not isinstance(d, dict) or not {"p", "m", "irr"} <= d.keys():
             raise ValueError("field must be an object with keys p, m and irr")
+        if not isinstance(d["irr"], list):
+            raise ValueError("field irr must be a list of coefficients")
         return cls(int(d["p"]), int(d["m"]), d["irr"])
 
     def __eq__(self, other):

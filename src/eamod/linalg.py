@@ -1,9 +1,19 @@
 """Dense exact matrix algebra over a FieldCtx.
 
 Matrices are stored as int64 arrays of shape (rows, cols, m): one
-coefficient plane per power of the field generator.  All elimination is
-fraction-free in the sense that every intermediate value is an exact
-field element; nothing here ever touches floating point.
+coefficient plane per power of the field generator w.  Every operation
+runs over F_p: expand() writes each entry sum_t x_t w^t as the m x m
+block sum_t x_t C^t (C the companion matrix of irr), a ring embedding,
+so products, ranks and echelon forms over F_{p^m} are read off F_p ones
+and one elimination loop serves every field.
+
+Products are float64 BLAS products of residues in 0..p-1, reduced mod p
+afterwards.  An inner dimension of n entries is nm residues, each term
+is at most (p-1)^2, and every integer up to 2^53 is a float64, so a
+product is exact while n m (p-1)^2 <= 2^53 (FieldCtx.max_inner) and is
+refused beyond.  Elimination runs on integers in the narrowest signed
+dtype holding -p(p-1), below which no row update goes before it is
+reduced.
 
 Jordan types of nilpotent matrices are extracted from rank sequences
 only; no similarity transform is computed.
@@ -28,36 +38,36 @@ class UnequalTotals(ValueError):
     """Raised when comparing Jordan types of different total dimension."""
 
 
-# -- batched coefficient-plane arithmetic on (..., m) arrays --
+# -- the regular representation over F_p --
 
 
-def _planes(ctx: FieldCtx, x: np.ndarray, y: np.ndarray, op) -> np.ndarray:
-    """Field product of two (..., m) coefficient arrays under a bilinear op.
+def expand(ctx: FieldCtx, a: np.ndarray, dtype) -> np.ndarray:
+    """The (r m, c m) F_p matrix of an (r, c, m) array; entries stay in 0..p-1.
 
-    op (np.multiply, np.matmul or np.kron) is applied to each pair of
-    nonzero planes; the product of planes a and b lands in plane a + b,
-    and the 2m - 1 planes are folded through the reduction rows.
+    Entry (i, j) becomes the block sum_t a[i, j, t] C^t.  Block column b
+    is built alone, so the int64 sums of m terms of at most (p-1)^2 take
+    1/m of the result's cells at a time.
     """
-    m, p = ctx.m, ctx.p
-    if m == 1:
-        return op(x[..., 0], y[..., 0])[..., None] % p
-    xs = [(a, x[..., a]) for a in range(m) if x[..., a].any()]
-    ys = [(b, y[..., b]) for b in range(m) if y[..., b].any()]
-    if not xs or not ys:
-        return np.zeros(op(x[..., 0], y[..., 0]).shape + (m,), dtype=np.int64)
-    conv = None
-    for a, xa in xs:
-        for b, yb in ys:
-            prod = op(xa, yb)
-            if conv is None:
-                conv = np.zeros(prod.shape + (2 * m - 1,), dtype=np.int64)
-            conv[..., a + b] += prod
-    return (conv @ ctx.reduction_planes()) % p
+    r, c, m = a.shape
+    regular = ctx.regular()
+    out = np.empty((r, m, c, m), dtype)
+    for b in range(m):
+        col = a @ regular[:, :, b]
+        col %= ctx.p
+        out[:, :, :, b] = col.transpose(0, 2, 1)
+        del col
+    return out.reshape(r * m, c * m)
 
 
 def arr_mul(ctx: FieldCtx, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise field product of two (..., m) coefficient arrays."""
-    return _planes(ctx, x, y, np.multiply)
+    """Elementwise field product of two broadcastable (..., m) coefficient arrays.
+
+    Entries of x become multiplication matrices sum_t x_t C^t applied to
+    the entries of y; both steps sum m terms of at most (p-1)^2.
+    """
+    m, p = ctx.m, ctx.p
+    lx = (x @ ctx.regular().reshape(m, m * m)) % p
+    return np.einsum("...ab,...b->...a", lx.reshape(x.shape[:-1] + (m, m)), y) % p
 
 
 def arr_pow(ctx: FieldCtx, x: np.ndarray, e: int) -> np.ndarray:
@@ -153,11 +163,16 @@ class MatF:
     def scale(self, s) -> "MatF":
         s = self.ctx.el(s)
         coeff = np.array(s.coeffs, dtype=np.int64)
-        return MatF(self.ctx, arr_mul(self.ctx, self.data, coeff[None, None, :]))
+        return MatF(self.ctx, arr_mul(self.ctx, coeff[None, None, :], self.data))
 
     def __matmul__(self, other: "MatF") -> "MatF":
+        """expand(A) times B with its coefficient vectors stacked as columns."""
         self._check_mul(other)
-        return MatF(self.ctx, _planes(self.ctx, self.data, other.data, np.matmul))
+        m, p = self.ctx.m, self.ctx.p
+        stacked = other.data.transpose(0, 2, 1).reshape(other.rows * m, other.cols)
+        prod = expand(self.ctx, self.data, np.float64) @ stacked.astype(np.float64)
+        prod = (prod % p).astype(np.int64).reshape(self.rows, m, other.cols)
+        return MatF(self.ctx, prod.transpose(0, 2, 1))
 
     def mat_pow(self, e: int) -> "MatF":
         if self.rows != self.cols:
@@ -177,7 +192,8 @@ class MatF:
     def kron(self, other: "MatF") -> "MatF":
         """Kronecker (tensor) product over the field."""
         self._check(other, shape=False)
-        return MatF(self.ctx, _planes(self.ctx, self.data, other.data, np.kron))
+        prod = arr_mul(self.ctx, self.data[:, None, :, None], other.data[None, :, None, :])
+        return MatF(self.ctx, prod.reshape(self.rows * other.rows, self.cols * other.cols, self.ctx.m))
 
     @staticmethod
     def block_diag(blocks) -> "MatF":
@@ -196,14 +212,12 @@ class MatF:
     # -- elimination --
 
     def rank(self) -> int:
-        work = self.data.copy()
-        return len(_eliminate(work, self.ctx, full=False))
+        return len(_eliminate(self.ctx, self.data, full=False)[1]) // self.ctx.m
 
     def rref(self):
         """Reduced row echelon form; returns (MatF, pivot column list)."""
-        work = self.data.copy()
-        pivots = _eliminate(work, self.ctx, full=True)
-        return MatF(self.ctx, work), pivots
+        reduced, pivots = _rref(self.ctx, self.data)
+        return MatF(self.ctx, reduced), pivots
 
     def kernel_basis(self):
         """Basis of the right null space, vectors scaled to leading 1.
@@ -216,19 +230,17 @@ class MatF:
 
     def kernel_array(self) -> np.ndarray:
         """Null-space basis as an (nullity, cols, m) array."""
-        work = self.data.copy()
-        pivots = _eliminate(work, self.ctx, full=True)
-        return null_space(self.ctx, work, pivots)
+        return null_space(self.ctx, *_rref(self.ctx, self.data))
 
     def inv(self) -> "MatF":
         if self.rows != self.cols:
             raise ValueError("inverse requires a square matrix")
         n = self.rows
         aug = np.concatenate([self.data, MatF.identity(self.ctx, n).data], axis=1)
-        pivots = _eliminate(aug, self.ctx, full=True)
-        if len(pivots) != n or pivots != list(range(n)):
+        reduced, pivots = _rref(self.ctx, aug)
+        if pivots != list(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return MatF(self.ctx, aug[:, n:].copy())
+        return MatF(self.ctx, reduced[:, n:])
 
     def _check(self, other, shape=True):
         if self.ctx != other.ctx:
@@ -243,7 +255,8 @@ class MatF:
             raise ValueError("inner dimension mismatch")
         if self.cols > self.ctx.max_inner:
             raise BadParams(f"matmul over p={self.ctx.p}, m={self.ctx.m} with inner dimension "
-                            f"n={self.cols} can overflow int64 (at most {self.ctx.max_inner})")
+                            f"n={self.cols} can overflow float64 exactness "
+                            f"(at most {self.ctx.max_inner})")
 
 
 def null_space(ctx: FieldCtx, reduced: np.ndarray, pivots) -> np.ndarray:
@@ -253,53 +266,67 @@ def null_space(ctx: FieldCtx, reduced: np.ndarray, pivots) -> np.ndarray:
     ascending order, each scaled so its first nonzero coordinate is 1.
     """
     cols = reduced.shape[1]
-    free = sorted(set(range(cols)) - set(pivots))
-    out = np.zeros((len(free), cols, ctx.m), dtype=np.int64)
-    for v, j in enumerate(free):
-        out[v, j, 0] = 1
-        for r, c in enumerate(pivots):
-            out[v, c] = (-reduced[r, j]) % ctx.p
-    for v in range(len(free)):
-        for j in range(cols):
-            if out[v, j].any():
-                inv = np.array(ctx.cinv(tuple(int(x) for x in out[v, j])), dtype=np.int64)
-                out[v] = arr_mul(ctx, out[v], inv[None, :])
-                break
-    return out
+    pivot_set = set(pivots)
+    free = np.array([j for j in range(cols) if j not in pivot_set], dtype=np.intp)
+    out = np.zeros((free.size, cols, ctx.m), dtype=np.int64)
+    if not free.size:
+        return out
+    out[np.arange(free.size), free, 0] = 1
+    out[:, pivots] = (-reduced[: len(pivots), free]).transpose(1, 0, 2) % ctx.p
+    # x^(q-2) inverts the first nonzero coordinate x of each vector
+    lead = out[np.arange(free.size), out.any(axis=2).argmax(axis=1)]
+    return arr_mul(ctx, arr_pow(ctx, lead, ctx.q - 2)[:, None], out)
 
 
-def _eliminate(work: np.ndarray, ctx: FieldCtx, full: bool) -> list:
-    """In-place Gaussian elimination; returns pivot columns.
+def _rref(ctx: FieldCtx, data: np.ndarray):
+    """RREF over F_{p^m} of an (r, c, m) array and its pivot columns.
 
-    full=False clears below pivots only (rank); full=True normalizes
-    pivots to 1 and clears above as well (RREF).
+    The expansion of the F_{p^m} RREF is the F_p RREF of the expansion:
+    its pivots become identity blocks, and RREFs are unique.  Column 0
+    of each block holds the coefficient vector of the entry.
     """
-    rows, cols = work.shape[:2]
+    rows, cols, m = data.shape
+    work, pivots = _eliminate(ctx, data, full=True)
+    reduced = work[:, ::m].reshape(rows, m, cols).transpose(0, 2, 1)
+    return reduced, [j // m for j in pivots[::m]]
+
+
+def _eliminate(ctx: FieldCtx, data: np.ndarray, full: bool):
+    """Gaussian elimination over F_p of the expansion of an (r, c, m) array.
+
+    Returns the reduced expansion and its pivot columns.  full=False
+    clears below pivots only (rank); full=True clears above as well
+    (RREF).  Pivots are normalized with the inverse a^(p-2).  Products
+    of residues reach (p-1)^2 and a row update goes no lower than
+    -(p-1)^2 before it is reduced; the work array takes the narrowest
+    signed dtype holding -p(p-1), which holds both.
+    """
+    p = ctx.p
+    work = expand(ctx, data, np.min_scalar_type(-p * (p - 1)))
+    rows, cols = work.shape
     r = 0
     pivots = []
     for c in range(cols):
         if r == rows:
             break
-        sub = work[r:, c, :]
-        nz = np.nonzero(sub.any(axis=1))[0]
+        nz = work[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             work[[r, pr]] = work[[pr, r]]
-        inv = np.array(ctx.cinv(tuple(int(x) for x in work[r, c])), dtype=np.int64)
-        work[r] = arr_mul(ctx, work[r], inv[None, :])
+        work[r, c:] = work[r, c:] * pow(int(work[r, c]), p - 2, p) % p
         if full:
-            targets = np.nonzero(work[:, c, :].any(axis=1))[0]
+            targets = work[:, c].nonzero()[0]
             targets = targets[targets != r]
         else:
-            targets = r + 1 + np.nonzero(work[r + 1 :, c, :].any(axis=1))[0]
+            targets = r + 1 + work[r + 1 :, c].nonzero()[0]
         if targets.size:
-            upd = arr_mul(ctx, work[targets, c, None], work[r][None])
-            work[targets] = (work[targets] - upd) % ctx.p
+            update = np.multiply.outer(work[targets, c], work[r, c:])
+            work[targets, c:] = (work[targets, c:] - update) % p
         pivots.append(c)
         r += 1
-    return pivots
+    return work, pivots
 
 
 # -- Jordan types --
@@ -441,30 +468,14 @@ def compound_matrix(a_mat: MatF, r: int) -> MatF:
         return MatF.zeros(ctx, 0, 0)
     subs = np.array(list(combinations(range(n), r)), dtype=np.intp)
     count = subs.shape[0]
-    # gathered[s, t, i, j] = A[subs[s, i], subs[t, j]]
-    gathered = a_mat.data[subs[:, None, :, None], subs[None, :, None, :], :]
+    # gathered[i, j, s, t] = A[subs[s, i], subs[t, j]], contiguous in (s, t)
+    gathered = a_mat.data[subs.T[:, None, :, None], subs.T[None, :, None, :]]
     out = np.zeros((count, count, ctx.m), dtype=np.int64)
     for perm in permutations(range(r)):
-        sign = _perm_sign(perm)
-        term = gathered[:, :, 0, perm[0], :]
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))  # inversion parity
+        term = gathered[0, perm[0]]
         for i in range(1, r):
-            term = arr_mul(ctx, term, gathered[:, :, i, perm[i], :])
+            term = arr_mul(ctx, term, gathered[i, perm[i]])
         out = (out + sign * term) % ctx.p
     return MatF(ctx, out)
 
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign

@@ -163,6 +163,8 @@ class EAModule:
             raise ValueError("field characteristic does not match module prime")
         gens = []
         raw = d["generators"]
+        if not isinstance(raw, list):
+            raise ValueError("module generators must be a list of matrices")
         if len(raw) != k:
             raise ValueError("generator count does not match rank")
         for g in raw:
@@ -185,10 +187,6 @@ class EAModule:
     def load(cls, path) -> "EAModule":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-def load_module(path) -> EAModule:
-    return EAModule.load(path)
 
 
 def validate(module: EAModule) -> EAModule:
@@ -544,43 +542,22 @@ def endomorphism_basis(module: EAModule):
     if n == 0:
         return []
     m = field.m
-    blocks = []
-    eye = np.zeros((n, n, m), dtype=np.int64)
-    eye[np.arange(n), np.arange(n), 0] = 1
-    for x in module.gens:
-        xd = x.data
-        # row-major vec: vec(Y X) = (I kron X^T) vec(Y), vec(X Y) = (X kron I) vec(Y)
-        left = np.zeros((n * n, n * n, m), dtype=np.int64)
+    nn = n * n
+    system = np.empty((module.k * nn, nn, m), dtype=np.int64)
+    eye = np.eye(n, dtype=np.int64)
+    for i, x in enumerate(module.gens):
         for a in range(m):
-            left[:, :, a] = np.kron(eye[:, :, 0], xd[:, :, a].T) - np.kron(
-                xd[:, :, a], eye[:, :, 0]
-            )
-        blocks.append(left % field.p)
-    system = MatF(field, np.concatenate(blocks, axis=0))
+            xa = x.data[:, :, a]
+            # row-major vec: vec(Y X) = (I kron X^T) vec(Y), vec(X Y) = (X kron I) vec(Y)
+            system[i * nn : (i + 1) * nn, :, a] = np.kron(eye, xa.T) - np.kron(xa, eye)
+    system = MatF(field, system)
     kernel = system.kernel_array()
     basis = [MatF(field, vec.reshape(n, n, m).copy()) for vec in kernel]
-    # exchange one vector for the identity, which always commutes
-    ident = MatF.identity(field, n)
-    coords = _coords_in_span(field, kernel, ident.data.reshape(n * n, m))
-    swap = next(i for i, c in enumerate(coords) if any(c))
-    basis[swap] = ident
+    # the identity, which always commutes, replaces the first vector it has a
+    # coordinate on: one whose free column (its last nonzero one) is diagonal
+    free = [np.flatnonzero(vec.any(axis=1))[-1] for vec in kernel]
+    basis[next(v for v, j in enumerate(free) if j % (n + 1) == 0)] = MatF.identity(field, n)
     return basis
-
-
-def _coords_in_span(field: FieldCtx, span_rows: np.ndarray, target: np.ndarray):
-    """Coordinates of target in the row span; raises if not in the span."""
-    count = span_rows.shape[0]
-    cols = span_rows.shape[1]
-    aug = np.concatenate(
-        [span_rows.transpose(1, 0, 2), target.reshape(cols, 1, target.shape[-1])], axis=1
-    )
-    solved, pivots = MatF(field, aug).rref()
-    if count in pivots:
-        raise ValueError("target not in span")
-    coeffs = [field.czero()] * count
-    for row, col in enumerate(pivots):
-        coeffs[col] = tuple(int(v) for v in solved.data[row, count])
-    return coeffs
 
 
 @dataclass

@@ -17,7 +17,7 @@ import numpy as np
 
 from .gf import BadParams, Fel, FieldCtx, is_prime, NonPrime
 from .linalg import MatF, arr_mul, arr_pow
-from .modrep import EAModule, Point, wedge, x_alpha
+from .modrep import EAModule, Point, lift_to_extension, wedge, x_alpha
 from .stream import CounterStream
 
 
@@ -176,10 +176,14 @@ def basis_change_check(ctx: SymContext, field: FieldCtx) -> bool:
 
 
 def d_r(ctx: SymContext, field: FieldCtx, r: int) -> EAModule:
-    """D(r) as the r-th exterior power of the block model of D(1)."""
+    """D(r) as the r-th exterior power of the block model of D(1).
+
+    Every entry lies in F_p, so the power is taken over F_p and lifted.
+    """
     if not 0 <= r <= ctx.n - 2:
         raise ValueError(f"r must lie in 0..{ctx.n - 2}")
-    return wedge(block_model_d1(ctx, field), r)
+    prime = FieldCtx(field.p, 1, (0, 1))
+    return lift_to_extension(wedge(block_model_d1(ctx, prime), r), field)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Independent slow oracles used to cross-check the production paths.
 
 Everything here uses plain Python loops and stays deliberately naive:
-rank and products by textbook arithmetic on lists of Fel, and
+echelon forms, ranks, inverses and products by textbook arithmetic on lists of Fel, and
 irreducibility over F_p by trial division over all monic divisors,
 written out on integer lists.
 """
@@ -9,11 +9,12 @@ written out on integer lists.
 from itertools import product
 
 
-def slow_rank(rows):
-    """Row-reduce a list of lists of Fel; returns the rank."""
+def slow_rref(rows):
+    """Row-reduce a list of lists of Fel; returns (reduced rows, pivot columns)."""
     rows = [list(r) for r in rows]
+    pivots = []
     if not rows:
-        return 0
+        return rows, pivots
     ncols = len(rows[0])
     rank = 0
     for col in range(ncols):
@@ -31,8 +32,25 @@ def slow_rank(rows):
             if i != rank and rows[i][col]:
                 f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        pivots.append(col)
         rank += 1
-    return rank
+    return rows, pivots
+
+
+def slow_rank(rows):
+    return len(slow_rref(rows)[1])
+
+
+def slow_inverse(rows):
+    """Inverse of a square list of lists of Fel, or None if it is singular."""
+    n = len(rows)
+    ctx = rows[0][0].ctx
+    aug = [list(row) + [ctx.one() if i == j else ctx.zero() for j in range(n)]
+           for i, row in enumerate(rows)]
+    reduced, pivots = slow_rref(aug)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in reduced]
 
 
 def slow_matmul(a_rows, b_rows):

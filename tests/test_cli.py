@@ -187,7 +187,8 @@ def test_verify_reports_byte_identical(tmp_path, capsys):
 
 
 def test_verify_exploratory_always_zero(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "explore-k1modp", "--p", "3", "--k", "4")
+    code, out, _ = run(capsys, "verify", "--suite", "explore-k1modp", "--p", "3", "--k", "4",
+                       "--ext", "1")
     assert code == 0
     payload = json.loads(out)
     assert payload["exploratory"] is True
@@ -211,6 +212,8 @@ INVALID_INPUTS = {
     "file-missing-field": ["query", "projective", "--module", "{tmp}/nofield.json"],
     "file-not-object": ["query", "projective", "--module", "{tmp}/list.json"],
     "file-field-incomplete": ["query", "projective", "--module", "{tmp}/noirr.json"],
+    "file-irr-not-list": ["query", "projective", "--module", "{tmp}/irrint.json"],
+    "file-generators-not-list": ["query", "projective", "--module", "{tmp}/gensint.json"],
     "point-too-many-coordinates": ["query", "jordan", "--module", "{d1}", "--alpha", "1,1,1"],
     "point-zero": ["query", "jordan", "--module", "{d1}", "--alpha", "0,0"],
 }
@@ -232,5 +235,7 @@ def test_invalid_input_is_usage_error(tmp_path, capsys, argv):
     (tmp_path / "nofield.json").write_text(json.dumps({k: v for k, v in raw.items() if k != "field"}))
     (tmp_path / "list.json").write_text("[1,2]")
     (tmp_path / "noirr.json").write_text(json.dumps(dict(raw, field={"p": 3, "m": 1})))
+    (tmp_path / "irrint.json").write_text(json.dumps(dict(raw, field={"p": 3, "m": 1, "irr": 5})))
+    (tmp_path / "gensint.json").write_text(json.dumps(dict(raw, generators=5)))
     code, _, err = run(capsys, *[a.format(tmp=tmp_path, d1=d1) for a in argv])
     assert code == 2 and "error" in err

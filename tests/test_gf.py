@@ -120,10 +120,15 @@ def test_field_serialization_roundtrip():
 
 
 def test_field_refuses_int64_overflow():
-    # (p-1)^2 overflows int64 for p = 2^32 + 15
+    # products are float64 on the F_p expansion: one term per inner
+    # coordinate, m (p-1)^2 in all, must stay within 2^53
     with pytest.raises(ValueError, match="overflow"):
         FieldCtx.from_dict({"p": 2**32 + 15, "m": 1, "irr": [0, 1]})
-    # m = 2 folds 3 (p-1) * 2 (p-1)^2 through the reduction rows
     with pytest.raises(ValueError, match="overflow"):
         FieldCtx(2**31 - 1, 2, (7, 0, 1))
-    assert FieldCtx(2**31 - 1, 1, (0, 1)).max_inner == 2
+    with pytest.raises(ValueError, match="overflow"):
+        FieldCtx(2**31 - 1, 1, (0, 1))
+    with pytest.raises(ValueError, match="overflow"):
+        FieldCtx(2**26 - 5, 3, (1, 1, 0, 1))
+    assert FieldCtx(2**26 - 5, 1, (0, 1)).max_inner == 2
+    assert FieldCtx(2**26 - 5, 2, (1, 0, 1)).max_inner == 1

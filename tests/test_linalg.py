@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from eamod.gf import FieldCtx, field_create
 from eamod.linalg import (
@@ -17,12 +17,15 @@ from eamod.linalg import (
 )
 from eamod.stream import CounterStream
 
-from oracles import slow_matmul, slow_rank
+from oracles import slow_inverse, slow_matmul, slow_rank, slow_rref
 
 F3 = field_create(3, 1)
 F9 = field_create(3, 2)
 F5 = field_create(5, 1)
 F25 = field_create(5, 2)
+F11 = field_create(11, 1)
+F121 = field_create(11, 2)
+F13 = field_create(13, 1)
 
 
 def random_mat(ctx, rows, cols, stream):
@@ -78,10 +81,12 @@ def matrix_pairs(draw):
     """A (rows x inner) and an (inner x cols) matrix over one small field.
 
     Each matrix draws its entries from all of F_q, from the prime field
-    only, or is zero, so products meet zero coefficient planes.
+    only, or is zero, so products meet zero coefficient planes.  p = 11
+    and p = 13 are the last prime eliminated in int8 and the first in
+    int16.
     """
     ctx = draw(st.sampled_from([field_create(2, 1), F3, field_create(2, 2),
-                                field_create(2, 3), F9, F25]))
+                                field_create(2, 3), F9, F25, F11, F121, F13]))
     rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
     mats = []
     for r, c in ((rows, inner), (inner, cols)):
@@ -92,7 +97,7 @@ def matrix_pairs(draw):
     return mats
 
 
-@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
 @given(matrix_pairs())
 def test_products_match_fel_oracle(pair):
     a, b = pair
@@ -114,6 +119,25 @@ def test_products_match_fel_oracle(pair):
         for j in range(b.cols):
             for t in range(a.cols):
                 assert ctx.el(terms[i, j, t].tolist()) == rows_a[i][t] * rows_b[t][j]
+    reduced, pivots = a.rref()
+    assert (as_fel_rows(reduced), pivots) == slow_rref(rows_a)
+    # one kernel vector per free column j: zero on the other free columns,
+    # first nonzero coordinate 1, annihilated by a
+    free = [j for j in range(a.cols) if j not in pivots]
+    kernel = a.kernel_array()
+    assert kernel.shape == (len(free), a.cols, ctx.m)
+    for vec, j in zip(kernel, free):
+        coords = [ctx.el(c.tolist()) for c in vec]
+        assert [bool(coords[f]) for f in free] == [f == j for f in free]
+        assert next(c for c in coords if c) == ctx.one()
+        assert not any(x for (x,) in slow_matmul(rows_a, [[c] for c in coords]))
+    if a.rows == a.cols:
+        expect = slow_inverse(rows_a)
+        if expect is None:
+            with pytest.raises(ZeroDivisionError):
+                a.inv()
+        else:
+            assert as_fel_rows(a.inv()) == expect
 
 
 def test_kernel_vectors_annihilated_and_sized():
@@ -232,10 +256,51 @@ def test_jordan_type_free_flag():
 
 
 def test_matmul_refuses_int64_overflow():
-    big = FieldCtx(2**31 - 1, 1, (0, 1))
-    a = MatF(big, np.full((4, 4, 1), big.p - 1, dtype=np.int64))
-    with pytest.raises(ValueError, match=r"p=2147483647, m=1 .*n=4"):
-        a @ a
-    # two terms of (p-1)^2 still fit in int64
+    # products are float64 on the F_p expansion, exact while n m (p-1)^2 <= 2^53;
+    # at p = 2^26 - 5 that allows n = 2 for m = 1 and n = 1 for m = 2
+    big = FieldCtx(2**26 - 5, 1, (0, 1))
+    for n in (3, 4):
+        a = MatF(big, np.full((n, n, 1), big.p - 1, dtype=np.int64))
+        with pytest.raises(ValueError, match=rf"p=67108859, m=1 .*n={n}"):
+            a @ a
+    # two terms of (p-1)^2 sum to 2^53 - 24 * 2^26 + 72, still exact
     b = MatF(big, np.full((2, 2, 1), big.p - 1, dtype=np.int64))
     assert (b @ b).get(0, 0) == big.el(2)
+    assert b.rank() == 1
+    ext = FieldCtx(big.p, 2, (1, 0, 1))  # x^2 + 1, p = 3 mod 4
+    x = ext.el((big.p - 1, big.p - 1))
+    one = MatF.from_rows(ext, [[x]])
+    assert (one @ one).get(0, 0) == x * x
+    # elementwise products sum m terms of at most (p-1)^2 twice, reducing between
+    assert one.kron(one).get(0, 0) == x * x == one.scale(x).get(0, 0)
+    with pytest.raises(ValueError, match=r"p=67108859, m=2 .*n=2"):
+        MatF.from_rows(ext, [[x, x]]) @ MatF.from_rows(ext, [[x], [x]])
+
+
+@st.composite
+def conjugated_nilpotents(draw):
+    """A Jordan type of total at most 8 and a random invertible matrix over F_3, F_9 or F_25."""
+    ctx = draw(st.sampled_from([F3, F9, F25]))
+    blocks = draw(st.lists(st.integers(1, ctx.p), min_size=1, max_size=4).filter(lambda b: sum(b) <= 8))
+    n = sum(blocks)
+    codes = draw(st.lists(st.sampled_from(range(ctx.q)), min_size=n * n, max_size=n * n))
+    conj = [[ctx.el(ctx.from_code(codes[i * n + j])) for j in range(n)] for i in range(n)]
+    assume(slow_rank(conj) == n)
+    return ctx, JordanType.from_blocks(ctx.p, blocks), conj
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(conjugated_nilpotents())
+def test_jordan_type_conjugation_property(case):
+    ctx, jt, conj = case
+    p = ctx.p
+    nil = slow_matmul(slow_matmul(conj, as_fel_rows(canonical_nilpotent(ctx, jt))), slow_inverse(conj))
+    # the expected type comes from oracle ranks of the powers of nil
+    ranks, power = [len(nil)], nil
+    for _ in range(p):
+        ranks.append(slow_rank(power))
+        power = slow_matmul(power, nil)
+    b = [ranks[r - 1] - ranks[r] for r in range(1, p + 1)] + [0]
+    expect = JordanType(p, tuple(b[r - 1] - b[r] for r in range(1, p + 1)))
+    assert expect == jt
+    assert jordan_type_nilpotent(MatF.from_rows(ctx, nil), p) == expect

@@ -19,6 +19,8 @@ from eamod.modrep import (
 from eamod.stream import CounterStream
 from eamod.variety import enumerate_projective
 
+from oracles import slow_rref
+
 F3 = field_create(3, 1)
 F9 = field_create(3, 2)
 
@@ -288,6 +290,46 @@ def test_endomorphism_basis_examples():
         for b in mr.endomorphism_basis(mod):
             for x in mod.gens:
                 assert b @ x == x @ b
+
+
+def test_endomorphism_basis_replaces_first_identity_coordinate():
+    # the identity takes the place of the first kernel vector of the
+    # commutant system on which its coordinates (read off an oracle RREF)
+    # are nonzero; every other basis element is the kernel vector itself
+    w = F9.gen()
+    j2 = EAModule(3, 1, F3, [MatF.from_rows(F3, [[0, 0], [1, 0]])])
+
+    def conjugate(mod, rows):
+        # in a dense basis the kernel vectors' first nonzero coordinates
+        # are diagonal too, and only their free columns mark the identity
+        c = MatF.from_rows(mod.field, rows)
+        return EAModule(mod.p, mod.k, mod.field, [c @ x @ c.inv() for x in mod.gens])
+
+    modules = [
+        j2,
+        mr.direct_sum(mr.trivial_module(3, 1, F3), j2),
+        benson(F9, w, 1),
+        mr.direct_sum(benson(F9, w + 1, w), mr.trivial_module(3, 2, F9)),
+        conjugate(j2, [[1, 1], [1, 2]]),
+        conjugate(mr.direct_sum(j2, mr.trivial_module(3, 1, F3)), [[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+        conjugate(benson(F9, w, 1), [[1, w, 0], [0, 1, 1], [1, 0, w]]),
+    ]
+    for mod in modules:
+        n, field = mod.n, mod.field
+        eye = MatF.identity(field, n)
+        system = np.concatenate(
+            [(eye.kron(x.transpose()) - x.kron(eye)).data for x in mod.gens], axis=0)
+        kernel = MatF(field, system).kernel_array()
+        target = eye.data.reshape(n * n, field.m)
+        aug = [[field.el(vec[row].tolist()) for vec in kernel] + [field.el(target[row].tolist())]
+               for row in range(n * n)]
+        reduced, pivots = slow_rref(aug)
+        assert pivots == list(range(len(kernel)))
+        swap = next(v for v in pivots if reduced[v][-1])
+        basis = mr.endomorphism_basis(mod)
+        assert len(basis) == len(kernel)
+        for v, b in enumerate(basis):
+            assert b == (eye if v == swap else MatF(field, kernel[v].reshape(n, n, field.m)))
 
 
 def test_fitting_decompose_splits_j1_plus_j2():
