@@ -18,6 +18,7 @@ from .linalg import (
 from .modrep import (
     EAModule,
     Point,
+    Symmetry,
     direct_sum,
     dual,
     endomorphism_basis,

@@ -41,6 +41,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def json_int(d: dict, key: str, owner: str) -> int:
+    """d[key] if it is an integer; otherwise a ValueError naming the key."""
+    if not _is_json_int(d[key]):
+        raise ValueError(f"{owner} key {key!r} must be an integer, got {d[key]!r}")
+    return d[key]
+
+
 class FieldCtx:
     """A finite field F_{p^m} with a fixed monic irreducible of degree m.
 
@@ -212,9 +223,9 @@ class FieldCtx:
     def from_dict(cls, d: dict) -> "FieldCtx":
         if not isinstance(d, dict) or not {"p", "m", "irr"} <= d.keys():
             raise ValueError("field must be an object with keys p, m and irr")
-        if not isinstance(d["irr"], list):
-            raise ValueError("field irr must be a list of coefficients")
-        return cls(int(d["p"]), int(d["m"]), d["irr"])
+        if not isinstance(d["irr"], list) or not all(map(_is_json_int, d["irr"])):
+            raise ValueError(f"field key 'irr' must be a list of integers, got {d['irr']!r}")
+        return cls(json_int(d, "p", "field"), json_int(d, "m", "field"), d["irr"])
 
     def __eq__(self, other):
         return (

@@ -212,7 +212,8 @@ class MatF:
     # -- elimination --
 
     def rank(self) -> int:
-        return len(_eliminate(self.ctx, self.data, full=False)[1]) // self.ctx.m
+        work = expand(self.ctx, self.data, _elim_dtype(self.ctx.p))
+        return len(_eliminate(work, self.ctx.p, full=False)[1]) // self.ctx.m
 
     def rref(self):
         """Reduced row echelon form; returns (MatF, pivot column list)."""
@@ -286,23 +287,26 @@ def _rref(ctx: FieldCtx, data: np.ndarray):
     of each block holds the coefficient vector of the entry.
     """
     rows, cols, m = data.shape
-    work, pivots = _eliminate(ctx, data, full=True)
+    work, pivots = _eliminate(expand(ctx, data, _elim_dtype(ctx.p)), ctx.p, full=True)
     reduced = work[:, ::m].reshape(rows, m, cols).transpose(0, 2, 1)
     return reduced, [j // m for j in pivots[::m]]
 
 
-def _eliminate(ctx: FieldCtx, data: np.ndarray, full: bool):
-    """Gaussian elimination over F_p of the expansion of an (r, c, m) array.
+def _elim_dtype(p: int):
+    """The narrowest signed dtype holding -p(p-1), the floor of a row update."""
+    return np.min_scalar_type(-p * (p - 1))
 
-    Returns the reduced expansion and its pivot columns.  full=False
-    clears below pivots only (rank); full=True clears above as well
-    (RREF).  Pivots are normalized with the inverse a^(p-2).  Products
-    of residues reach (p-1)^2 and a row update goes no lower than
-    -(p-1)^2 before it is reduced; the work array takes the narrowest
-    signed dtype holding -p(p-1), which holds both.
+
+def _eliminate(work: np.ndarray, p: int, full: bool):
+    """Gaussian elimination, in place, of an F_p matrix with entries in 0..p-1.
+
+    Returns the reduced matrix and its pivot columns.  full=False clears
+    below pivots only (rank); full=True clears above as well (RREF).
+    Pivots are normalized with the inverse a^(p-2).  Products of
+    residues reach (p-1)^2 and a row update goes no lower than -(p-1)^2
+    before it is reduced, so the work array must hold -p(p-1)
+    (_elim_dtype).
     """
-    p = ctx.p
-    work = expand(ctx, data, np.min_scalar_type(-p * (p - 1)))
     rows, cols = work.shape
     r = 0
     pivots = []
@@ -390,22 +394,26 @@ def jordan_type_nilpotent(n_mat: MatF, p: int) -> JordanType:
     """Jordan type of a nilpotent matrix from its rank sequence.
 
     With b_r = rank(N^{r-1}) - rank(N^r), the multiplicity of size-r
-    blocks is b_r - b_{r+1}.
+    blocks is b_r - b_{r+1}.  N is expanded to F_p once; its powers and
+    their ranks are taken on the expansion, whose ranks are m times
+    those over F_{p^m}.
     """
     if n_mat.rows != n_mat.cols:
         raise ValueError("matrix must be square")
-    dim = n_mat.rows
+    n_mat._check_mul(n_mat)
+    ctx, dim = n_mat.ctx, n_mat.rows
+    expanded = expand(ctx, n_mat.data, np.float64)
     ranks = [dim]
-    power = None
-    for r in range(1, p + 1):
-        power = n_mat if power is None else power @ n_mat
-        rk = 0 if ranks[-1] == 0 else power.rank()
-        ranks.append(rk)
-        if rk == 0:
-            ranks.extend([0] * (p - r))
-            break
-    if ranks[p] != 0:
+    power = expanded
+    while ranks[-1] and len(ranks) < p:
+        work = power.astype(_elim_dtype(ctx.p))
+        ranks.append(len(_eliminate(work, ctx.p, full=False)[1]) // ctx.m)
+        if ranks[-1]:
+            power = power @ expanded % ctx.p
+    # power is N^p when N^(p-1) is nonzero
+    if ranks[-1] and power.any():
         raise NotNilpotent(f"matrix is not nilpotent of order <= {p}")
+    ranks += [0] * (p + 1 - len(ranks))
     b = [ranks[r - 1] - ranks[r] for r in range(1, p + 1)] + [0]
     mult = tuple(b[r - 1] - b[r] for r in range(1, p + 1))
     jt = JordanType(p, mult)

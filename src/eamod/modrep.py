@@ -10,6 +10,7 @@ and the randomized Fitting decomposition.
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .gf import FieldCtx
+from .gf import FieldCtx, json_int
 from .linalg import (
     JordanType,
     MatF,
@@ -85,12 +86,33 @@ class Point:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
+class Symmetry(enum.Flag):
+    """Maps of the points that keep a module's Jordan type, declared by constructors.
+
+    FROBENIUS: alpha and its coordinatewise p-th power have one type; it
+    holds when every generator entry lies in F_p (lift_to_extension).
+    PERMUTATIONS: alpha and each permutation of its coordinates have one
+    type; it holds for D(r), where they relabel the p-cycles (d_r).
+    F_p^x scalings of one coordinate keep freeness only and are no
+    symmetry here.  Loaded files and derived modules declare NONE.
+    """
+
+    NONE = 0
+    FROBENIUS = enum.auto()
+    PERMUTATIONS = enum.auto()
+
+
 class EAModule:
-    """A module over F E, E elementary abelian of rank k."""
+    """A module over F E, E elementary abelian of rank k.
 
-    __slots__ = ("p", "k", "n", "field", "gens")
+    symmetry is what the constructor vouches for (see Symmetry); point
+    sweeps use it, and equality ignores it.
+    """
 
-    def __init__(self, p: int, k: int, field: FieldCtx, gens, dim: int = None):
+    __slots__ = ("p", "k", "n", "field", "gens", "symmetry")
+
+    def __init__(self, p: int, k: int, field: FieldCtx, gens, dim: int = None,
+                 symmetry: Symmetry = Symmetry.NONE):
         gens = tuple(gens)
         if len(gens) != k:
             raise ValueError(f"expected {k} generators, got {len(gens)}")
@@ -112,6 +134,7 @@ class EAModule:
         self.n = n
         self.field = field
         self.gens = gens
+        self.symmetry = symmetry
 
     def group_matrices(self):
         """u_i = 1 + X_i, derived on demand."""
@@ -158,7 +181,7 @@ class EAModule:
         if missing:
             raise ValueError(f"module file lacks {', '.join(missing)}")
         field = FieldCtx.from_dict(d["field"])
-        p, k, n = int(d["p"]), int(d["k"]), int(d["dim"])
+        p, k, n = (json_int(d, key, "module") for key in ("p", "k", "dim"))
         if field.p != p:
             raise ValueError("field characteristic does not match module prime")
         gens = []
@@ -168,9 +191,11 @@ class EAModule:
         if len(raw) != k:
             raise ValueError("generator count does not match rank")
         for g in raw:
-            arr = np.array(g, dtype=np.int64)
+            arr = np.array(g)
             if arr.shape != (n, n, field.m):
                 raise ValueError("generator has wrong shape")
+            if arr.dtype.kind != "i":
+                raise ValueError(f"generator entries must be integers, not {arr.dtype}")
             if arr.min(initial=0) < 0 or arr.max(initial=0) >= p:
                 raise ValueError("generator entries out of range")
             gens.append(MatF(field, arr))
@@ -267,7 +292,9 @@ def lift_to_extension(module: EAModule, ext: FieldCtx) -> EAModule:
 
     Generator entries embed as constant coefficients; general subfield
     embeddings are out of scope (rebuild the module over the larger
-    field instead).
+    field instead).  The lift declares Symmetry.FROBENIUS: with every
+    entry in F_p, X at the p-th power of alpha is the entrywise p-th
+    power of X_alpha, a field automorphism that keeps every rank.
     """
     if module.field == ext:
         return module
@@ -280,7 +307,7 @@ def lift_to_extension(module: EAModule, ext: FieldCtx) -> EAModule:
         d = np.zeros((module.n, module.n, ext.m), dtype=np.int64)
         d[:, :, 0] = g.data[:, :, 0]
         gens.append(MatF(ext, d))
-    return EAModule(module.p, module.k, ext, gens)
+    return EAModule(module.p, module.k, ext, gens, symmetry=module.symmetry | Symmetry.FROBENIUS)
 
 
 def zero_module(p: int, k: int, field: FieldCtx) -> EAModule:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .gf import BadParams, Fel, FieldCtx, is_prime, NonPrime
 from .linalg import MatF, arr_mul, arr_pow
-from .modrep import EAModule, Point, lift_to_extension, wedge, x_alpha
+from .modrep import EAModule, Point, Symmetry, lift_to_extension, wedge, x_alpha
 from .stream import CounterStream
 
 
@@ -179,11 +179,16 @@ def d_r(ctx: SymContext, field: FieldCtx, r: int) -> EAModule:
     """D(r) as the r-th exterior power of the block model of D(1).
 
     Every entry lies in F_p, so the power is taken over F_p and lifted.
+    The module declares Symmetry.PERMUTATIONS: a permutation of the
+    coordinates relabels the p-cycles, which S_kp does by conjugation,
+    so it keeps D(r) up to isomorphism and every Jordan type.
     """
     if not 0 <= r <= ctx.n - 2:
         raise ValueError(f"r must lie in 0..{ctx.n - 2}")
     prime = FieldCtx(field.p, 1, (0, 1))
-    return lift_to_extension(wedge(block_model_d1(ctx, prime), r), field)
+    lifted = lift_to_extension(wedge(block_model_d1(ctx, prime), r), field)
+    return EAModule(lifted.p, lifted.k, field, lifted.gens,
+                    symmetry=lifted.symmetry | Symmetry.PERMUTATIONS)
 
 
 @dataclass(frozen=True)

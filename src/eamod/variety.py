@@ -1,7 +1,8 @@
 """Point-set machinery over finite extensions.
 
-Projective enumeration, rank-variety point sets, zero sets of the p_k
-form, generic Jordan type estimation by seeded sampling, maximal-set
+Projective enumeration, rank-variety point sets (one Jordan type per
+orbit of the symmetries a module declares), zero sets of the p_k form,
+generic Jordan type estimation by seeded sampling, maximal-set
 membership, wreath-product orbits, point-count dimension estimates and
 the Green-vertex witness search.
 """
@@ -17,11 +18,12 @@ from typing import Optional
 import numpy as np
 
 from .gf import FieldCtx, field_create
-from .linalg import Dominance, JordanType, MatF, dominance_compare
+from .linalg import Dominance, JordanType, MatF, arr_mul, arr_pow, dominance_compare
 from .modrep import (
     EAModule,
     MismatchedContext,
     Point,
+    Symmetry,
     ZeroPoint,
     direct_sum,
     lift_to_extension,
@@ -94,56 +96,115 @@ class PointSetReport:
                 writer.writerow([str(r.point), str(r.jordan_type), r.jordan_type.is_free()])
 
 
+def projective_codes(field: FieldCtx, k: int) -> np.ndarray:
+    """Coordinate codes of all normalized projective points, an (N, k) array.
+
+    Rows are in ascending lexicographic order, the order of
+    enumerate_projective; there are (q^k - 1)/(q - 1) of them.  Raises
+    TooLarge past the 10^7 affine cap.
+    """
+    q = field.q
+    if q ** k > POINT_SWEEP_CAP:
+        raise TooLarge(f"{q}^{k} exceeds the enumeration cap")
+    blocks = [np.zeros((0, k), dtype=np.int64)]
+    for lead in range(k - 1, -1, -1):
+        # leading zeros, a 1 at lead, then every suffix in base-q order
+        block = np.zeros((q ** (k - lead - 1), k), dtype=np.int64)
+        block[:, lead] = 1
+        rest = np.arange(len(block))
+        for j in range(k - 1, lead, -1):
+            block[:, j] = rest % q
+            rest //= q
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def _points(field: FieldCtx, codes: np.ndarray) -> list:
+    els = [field.el(field.from_code(c)) for c in range(field.q)]
+    return [Point(tuple(els[c] for c in row)) for row in codes.tolist()]
+
+
 def enumerate_projective(field: FieldCtx, k: int):
     """All normalized projective points, sorted by coordinate codes.
 
     There are (q^k - 1)/(q - 1) of them; raises TooLarge past the
     10^7 affine cap.
     """
-    q = field.q
-    if q ** k > POINT_SWEEP_CAP:
-        raise TooLarge(f"{q}^{k} exceeds the enumeration cap")
-    els = [field.el(field.from_code(c)) for c in range(q)]
-    zero, one = els[0], els[1] if q > 1 else els[0]
-    pts = []
-    for lead in range(k):
-        for suffix in product(els, repeat=k - lead - 1):
-            pts.append(Point((zero,) * lead + (one,) + suffix))
-    pts.sort(key=lambda pt: pt.codes())
-    return pts
+    return _points(field, projective_codes(field, k))
 
 
-def _coords_array(points) -> np.ndarray:
-    k = points[0].k
-    m = points[0].coords[0].ctx.m
-    arr = np.zeros((len(points), k, m), dtype=np.int64)
-    for i, pt in enumerate(points):
-        for j, c in enumerate(pt.coords):
-            arr[i, j] = c.coeffs
-    return arr
+def _elements(field: FieldCtx) -> np.ndarray:
+    """(q, m) coefficient vectors of the field elements, indexed by code."""
+    return np.array([field.from_code(c) for c in range(field.q)], dtype=np.int64)
+
+
+def orbit_representatives(field: FieldCtx, codes: np.ndarray, symmetry: Symmetry) -> np.ndarray:
+    """For each point of projective_codes, the index of the first point of its orbit.
+
+    The group is generated by the declared symmetries: Frobenius
+    x -> x^p on every coordinate, and S_k by a transposition and a
+    k-cycle of the coordinates.  Images are taken on codes (a table of
+    p-th powers, permuted columns) and renormalized by multiplying with
+    the inverse of the leading coordinate, read from a table.  Labels
+    then fall to the least index reachable along the generators.
+    """
+    n, k = codes.shape
+    els = _elements(field)
+    weights = field.p ** np.arange(field.m)
+    images = []
+    if Symmetry.FROBENIUS in symmetry and field.m > 1:
+        images.append((arr_pow(field, els, field.p) @ weights)[codes])
+    if Symmetry.PERMUTATIONS in symmetry and k > 1:
+        images.append(codes[:, [1, 0] + list(range(2, k))])
+        if k > 2:
+            images.append(np.roll(codes, 1, axis=1))
+    inverse = arr_pow(field, els, field.q - 2) @ weights
+    place = field.q ** np.arange(k - 1, -1, -1)
+    keys = codes @ place
+    moves = []
+    for image in images:
+        lead = image[np.arange(n), (image != 0).argmax(axis=1)]
+        normalized = arr_mul(field, els[inverse[lead]][:, None], els[image]) @ weights
+        moves.append(np.searchsorted(keys, normalized @ place))
+    rep = np.arange(n)
+    while True:
+        prev = rep
+        for move in moves:
+            rep = np.minimum(rep, rep[move])
+        rep = rep[rep]
+        if np.array_equal(rep, prev):
+            return rep
 
 
 def variety_points(module: EAModule, field: FieldCtx) -> PointSetReport:
     """Jordan type at every projective point; freeness is read from the type.
+
+    The type is computed once per orbit of the symmetries the module
+    declares (module.symmetry), at the orbit's first point, and copied
+    to the others.  lift_to_extension declares Frobenius and d_r adds
+    coordinate permutations; loaded files, bare EAModule(...) and
+    modules derived by direct_sum, tensor, wedge and the like declare
+    none and get one type per point.
 
     The module must already live over the sweep field; subfield modules
     are re-built over the larger field rather than embedded.
     """
     if field != module.field:
         raise MismatchedContext("module must be constructed over the sweep field")
-    records = [
-        PointRecord(pt, point_jordan_type(module, pt))
-        for pt in enumerate_projective(field, module.k)
-    ]
+    codes = projective_codes(field, module.k)
+    reps = orbit_representatives(field, codes, module.symmetry).tolist()
+    records = []
+    for i, (pt, rep) in enumerate(zip(_points(field, codes), reps)):
+        jt = point_jordan_type(module, pt) if rep == i else records[rep].jordan_type
+        records.append(PointRecord(pt, jt))
     return PointSetReport(field, module.k, records)
 
 
 def zero_points(poly: PkPoly, field: FieldCtx):
     """Projective points where p_k vanishes."""
-    pts = enumerate_projective(field, poly.k)
-    values = pk_eval_batch(poly, field, _coords_array(pts))
-    mask = ~values.any(axis=1)
-    return [pt for pt, z in zip(pts, mask) if z]
+    codes = projective_codes(field, poly.k)
+    values = pk_eval_batch(poly, field, _elements(field)[codes])
+    return _points(field, codes[~values.any(axis=1)])
 
 
 def count_affine_zeros(poly: PkPoly, field: FieldCtx, chunk: int = 1 << 15) -> int:
@@ -152,8 +213,7 @@ def count_affine_zeros(poly: PkPoly, field: FieldCtx, chunk: int = 1 << 15) -> i
     total = q ** poly.k
     if total > POINT_SWEEP_CAP:
         raise TooLarge(f"{q}^{poly.k} exceeds the enumeration cap")
-    codes = [field.from_code(c) for c in range(q)]
-    table = np.array(codes, dtype=np.int64)  # (q, m)
+    table = _elements(field)
     count = 0
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total))

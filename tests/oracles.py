@@ -1,9 +1,9 @@
 """Independent slow oracles used to cross-check the production paths.
 
 Everything here uses plain Python loops and stays deliberately naive:
-echelon forms, ranks, inverses and products by textbook arithmetic on lists of Fel, and
-irreducibility over F_p by trial division over all monic divisors,
-written out on integer lists.
+echelon forms, ranks, inverses, products and Jordan types by textbook
+arithmetic on lists of Fel, and irreducibility over F_p by trial
+division over all monic divisors, written out on integer lists.
 """
 
 from itertools import product
@@ -66,6 +66,29 @@ def slow_matmul(a_rows, b_rows):
             row.append(acc)
         out.append(row)
     return out
+
+
+def slow_combination(coeffs, mats):
+    """sum_t coeffs[t] * mats[t] for lists of lists of Fel."""
+    return [
+        [sum((c * mat[i][j] for c, mat in zip(coeffs, mats)), coeffs[0].ctx.zero())
+         for j in range(len(mats[0][0]))]
+        for i in range(len(mats[0]))
+    ]
+
+
+def slow_jordan_mult(nil, p):
+    """Multiplicities of block sizes 1..p of a nilpotent list-of-Fel matrix.
+
+    With b_r = rank(N^(r-1)) - rank(N^r), from oracle ranks of the powers,
+    there are b_r - b_(r+1) blocks of size r.
+    """
+    ranks, power = [len(nil)], nil
+    for _ in range(p):
+        ranks.append(slow_rank(power))
+        power = slow_matmul(power, nil)
+    b = [ranks[r - 1] - ranks[r] for r in range(1, p + 1)] + [0]
+    return tuple(b[r - 1] - b[r] for r in range(1, p + 1))
 
 
 def brute_irreducible(p, coeffs):

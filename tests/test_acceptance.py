@@ -109,6 +109,25 @@ def test_11_axioms():
     _finish("11 axioms", reports, t0, 120)
 
 
+def test_axioms_wreath_sweep_declares_no_symmetry(monkeypatch):
+    """axioms/wreath-invariance must sweep D(p-1) point by point: an orbit sweep
+    over declared coordinate permutations would restate what it checks."""
+    swept = []
+    full_sweep = vy.variety_points
+
+    def recording(module, field):
+        swept.append(module)
+        return full_sweep(module, field)
+
+    monkeypatch.setattr(suites.vy, "variety_points", recording)
+    report = suites.suite_axioms(p=3, seed=11)
+    assert next(c for c in report.checks if c.id == "axioms/wreath-invariance").ok
+    f3 = field_create(3, 1)
+    d_p_minus_1 = [sr.d_r(sr.SymContext(3, k), f3, 2) for k in (2, 3)]
+    assert all(any(mod == d for mod in swept) for d in d_p_minus_1)
+    assert all(mod.symmetry == mr.Symmetry.NONE for mod in swept)
+
+
 def test_12_dimension():
     t0 = time.perf_counter()
     reports = [suites.suite_dimension(p=3)]

@@ -207,6 +207,7 @@ INVALID_INPUTS = {
     "decomp-k2-p5": ["verify", "--suite", "decomp-k2", "--p", "5"],
     "file-wrong-format": ["query", "projective", "--module", "{tmp}/format.json"],
     "file-entry-out-of-range": ["query", "projective", "--module", "{tmp}/entry.json"],
+    "file-entry-not-int": ["query", "projective", "--module", "{tmp}/entryfloat.json"],
     "file-not-nilpotent": ["query", "projective", "--module", "{tmp}/nilpotent.json"],
     "file-malformed-json": ["query", "projective", "--module", "{tmp}/malformed.json"],
     "file-missing-field": ["query", "projective", "--module", "{tmp}/nofield.json"],
@@ -214,6 +215,10 @@ INVALID_INPUTS = {
     "file-field-incomplete": ["query", "projective", "--module", "{tmp}/noirr.json"],
     "file-irr-not-list": ["query", "projective", "--module", "{tmp}/irrint.json"],
     "file-generators-not-list": ["query", "projective", "--module", "{tmp}/gensint.json"],
+    "file-p-not-int": ["query", "projective", "--module", "{tmp}/plist.json"],
+    "file-dim-null": ["query", "projective", "--module", "{tmp}/dimnull.json"],
+    "file-field-m-not-int": ["query", "projective", "--module", "{tmp}/mlist.json"],
+    "file-irr-entry-not-int": ["query", "projective", "--module", "{tmp}/irrentry.json"],
     "point-too-many-coordinates": ["query", "jordan", "--module", "{d1}", "--alpha", "1,1,1"],
     "point-zero": ["query", "jordan", "--module", "{d1}", "--alpha", "0,0"],
 }
@@ -228,6 +233,8 @@ def test_invalid_input_is_usage_error(tmp_path, capsys, argv):
     entry = json.loads(d1.read_text())
     entry["generators"][0][0][0] = [3]
     (tmp_path / "entry.json").write_text(json.dumps(entry))
+    entry["generators"][0][0][0] = [0.5]
+    (tmp_path / "entryfloat.json").write_text(json.dumps(entry))
     nilpotent = json.loads(d1.read_text())
     nilpotent["generators"][0] = [[[int(i == j)] for j in range(4)] for i in range(4)]
     (tmp_path / "nilpotent.json").write_text(json.dumps(nilpotent))
@@ -237,5 +244,9 @@ def test_invalid_input_is_usage_error(tmp_path, capsys, argv):
     (tmp_path / "noirr.json").write_text(json.dumps(dict(raw, field={"p": 3, "m": 1})))
     (tmp_path / "irrint.json").write_text(json.dumps(dict(raw, field={"p": 3, "m": 1, "irr": 5})))
     (tmp_path / "gensint.json").write_text(json.dumps(dict(raw, generators=5)))
+    (tmp_path / "plist.json").write_text(json.dumps(dict(raw, p=[3])))
+    (tmp_path / "dimnull.json").write_text(json.dumps(dict(raw, dim=None)))
+    (tmp_path / "mlist.json").write_text(json.dumps(dict(raw, field={"p": 3, "m": [1], "irr": [0, 1]})))
+    (tmp_path / "irrentry.json").write_text(json.dumps(dict(raw, field={"p": 3, "m": 1, "irr": [[0], 1]})))
     code, _, err = run(capsys, *[a.format(tmp=tmp_path, d1=d1) for a in argv])
     assert code == 2 and "error" in err

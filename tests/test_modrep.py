@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from eamod.gf import field_create
 from eamod.linalg import JordanType, MatF, NotNilpotent, canonical_nilpotent
 from eamod import modrep as mr
+from eamod import symrep as sr
 from eamod.modrep import (
     DependentGenerators,
     EAModule,
@@ -19,7 +20,7 @@ from eamod.modrep import (
 from eamod.stream import CounterStream
 from eamod.variety import enumerate_projective
 
-from oracles import slow_rref
+from oracles import slow_combination, slow_jordan_mult, slow_rref
 
 F3 = field_create(3, 1)
 F9 = field_create(3, 2)
@@ -511,3 +512,57 @@ def test_lift_to_extension():
     assert mr.point_jordan_type(lifted, [1, 1]) == mr.point_jordan_type(mod, [1, 1])
     with pytest.raises(MismatchedContext):
         mr.lift_to_extension(lifted, field_create(3, 4))
+
+
+@st.composite
+def lifted_prime_field_modules(draw):
+    """A small F_p module in a random F_p basis, its lift to F_{p^m} and a point there."""
+    base, ext = draw(st.sampled_from([(F3, F9), (F3, field_create(3, 3)), (field_create(5, 1), field_create(5, 2))]))
+    p = base.p
+    j3 = canonical_nilpotent(base, JordanType.from_blocks(p, [3]))
+    lam, mu = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    direction = draw(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)).filter(any))
+    # D(p-1) over F_3 and D(1) have variety points off F_p, which Frobenius moves
+    pieces = [
+        EAModule(p, 2, base, [j3, j3.scale(lam) + (j3 @ j3).scale(mu)]),
+        mr.linear_variety_module(p, 2, base, [list(direction)]),
+        sr.d_r(sr.SymContext(p, 2), base, 2 if p == 3 else 1),
+    ]
+    chosen = draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=2))
+    mod = chosen[0] if len(chosen) == 1 else mr.direct_sum(*chosen)
+    n = mod.n
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+    conj = MatF.from_rows(base, [entries[i * n : (i + 1) * n] for i in range(n)])
+    assume(conj.rank() == n)
+    inv = conj.inv()
+    mod = EAModule(p, 2, base, [conj @ g @ inv for g in mod.gens])
+    coords = draw(st.tuples(st.integers(0, ext.q - 1), st.integers(0, ext.q - 1)).filter(any))
+    return mr.lift_to_extension(mod, ext), [ext.el(ext.from_code(c)) for c in coords]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(lifted_prime_field_modules())
+def test_frobenius_invariance_property(case):
+    """A module with entries in F_p has one Jordan type at alpha and at alpha^p."""
+    mod, alpha = case
+    p = mod.p
+    frob = [c ** p for c in alpha]
+    gens = [[[g.get(i, j) for j in range(mod.n)] for i in range(mod.n)] for g in mod.gens]
+    expect = slow_jordan_mult(slow_combination(alpha, gens), p)
+    assert slow_jordan_mult(slow_combination(frob, gens), p) == expect
+    assert mr.point_jordan_type(mod, alpha).mult == expect
+    assert mr.point_jordan_type(mod, frob).mult == expect
+
+
+@pytest.mark.parametrize(
+    "key,value,field",
+    [("p", [3], False), ("dim", None, False), ("m", [1], True), ("irr", [[0], 1], True)],
+)
+def test_module_file_names_bad_key(key, value, field):
+    raw = benson(F3, 0, 1).to_dict()
+    if field:
+        raw["field"] = dict(raw["field"], **{key: value})
+    else:
+        raw[key] = value
+    with pytest.raises(ValueError, match=f"key '{key}'"):
+        EAModule.from_dict(raw)

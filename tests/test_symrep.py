@@ -1,12 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eamod.gf import NonPrime, field_create
 from eamod.linalg import JordanType, MatF
 from eamod import modrep as mr
 from eamod import symrep as sr
 from eamod.modrep import Point
+
+from oracles import slow_combination, slow_jordan_mult
 
 F3 = field_create(3, 1)
 F9 = field_create(3, 2)
@@ -231,3 +234,34 @@ def test_perm_and_block_agree_pointwise():
                 assert mr.point_jordan_type(perm, [a, b, c]) == mr.point_jordan_type(
                     block, [a, b, c]
                 )
+
+
+# (p, k, field, r) with r < p and dim D(r) = C(kp-2, r) at most 21, small
+# enough for the oracle
+SMALL_D_R = [
+    (p, k, field, r)
+    for p, k, field in [(3, 2, F9), (3, 3, F9), (3, 4, F3), (5, 2, F25)]
+    for r in range(1, p)
+    if math.comb(k * p - 2, r) <= 21
+]
+
+
+@st.composite
+def d_r_permuted_points(draw):
+    p, k, field, r = draw(st.sampled_from(SMALL_D_R))
+    codes = draw(st.lists(st.integers(0, field.q - 1), min_size=k, max_size=k).filter(any))
+    sigma = draw(st.permutations(range(k)))
+    return sr.d_r(sr.SymContext(p, k), field, r), [field.el(field.from_code(c)) for c in codes], sigma
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(d_r_permuted_points())
+def test_d_r_permutation_invariance_property(case):
+    """D(r) has one Jordan type at alpha and at every permutation of its coordinates."""
+    mod, alpha, sigma = case
+    moved = [alpha[s] for s in sigma]
+    gens = [[[g.get(i, j) for j in range(mod.n)] for i in range(mod.n)] for g in mod.gens]
+    expect = slow_jordan_mult(slow_combination(alpha, gens), mod.p)
+    assert slow_jordan_mult(slow_combination(moved, gens), mod.p) == expect
+    assert mr.point_jordan_type(mod, alpha).mult == expect
+    assert mr.point_jordan_type(mod, moved).mult == expect

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from eamod.gf import field_create
@@ -327,3 +329,91 @@ def test_point_set_report_serialization(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "point,jordan_type,free"
     assert len(lines) == 11
+
+
+BOTH = mr.Symmetry.FROBENIUS | mr.Symmetry.PERMUTATIONS
+
+
+def undeclared(module):
+    return mr.EAModule(module.p, module.k, module.field, module.gens)
+
+
+@pytest.mark.parametrize(
+    "p,k,m,frobenius,both",
+    [(5, 3, 2, 341, 72), (3, 3, 4, 1690, 307), (3, 4, 2, 430, 42), (7, 2, 2, 29, 17), (3, 3, 3, 261, 53)],
+)
+def test_orbit_counts(p, k, m, frobenius, both):
+    field = field_create(p, m)
+    codes_ = vy.projective_codes(field, k)
+    counts = [
+        len(set(vy.orbit_representatives(field, codes_, sym).tolist()))
+        for sym in (mr.Symmetry.NONE, mr.Symmetry.FROBENIUS, BOTH)
+    ]
+    assert counts == [len(codes_), frobenius, both]
+
+
+@pytest.mark.parametrize("field,k", [(F9, 3), (F27, 2), (F3, 4), (field_create(5, 2), 3)])
+@pytest.mark.parametrize("sym", [mr.Symmetry.FROBENIUS, mr.Symmetry.PERMUTATIONS, BOTH])
+def test_orbit_representatives_match_fel_orbits(field, k, sym):
+    """Each point's representative is the least normalized image over the whole group."""
+    from itertools import permutations
+
+    pts = vy.enumerate_projective(field, k)
+    assert [pt.codes() for pt in pts] == [tuple(r) for r in vy.projective_codes(field, k).tolist()]
+    frob_powers = range(field.m) if mr.Symmetry.FROBENIUS in sym else [0]
+    perms = list(permutations(range(k))) if mr.Symmetry.PERMUTATIONS in sym else [tuple(range(k))]
+    reps = vy.orbit_representatives(field, vy.projective_codes(field, k), sym)
+    for pt, rep in zip(pts, reps):
+        images = [
+            Point(tuple(pt.coords[s] ** (field.p ** j) for s in perm)).normalize().codes()
+            for j in frob_powers
+            for perm in perms
+        ]
+        assert pts[rep].codes() == min(images)
+
+
+def test_declared_symmetries():
+    ctx = sr.SymContext(3, 2)
+    d2 = sr.d_r(ctx, F9, 2)
+    assert d2.symmetry == BOTH
+    assert sr.d_r(ctx, F3, 2).symmetry == mr.Symmetry.PERMUTATIONS
+    d1 = sr.block_model_d1(ctx, F3)
+    assert mr.lift_to_extension(d1, F9).symmetry == mr.Symmetry.FROBENIUS
+    assert mr.lift_to_extension(d2, F9) is d2
+    derived = [
+        undeclared(d2),
+        mr.EAModule.from_dict(d2.to_dict()),
+        mr.direct_sum(d2, d2),
+        mr.tensor(d2, d2),
+        mr.wedge(d2, 2),
+        mr.dual(d2),
+        sr.block_model_d1(ctx, F9),
+    ]
+    assert all(mod.symmetry == mr.Symmetry.NONE for mod in derived)
+    assert mr.EAModule.from_dict(d2.to_dict()) == d2
+
+
+# every d_r sweep the suites make at their defaults (main-thm, green,
+# explore-k1modp), and the benchmark's D(2) over F_27
+SWEPT_D_R = [(3, 2, 2), (3, 3, 2), (5, 2, 2), (3, 4, 1), (3, 4, 2), (3, 3, 3)]
+
+
+@pytest.mark.parametrize("p,k,m", SWEPT_D_R)
+def test_orbit_sweep_matches_full_sweep(tmp_path, monkeypatch, p, k, m):
+    field = field_create(p, m)
+    module = sr.d_r(sr.SymContext(p, k), field, p - 1)
+    full = vy.variety_points(undeclared(module), field)
+    evaluated = []
+
+    def counted(mod, pt):
+        evaluated.append(pt)
+        return mr.point_jordan_type(mod, pt)
+
+    monkeypatch.setattr(vy, "point_jordan_type", counted)
+    swept = vy.variety_points(module, field)
+    reps = vy.orbit_representatives(field, vy.projective_codes(field, k), module.symmetry)
+    assert len(evaluated) == len(set(reps.tolist())) < len(full.points)
+    assert json.dumps(swept.to_dict()) == json.dumps(full.to_dict())
+    swept.write_csv(tmp_path / "swept.csv")
+    full.write_csv(tmp_path / "full.csv")
+    assert (tmp_path / "swept.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
