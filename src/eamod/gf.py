@@ -139,20 +139,7 @@ class FieldCtx:
     def cinv(self, a):
         if not any(a):
             raise ZeroDivisionError("inverse of zero field element")
-        if self.m == 1:
-            return (pow(a[0], self.p - 2, self.p),)
-        # extended Euclid in F_p[x] against irr
-        r0, r1 = list(self.irr), list(a)
-        t0, t1 = [0], [1]
-        while any(r1):
-            q, r = _fp_divmod(r0, r1, self.p)
-            r0, r1 = r1, r
-            t0, t1 = t1, _fp_sub(t0, _fp_mul(q, t1, self.p), self.p)
-        lead = _fp_trim(r0)[-1]
-        s = pow(lead, self.p - 2, self.p)
-        t0 = [(c * s) % self.p for c in t0]
-        t0 = (t0 + [0] * self.m)[: self.m]
-        return tuple(t0)
+        return self.cpow(a, self.q - 2)
 
     def cpow(self, a, e: int):
         if e < 0:
@@ -335,7 +322,7 @@ class Fel:
         return "+".join(terms) if terms else "0"
 
 
-# -- prime-subfield polynomial helpers on bare int lists (cinv, irreducibility) --
+# -- prime-subfield polynomial helpers on bare int lists (irreducibility) --
 
 
 def _fp_trim(a):

@@ -379,6 +379,10 @@ class JordanType:
     def is_free(self) -> bool:
         return self.total == self.p * self.mult[self.p - 1]
 
+    def rank(self, e: int) -> int:
+        """Rank of N^e for a nilpotent N of this type: a block of size r adds max(r - e, 0)."""
+        return sum(a * max(r + 1 - e, 0) for r, a in enumerate(self.mult))
+
     def __str__(self):
         parts = []
         for r in range(self.p, 0, -1):

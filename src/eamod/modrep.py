@@ -191,7 +191,8 @@ class EAModule:
         if len(raw) != k:
             raise ValueError("generator count does not match rank")
         for g in raw:
-            arr = np.array(g)
+            # a saved 0 x 0 generator is [], which numpy reads as shape (0,)
+            arr = np.zeros((0, 0, field.m), dtype=np.int64) if n == 0 and g == [] else np.array(g)
             if arr.shape != (n, n, field.m):
                 raise ValueError("generator has wrong shape")
             if arr.dtype.kind != "i":

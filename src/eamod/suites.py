@@ -543,8 +543,7 @@ def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
         mod1 = sr.block_model_d1(ctx, field1)
         mod2 = sr.block_model_d1(ctx, field2)
         generic = _jt(p, [p] * (ctx.k - 1) + [p - 2])
-        pts = list(vy.enumerate_projective(field1, ctx.k))
-        pts_types = [mr.point_jordan_type(mod1, pt) for pt in pts]
+        base_records = vy.variety_points(mod1, field1).points
         for r in rr:
             w1, w2 = mr.wedge(mod1, r), mr.wedge(mod2, r)
             sampled = []
@@ -557,7 +556,7 @@ def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
                 pt = Point(coords)
                 if not pt.is_zero():
                     sampled.append(pt)
-            typed = [(w1, pt, t) for pt, t in zip(pts, pts_types)]
+            typed = [(w1, rec.point, rec.jordan_type) for rec in base_records]
             typed += [(w2, pt, mr.point_jordan_type(mod2, pt)) for pt in sampled]
             for wedge_mod, pt, t_base in typed:
                 lhs = mr.point_jordan_type(wedge_mod, pt)
@@ -680,7 +679,15 @@ def suite_dimension(p: int = 3) -> SuiteReport:
         2,
         vy.dimension_estimate(n2b, n4b, q),
     )
-    for k, r in ((2, 1), (3, 2)):
+    # r = dim V(D(p-1)) from affine variety counts 1 + (q-1)(projective points)
+    remainders = []
+    for k in (2, 3):
+        ctx = sr.SymContext(p, k)
+        counts = []
+        for field in (f2, f4):
+            module = sr.d_r(ctx, field, p - 1)
+            counts.append(1 + (field.q - 1) * vy.variety_points(module, field).counts()["variety"])
+        r = vy.dimension_estimate(counts[0], counts[1], q)
         rep.add(
             f"dimension/complexity-k{k}",
             f"complexity estimate k-1 for D(p-1) restricted to E_{k}",
@@ -688,14 +695,13 @@ def suite_dimension(p: int = 3) -> SuiteReport:
             k - 1,
             r,
         )
-    dim_d2 = math.comb(2 * p - 2, p - 1)
-    dim_d3 = math.comb(3 * p - 2, p - 1)
+        remainders.append(module.n % p ** (k - r))
     rep.add(
         "dimension/divisibility",
         "p^(k-r) divides the module dimensions",
         "Theorem dimension",
         [0, 0],
-        [dim_d2 % p ** (2 - 1), dim_d3 % p ** (3 - 2)],
+        remainders,
     )
     return rep
 

@@ -17,8 +17,7 @@ import numpy as np
 
 from .gf import BadParams, Fel, FieldCtx, is_prime, NonPrime
 from .linalg import MatF, arr_mul, arr_pow
-from .modrep import EAModule, Point, Symmetry, lift_to_extension, wedge, x_alpha
-from .stream import CounterStream
+from .modrep import EAModule, Point, Symmetry, lift_to_extension, wedge
 
 
 class SingularBasis(ValueError):
@@ -236,38 +235,34 @@ def pk_eval_batch(poly: PkPoly, field: FieldCtx, coords: np.ndarray) -> np.ndarr
     return total
 
 
-def rank_lemma_check(ctx: SymContext, field: FieldCtx, cap: int = 5000, seed: int = 0) -> dict:
-    """Sweep nonzero points and check the four rank clauses on S = [X_alpha].
+def rank_lemma_check(ctx: SymContext, field: FieldCtx) -> dict:
+    """Check the four rank clauses on S = [X_alpha] at every nonzero point.
 
     Checks, per point: rank(S) attains (k-1)(p-1)+p-3 exactly on the
     expected point set; for all-nonzero points rank(S^{p-3}) = 3k-2,
     rank(S^{p-2}) = 2k-2, and rank(S^{p-1}) = k-1 iff p_k(alpha) != 0.
-    Enumerates every nonzero affine point, or a deterministic sample of
-    `cap` points when there are more.
+
+    Scaling alpha by c != 0 keeps the ranks of the powers of S, the zero
+    pattern of alpha and whether the homogeneous p_k vanishes, so every
+    clause is read once per projective point of a variety_points sweep
+    (ranks from its Jordan type, p_k from the zero_points set) and that
+    point stands for its q-1 affine multiples in the counts; failures
+    list the normalized projective points.  Raises TooLarge past the
+    10^7 sweep cap.
 
     At p = 3 the "all coordinates nonzero" condition in the first clause
     is amended to "at most one coordinate zero": with p - 2 = 1 the b_1
     chain degenerates and a single X_i already attains the maximal rank
     (verified against both models; the p >= 5 counting argument does not
-    carry over).
+    carry over).  Its second clause is then rank(S^0) = kp-2 = 3k-2.
     """
+    from .variety import variety_points, zero_points
+
     if ctx.k < 2:
         raise ValueError("rank sweep requires k >= 2")
     p, k = ctx.p, ctx.k
-    module = block_model_d1(ctx, field)
-    poly = PkPoly(p, k)
-    q = field.q
-    total_points = q ** k - 1
-    if total_points <= cap:
-        codes = range(1, q ** k)
-    else:
-        stream = CounterStream(seed)
-        seen = set()
-        while len(seen) < cap:
-            c = stream.below(q ** k)
-            if c:
-                seen.add(c)
-        codes = sorted(seen)
+    report = variety_points(block_model_d1(ctx, field), field)
+    pk_zeros = {pt.codes() for pt in zero_points(PkPoly(p, k), field)}
 
     clause_one = (
         "rank(S) = (k-1)(p-1)+p-3 iff all coords nonzero"
@@ -283,40 +278,21 @@ def rank_lemma_check(ctx: SymContext, field: FieldCtx, cap: int = 5000, seed: in
     checked = [0, 0, 0, 0]
     failures = [[], [], [], []]
     rank_full = (k - 1) * (p - 1) + p - 3
-    for code in codes:
-        digits = []
-        c = code
-        for _ in range(k):
-            digits.append(c % q)
-            c //= q
-        coords = tuple(field.el(field.from_code(d)) for d in digits)
-        pt = Point(coords)
-        s_mat = x_alpha(module, pt)
-        all_nonzero = all(coords)
-        zeros = sum(1 for x in coords if not x)
-        expect_full = all_nonzero if p >= 5 else zeros <= 1
-        checked[0] += 1
-        if (s_mat.rank() == rank_full) != expect_full:
-            failures[0].append(pt)
-        if not all_nonzero:
-            continue
-        powers = {1: s_mat}
-        for e in range(2, p):
-            powers[e] = powers[e - 1] @ s_mat
-        if p > 3:
-            checked[1] += 1
-            if powers[p - 3].rank() != 3 * k - 2:
-                failures[1].append(pt)
-        else:
-            # p = 3: S^0 has rank kp-2 = 3k-2 trivially
-            checked[1] += 1
-        checked[2] += 1
-        if powers[p - 2].rank() != 2 * k - 2:
-            failures[2].append(pt)
-        checked[3] += 1
-        nonzero_pk = bool(pk_eval(poly, pt))
-        if (powers[p - 1].rank() == k - 1) != nonzero_pk:
-            failures[3].append(pt)
+    multiples = field.q - 1
+    for rec in report.points:
+        jt, codes = rec.jordan_type, rec.point.codes()
+        zeros = codes.count(0)
+        held = [(jt.rank(1) == rank_full) == (zeros == 0 if p >= 5 else zeros <= 1)]
+        if zeros == 0:
+            held += [
+                jt.rank(p - 3) == 3 * k - 2,
+                jt.rank(p - 2) == 2 * k - 2,
+                (jt.rank(p - 1) == k - 1) == (codes not in pk_zeros),
+            ]
+        for i, ok in enumerate(held):
+            checked[i] += multiples
+            if not ok:
+                failures[i].append(rec.point)
     return {
         "p": p,
         "k": k,

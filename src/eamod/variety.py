@@ -207,24 +207,15 @@ def zero_points(poly: PkPoly, field: FieldCtx):
     return _points(field, codes[~values.any(axis=1)])
 
 
-def count_affine_zeros(poly: PkPoly, field: FieldCtx, chunk: int = 1 << 15) -> int:
-    """Number of affine zeros of p_k over the field, origin included."""
-    q = field.q
-    total = q ** poly.k
-    if total > POINT_SWEEP_CAP:
-        raise TooLarge(f"{q}^{poly.k} exceeds the enumeration cap")
-    table = _elements(field)
-    count = 0
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        coords = np.zeros((idx.size, poly.k, field.m), dtype=np.int64)
-        rem = idx.copy()
-        for j in range(poly.k):
-            coords[:, j] = table[rem % q]
-            rem //= q
-        values = pk_eval_batch(poly, field, coords)
-        count += int((~values.any(axis=1)).sum())
-    return count
+def count_affine_zeros(poly: PkPoly, field: FieldCtx) -> int:
+    """Number of affine zeros of p_k over the field, origin included.
+
+    p_k is homogeneous, so each projective zero stands for its q-1
+    nonzero multiples; the origin is a zero unless p_1 = 1.  Raises
+    TooLarge past the 10^7 sweep cap.
+    """
+    origin = 1 if poly.k > 1 else 0
+    return origin + (field.q - 1) * len(zero_points(poly, field))
 
 
 def compare_sets(report: PointSetReport, target_points, target_tag: str = "target") -> str:

@@ -204,6 +204,7 @@ INVALID_INPUTS = {
     "dr-degree-out-of-range": ["build", "dr", "--p", "3", "--k", "2", "-r", "9", "--out", "{tmp}/x.json"],
     "wedge-degree-out-of-range": ["build", "wedge", "--module", "{d1}", "-r", "9", "--out", "{tmp}/x.json"],
     "rank-lemma-k1": ["verify", "--suite", "rank-lemma", "--p", "3", "--k", "1"],
+    "rank-lemma-past-cap": ["verify", "--suite", "rank-lemma", "--p", "3", "--k", "15"],
     "decomp-k2-p5": ["verify", "--suite", "decomp-k2", "--p", "5"],
     "file-wrong-format": ["query", "projective", "--module", "{tmp}/format.json"],
     "file-entry-out-of-range": ["query", "projective", "--module", "{tmp}/entry.json"],

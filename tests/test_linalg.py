@@ -197,6 +197,19 @@ def test_jordan_roundtrip_exhaustive(p):
             assert jordan_type_nilpotent(canonical_nilpotent(ctx, jt), p) == jt
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_jordan_type_rank_matches_powers(p):
+    ctx = field_create(p, 1)
+    for total in range(1, 9):
+        for blocks in _partitions(total, p):
+            jt = JordanType.from_blocks(p, blocks)
+            nil = as_fel_rows(canonical_nilpotent(ctx, jt))
+            power = [[ctx.one() if i == j else ctx.zero() for j in range(total)] for i in range(total)]
+            for e in range(p + 1):
+                assert jt.rank(e) == slow_rank(power), (blocks, e)
+                power = slow_matmul(power, nil)
+
+
 def test_jordan_conjugation_invariant():
     stream = CounterStream(23)
     jt = JordanType.from_blocks(3, [3, 2, 2, 1])

@@ -60,6 +60,16 @@ def test_validate_zero_module():
     assert mr.variety_contains(mod, [0, 0])
 
 
+@pytest.mark.parametrize("field", [F3, F9], ids=["F3", "F9"])
+def test_zero_module_file_roundtrip(field):
+    mod = mr.zero_module(3, 2, field)
+    raw = json.loads(json.dumps(mod.to_dict()))
+    assert EAModule.from_dict(raw) == mod
+    for bad in ([[]], [0], [[[]]]):
+        with pytest.raises(ValueError, match="wrong shape"):
+            EAModule.from_dict(dict(raw, generators=[bad, []]))
+
+
 def test_x_alpha_unit_vector_and_shape():
     mod = benson(F3, 2, 1)
     assert mr.x_alpha(mod, [1, 0]) == mod.gens[0]

@@ -136,20 +136,17 @@ def test_pk_vanishes_with_two_zero_coordinates():
 
 @pytest.mark.parametrize(
     "p,k,m",
-    [(3, 2, 1), (3, 2, 2), (3, 3, 1), (3, 3, 2), (5, 2, 1), (5, 2, 2)],
+    [(3, 2, 1), (3, 2, 2), (3, 3, 1), (3, 3, 2), (5, 2, 1), (5, 2, 2), (5, 3, 2)],
 )
 def test_rank_lemma_sweeps(p, k, m):
     ctx = sr.SymContext(p, k)
     field = field_create(p, m)
     result = sr.rank_lemma_check(ctx, field)
     assert result["pass"], result
-    assert result["points_checked"] == field.q ** k - 1
-
-
-def test_rank_lemma_sampling_cap():
-    result = sr.rank_lemma_check(sr.SymContext(3, 2), F9, cap=20)
-    assert result["points_checked"] == 20
-    assert result["pass"]
+    # every nonzero affine point, and every all-nonzero one for clauses 2-4
+    counts = [field.q ** k - 1] + [(field.q - 1) ** k] * 3
+    assert [c["points_checked"] for c in result["clauses"]] == counts
+    assert result["points_checked"] == counts[0]
 
 
 def test_d_r_dimensions():

@@ -246,6 +246,12 @@ def test_count_affine_zeros_matches_bruteforce():
     assert vy.count_affine_zeros(poly, F9) == slow == 57
 
 
+def test_count_affine_zeros_k3_over_f81_and_constant_p1():
+    assert vy.count_affine_zeros(sr.PkPoly(3, 3), field_create(3, 4)) == 6321
+    # p_1 = 1 vanishes nowhere, not even at the origin
+    assert vy.count_affine_zeros(sr.PkPoly(3, 1), F9) == 0
+
+
 def test_fp_subspaces_counts():
     # Gaussian binomial coefficients over F_3
     assert len(vy.fp_subspaces(3, 2, 1)) == 4
