@@ -122,37 +122,37 @@ def _load(path: str) -> EAModule:
         raise BadParams(f"module file not found: {path}") from exc
 
 
-def _field_for(args, p: int) -> FieldCtx:
-    return field_create(p, getattr(args, "ext", None) or 1)
+def _given(**options) -> dict:
+    """The options given on the command line; the callee's signature holds the defaults."""
+    return {key: value for key, value in options.items() if value is not None}
 
 
 def cmd_build(args) -> int:
     kind = args.kind
     if kind in ("d1", "dr", "regular", "linear") and (args.p is None or args.k is None):
         raise BadParams(f"build {kind} needs --p and --k")
+    field = None if args.p is None else field_create(args.p, args.ext)
     if kind == "d1":
-        module = sr.block_model_d1(sr.SymContext(args.p, args.k), _field_for(args, args.p))
+        module = sr.block_model_d1(sr.SymContext(args.p, args.k), field)
     elif kind == "dr":
         if args.r is None:
             raise BadParams("build dr needs -r")
-        module = sr.d_r(sr.SymContext(args.p, args.k), _field_for(args, args.p), args.r)
+        module = sr.d_r(sr.SymContext(args.p, args.k), field, args.r)
     elif kind == "benson":
         if args.p is None:
             raise BadParams("build benson needs --p")
-        field = _field_for(args, args.p)
-        lam = parse_element(field, args.lam or "0")
-        mu = parse_element(field, args.mu or "0")
+        lam = parse_element(field, args.lam)
+        mu = parse_element(field, args.mu)
         x1 = MatF.from_rows(field, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
         x2 = MatF.from_rows(field, [[0, 0, 0], [lam, 0, 0], [mu, lam, 0]])
         module = EAModule(args.p, 2, field, [x1, x2])
     elif kind == "linear":
-        field = _field_for(args, args.p)
         vectors = parse_vectors(field, args.w) if args.w else []
         if any(len(v) != args.k for v in vectors):
             raise BadParams("span vectors must have length k")
         module = mr.linear_variety_module(args.p, args.k, field, vectors)
     elif kind == "regular":
-        module = mr.regular_module(args.p, args.k, _field_for(args, args.p))
+        module = mr.regular_module(args.p, args.k, field)
     elif kind == "induce":
         if not args.w:
             raise BadParams("build induce needs --w (embed vectors)")
@@ -165,7 +165,7 @@ def cmd_build(args) -> int:
                 raise BadParams("build induce needs --module or --p")
             prime = field_create(args.p, 1)
             embed = [[int(c.coeffs[0]) for c in v] for v in parse_vectors(prime, args.w)]
-            base = mr.trivial_module(args.p, len(embed), _field_for(args, args.p))
+            base = mr.trivial_module(args.p, len(embed), field)
         module = mr.induce(base, embed)
     elif kind in ("sum", "tensor"):
         if not args.modules or len(args.modules) != 2:
@@ -196,7 +196,7 @@ def cmd_build(args) -> int:
 
 def _module_over_ext(args) -> EAModule:
     module = _load(args.module)
-    if args.ext and args.ext != module.field.m:
+    if args.ext is not None and args.ext != module.field.m:
         module = mr.lift_to_extension(module, field_create(module.p, args.ext))
     return module
 
@@ -221,7 +221,9 @@ def cmd_query(args) -> int:
         return 0
     if command == "generic":
         module = _load(args.module)
-        jt, ev = vy.generic_type(module, args.ext or 4, args.trials or 24, args.seed or 7)
+        jt, ev = vy.generic_type(
+            module, **_given(ext_degree=args.ext, trials=args.trials, seed=args.seed)
+        )
         _emit(
             {
                 "generic_type": str(jt) if jt is not None else None,
@@ -263,7 +265,7 @@ def cmd_query(args) -> int:
         return 0
     if command == "decompose":
         module = _load(args.module)
-        result = mr.fitting_decompose(module, args.trials or 60, args.seed or 7)
+        result = mr.fitting_decompose(module, **_given(trials=args.trials, seed=args.seed))
         _emit(
             {
                 "status": result.status,
@@ -282,8 +284,6 @@ def cmd_query(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite in suites.DEFAULT_PAIRS and (args.p is None) != (args.k is None):
-        raise BadParams(f"suite {args.suite} needs --p and --k together")
     reports = suites.run_suite(args.suite, p=args.p, k=args.k, ext=args.ext,
                                trials=args.trials, seed=args.seed)
     payload = [r.to_dict() for r in reports]
@@ -309,9 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--p", type=int)
     b.add_argument("--k", type=int)
     b.add_argument("-r", type=int, dest="r")
-    b.add_argument("--ext", type=int, help="extension degree of the field (default 1)")
-    b.add_argument("--lambda", dest="lam", help="benson parameter (w-polynomial)")
-    b.add_argument("--mu", help="benson parameter (w-polynomial)")
+    b.add_argument("--ext", type=int, default=1, help="extension degree of the field")
+    b.add_argument("--lambda", dest="lam", default="0", help="benson parameter (w-polynomial)")
+    b.add_argument("--mu", default="0", help="benson parameter (w-polynomial)")
     b.add_argument("--w", help="vectors: comma coords, semicolon separated")
     b.add_argument("--module", help="input module file")
     b.add_argument("--modules", nargs="*", help="input module files (sum/tensor)")

@@ -289,26 +289,31 @@ def trivial_module(p: int, k: int, field: FieldCtx) -> EAModule:
 
 
 def lift_to_extension(module: EAModule, ext: FieldCtx) -> EAModule:
-    """Re-interpret a prime-field module over an extension of the same p.
+    """Re-interpret a module over F_{p^m} over an extension F_{p^m'}, m | m'.
 
-    Generator entries embed as constant coefficients; general subfield
-    embeddings are out of scope (rebuild the module over the larger
-    field instead).  The lift declares Symmetry.FROBENIUS: with every
-    entry in F_p, X at the p-th power of alpha is the entrywise p-th
-    power of X_alpha, a field automorphism that keeps every rank.
+    The generator w of the source maps to the least-code root r of its
+    irr in ext, so an entry sum_i a_i w^i becomes sum_i a_i r^i; F_p
+    entries embed as constant coefficients.  A lift from F_p declares
+    Symmetry.FROBENIUS: with every entry in F_p, X at the p-th power of
+    alpha is the entrywise p-th power of X_alpha, a field automorphism
+    that keeps every rank.  Other lifts keep the module's symmetry.
     """
-    if module.field == ext:
+    src = module.field
+    if src == ext:
         return module
-    if module.field.m != 1 or ext.p != module.p:
-        raise MismatchedContext(
-            "can only lift a prime-field module into an extension of the same p"
-        )
-    gens = []
-    for g in module.gens:
-        d = np.zeros((module.n, module.n, ext.m), dtype=np.int64)
-        d[:, :, 0] = g.data[:, :, 0]
-        gens.append(MatF(ext, d))
-    return EAModule(module.p, module.k, ext, gens, symmetry=module.symmetry | Symmetry.FROBENIUS)
+    if ext.p != src.p or ext.m % src.m:
+        raise MismatchedContext(f"cannot lift a module over {src!r} into {ext!r}")
+    symmetry = module.symmetry
+    if src.m == 1:
+        symmetry |= Symmetry.FROBENIUS
+        powers = [ext.one()]
+    else:
+        r = next(x for x in ext.elements()
+                 if not sum((c * x ** i for i, c in enumerate(src.irr)), ext.zero()))
+        powers = [r ** i for i in range(src.m)]
+    embed = np.array([x.coeffs for x in powers], dtype=np.int64)
+    gens = [MatF(ext, g.data @ embed) for g in module.gens]
+    return EAModule(module.p, module.k, ext, gens, symmetry=symmetry)
 
 
 def zero_module(p: int, k: int, field: FieldCtx) -> EAModule:
@@ -458,13 +463,9 @@ def induce(module: EAModule, embed, ambient_rank: int = None) -> EAModule:
         [1 if r == c else 0 for r in range(k)] for c in complement
     ]
     basis_mat = MatF.from_rows(prime, [[cols[j][r] for j in range(k)] for r in range(k)])
-    binv = basis_mat.inv()
-    decomp = []
-    for i in range(k):
-        e_i = MatF.from_rows(prime, [[1] if r == i else [0] for r in range(k)])
-        coeff = binv @ e_i
-        vals = [int(coeff.data[j, 0, 0]) for j in range(k)]
-        decomp.append((vals[:s], vals[s:]))
+    # the coordinates of e_i are column i of the inverse
+    binv = basis_mat.inv().data[:, :, 0]
+    decomp = [(binv[:s, i].tolist(), binv[s:, i].tolist()) for i in range(k)]
 
     grid = list(product(range(p), repeat=t))
     index = {v: i for i, v in enumerate(grid)}
@@ -563,7 +564,8 @@ def projective_test(module: EAModule):
 def endomorphism_basis(module: EAModule):
     """Basis of the commutant {Y : Y X_i = X_i Y for all i}.
 
-    The first basis element is always the identity matrix.
+    The identity is one of the basis elements: it replaces the first
+    kernel vector whose free column is diagonal.
     """
     n = module.n
     field = module.field
@@ -687,7 +689,7 @@ def _try_split(module: EAModule, trials: int, stream: CounterStream):
     return None
 
 
-def fitting_decompose(module: EAModule, trials: int, seed: int) -> FittingResult:
+def fitting_decompose(module: EAModule, trials: int = 60, seed: int = 7) -> FittingResult:
     """Split into direct summands via random commutant elements.
 
     Draws up to `trials` random endomorphisms theta per remaining piece

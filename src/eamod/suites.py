@@ -8,34 +8,20 @@ parameter sets follow the acceptance checklist in the README.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import time
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from .gf import FieldCtx, field_create
+from .gf import BadParams, FieldCtx, field_create
 from .linalg import JordanType
 from . import modrep as mr
 from . import symrep as sr
 from . import variety as vy
 from .modrep import Point
 from .stream import CounterStream
-
-SUITE_NAMES = (
-    "rank-lemma",
-    "basis-change",
-    "jtd1",
-    "jtdp1",
-    "main-thm",
-    "decomp-k2",
-    "indec-21",
-    "dv-linear",
-    "dv-rank2",
-    "green",
-    "axioms",
-    "dimension",
-    "explore-k1modp",
-)
 
 DEFAULT_PAIRS = {
     "rank-lemma": [(3, 2), (3, 3), (5, 2)],
@@ -101,6 +87,7 @@ class SuiteReport:
 
 
 def _timed(fn):
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         t0 = time.perf_counter()
         report = fn(*args, **kwargs)
@@ -132,15 +119,16 @@ def _span_points(field: FieldCtx, basis_rows, k: int):
 
 
 @_timed
-def suite_rank_lemma(p: int, k: int, ext_degrees=(1, 2)) -> SuiteReport:
+def suite_rank_lemma(p: int, k: int) -> SuiteReport:
+    ext_degrees = (1, 2)
     rep = SuiteReport("rank-lemma", {"p": p, "k": k, "ext_degrees": list(ext_degrees)})
     ctx = sr.SymContext(p, k)
     for m in ext_degrees:
         field = field_create(p, m)
         result = sr.rank_lemma_check(ctx, field)
-        for idx, clause in enumerate(result["clauses"]):
+        for clause in result["clauses"]:
             rep.add(
-                f"rank-lemma/{p}-{k}/ext{m}/clause-{idx + 1}",
+                f"rank-lemma/{p}-{k}/ext{m}/clause-{clause['number']}",
                 f"{clause['clause']} over F_{field.q} ({clause['points_checked']} points)",
                 "Lemma rank (i)-(iii)",
                 [],
@@ -258,11 +246,12 @@ def suite_main_thm(p: int, k: int, ext: int = 2) -> SuiteReport:
 
 
 @_timed
-def suite_decomp_k2(p: int = 3, trials: int = 60, seeds=tuple(range(7, 17))) -> SuiteReport:
+def suite_decomp_k2(p: int = 3, trials: int = 60, seed: int = None) -> SuiteReport:
     if p != 3:
         # for larger p the projective part of D(p-1) restricted to E_2 need
         # not vanish, so the expected summand shape below is p = 3 specific
         raise ValueError("decomp-k2 is defined for p = 3")
+    seeds = tuple(range(7, 17)) if seed is None else (seed,)  # None: try 7-16 in turn
     rep = SuiteReport(
         "decomp-k2", {"p": p, "trials": trials, "seeds": list(seeds)}
     )
@@ -336,7 +325,10 @@ def suite_indec_21(p: int = 3, k: int = 3, trials: int = 60, seed: int = 7) -> S
 
 
 @_timed
-def suite_dv_linear(p: int = 3, ks=(2, 3), ext: int = 2) -> SuiteReport:
+def suite_dv_linear(p: int = 3, k: int = None, ext: int = 2) -> SuiteReport:
+    ks = (2, 3) if k is None else (k,)  # None: E_2 and E_3
+    if min(ks) < 1:
+        raise BadParams(f"rank k must be >= 1, got {k}")
     rep = SuiteReport("dv-linear", {"p": p, "ks": list(ks), "ext": ext})
     for k in ks:
         field = field_create(p, ext)
@@ -707,7 +699,8 @@ def suite_dimension(p: int = 3) -> SuiteReport:
 
 
 @_timed
-def suite_explore_k1modp(p: int = 3, k: int = 4, ext_degrees=(1, 2)) -> SuiteReport:
+def suite_explore_k1modp(p: int = 3, k: int = 4, ext: int = 2) -> SuiteReport:
+    ext_degrees = (1, ext)
     rep = SuiteReport(
         "explore-k1modp",
         {"p": p, "k": k, "ext_degrees": list(ext_degrees)},
@@ -734,56 +727,48 @@ def suite_explore_k1modp(p: int = 3, k: int = 4, ext_degrees=(1, 2)) -> SuiteRep
     return rep
 
 
-def run_suite(name: str, p=None, k=None, ext=None, trials=None, seed=None):
-    """Run one named suite; returns a list of SuiteReports.
+SUITES = {
+    "rank-lemma": suite_rank_lemma,
+    "basis-change": suite_basis_change,
+    "jtd1": suite_jtd1,
+    "jtdp1": suite_jtdp1,
+    "main-thm": suite_main_thm,
+    "decomp-k2": suite_decomp_k2,
+    "indec-21": suite_indec_21,
+    "dv-linear": suite_dv_linear,
+    "dv-rank2": suite_dv_rank2,
+    "green": suite_green,
+    "axioms": suite_axioms,
+    "dimension": suite_dimension,
+    "explore-k1modp": suite_explore_k1modp,
+}
+SUITE_NAMES = tuple(SUITES)
 
-    When p/k are omitted, the acceptance default parameter sets are used.
+
+def run_suite(name: str, **options):
+    """Run one named suite ("all" for every suite); returns a list of SuiteReports.
+
+    Options that are None are dropped and the rest go to the suite as
+    given, so each default lives in the suite's signature.  An option
+    the suite does not take, or any option with "all", raises BadParams.
+    A suite in DEFAULT_PAIRS runs its acceptance (p, k) set when given
+    neither p nor k, and needs both otherwise.
     """
+    options = {key: value for key, value in options.items() if value is not None}
     if name == "all":
-        reports = []
-        for suite in SUITE_NAMES:
-            reports.extend(run_suite(suite))
-        return reports
-    if name not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {name!r}")
-
+        if options:
+            raise BadParams(f"--suite all takes no options, got --{next(iter(options))}")
+        return [report for suite in SUITES for report in run_suite(suite)]
+    if name not in SUITES:
+        raise BadParams(f"unknown suite {name!r}")
+    suite = SUITES[name]
+    taken = inspect.signature(suite).parameters
+    for key in options:
+        if key not in taken:
+            raise BadParams(f"suite {name} takes no --{key}")
     if name in DEFAULT_PAIRS:
-        pairs = DEFAULT_PAIRS[name] if p is None else [(p, k)]
-        if p is not None and k is None:
-            raise ValueError("suite needs both --p and --k when one is given")
-        out = []
-        for pp, kk in pairs:
-            if name == "rank-lemma":
-                out.append(suite_rank_lemma(pp, kk))
-            elif name == "basis-change":
-                out.append(suite_basis_change(pp, kk))
-            elif name == "jtd1":
-                out.append(
-                    suite_jtd1(pp, kk, ext or 4, trials or 24, 7 if seed is None else seed)
-                )
-            elif name == "jtdp1":
-                out.append(
-                    suite_jtdp1(pp, kk, ext or 4, trials or 24, 7 if seed is None else seed)
-                )
-            elif name == "main-thm":
-                out.append(suite_main_thm(pp, kk, ext or 2))
-        return out
-
-    if name == "decomp-k2":
-        seeds = tuple(range(7, 17)) if seed is None else (seed,)
-        return [suite_decomp_k2(p or 3, trials or 60, seeds)]
-    if name == "indec-21":
-        return [suite_indec_21(p or 3, k or 3, trials or 60, 7 if seed is None else seed)]
-    if name == "dv-linear":
-        return [suite_dv_linear(p or 3, (k,) if k else (2, 3), ext or 2)]
-    if name == "dv-rank2":
-        return [suite_dv_rank2(p or 3, ext or 2)]
-    if name == "green":
-        return [suite_green(p or 3)]
-    if name == "axioms":
-        return [suite_axioms(p or 3, 11 if seed is None else seed)]
-    if name == "dimension":
-        return [suite_dimension(p or 3)]
-    if name == "explore-k1modp":
-        return [suite_explore_k1modp(p or 3, k or 4, (1, ext or 2))]
-    raise AssertionError(name)
+        if "p" not in options and "k" not in options:
+            return [suite(p, k, **options) for p, k in DEFAULT_PAIRS[name]]
+        if "p" not in options or "k" not in options:
+            raise BadParams(f"suite {name} needs --p and --k together")
+    return [suite(**options)]

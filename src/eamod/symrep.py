@@ -236,7 +236,7 @@ def pk_eval_batch(poly: PkPoly, field: FieldCtx, coords: np.ndarray) -> np.ndarr
 
 
 def rank_lemma_check(ctx: SymContext, field: FieldCtx) -> dict:
-    """Check the four rank clauses on S = [X_alpha] at every nonzero point.
+    """Check the rank clauses on S = [X_alpha] at every nonzero point.
 
     Checks, per point: rank(S) attains (k-1)(p-1)+p-3 exactly on the
     expected point set; for all-nonzero points rank(S^{p-3}) = 3k-2,
@@ -254,7 +254,8 @@ def rank_lemma_check(ctx: SymContext, field: FieldCtx) -> dict:
     is amended to "at most one coordinate zero": with p - 2 = 1 the b_1
     chain degenerates and a single X_i already attains the maximal rank
     (verified against both models; the p >= 5 counting argument does not
-    carry over).  Its second clause is then rank(S^0) = kp-2 = 3k-2.
+    carry over).  Clause 2 would restate the module dimension, rank(S^0)
+    = kp-2, so it is left out; clauses 1, 3 and 4 keep their numbers.
     """
     from .variety import variety_points, zero_points
 
@@ -275,6 +276,7 @@ def rank_lemma_check(ctx: SymContext, field: FieldCtx) -> dict:
         "rank(S^{p-2}) = 2k-2 at all-nonzero points",
         "rank(S^{p-1}) = k-1 iff p_k(alpha) != 0, at all-nonzero points",
     ]
+    numbers = (1, 3, 4) if p == 3 else (1, 2, 3, 4)
     checked = [0, 0, 0, 0]
     failures = [[], [], [], []]
     rank_full = (k - 1) * (p - 1) + p - 3
@@ -300,11 +302,13 @@ def rank_lemma_check(ctx: SymContext, field: FieldCtx) -> dict:
         "points_checked": checked[0],
         "clauses": [
             {
+                "number": i + 1,
                 "clause": clause_names[i],
                 "points_checked": checked[i],
                 "failures": [[list(c.coeffs) for c in f.coords] for f in failures[i]],
             }
             for i in range(4)
+            if i + 1 in numbers
         ],
-        "pass": all(not f for f in failures),
+        "pass": all(not failures[i - 1] for i in numbers),
     }

@@ -284,7 +284,7 @@ def _dominance_maxima(types):
     return maxima
 
 
-def generic_type(module: EAModule, ext_degree: int, trials: int, seed: int):
+def generic_type(module: EAModule, ext_degree: int = 4, trials: int = 24, seed: int = 7):
     """Estimate the generic Jordan type by sampling all-nonzero points.
 
     Draws `trials` points with coordinates uniform in F_{p^m} minus 0

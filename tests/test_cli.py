@@ -1,8 +1,13 @@
+import argparse
+import inspect
 import json
 
 import pytest
 
-from eamod.cli import ParseFailure, main, parse_element, parse_point
+from eamod import suites
+from eamod import symrep as sr
+from eamod import variety as vy
+from eamod.cli import ParseFailure, build_parser, main, parse_element, parse_point
 from eamod.gf import field_create
 
 F9 = field_create(3, 2)
@@ -156,6 +161,40 @@ def test_query_generic(tmp_path, capsys):
     assert json.loads(out)["generic_type"] == "[3][1]"
 
 
+def test_query_generic_seed_zero_is_a_seed(tmp_path, capsys):
+    d1 = tmp_path / "d1.json"
+    run(capsys, "build", "d1", "--p", "3", "--k", "2", "--out", str(d1))
+    code, out, _ = run(capsys, "query", "generic", "--module", str(d1), "--seed", "0")
+    _, evidence = vy.generic_type(sr.block_model_d1(sr.SymContext(3, 2), F3), 4, 24, 0)
+    assert code == 0
+    assert json.loads(out)["attained"] == evidence.attained == 24
+
+
+def test_query_generic_lifts_an_extension_field_module(tmp_path, capsys):
+    d2 = tmp_path / "d2.json"
+    run(capsys, "build", "dr", "--p", "3", "--k", "2", "-r", "2", "--ext", "2",
+        "--out", str(d2))
+    code, out, _ = run(capsys, "query", "generic", "--module", str(d2))
+    assert code == 0
+    assert json.loads(out)["generic_type"] == "[3]^2"
+
+
+def test_suite_parameters_are_cli_options():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    verify = commands.choices["verify"]
+    options = {a.dest for a in verify._actions} - {"help", "suite", "out"}
+    assert options == {"p", "k", "ext", "trials", "seed"}
+    for name, suite in suites.SUITES.items():
+        assert set(inspect.signature(suite).parameters) <= options, name
+
+
+def test_pair_suite_without_p_and_k_runs_its_default_pairs():
+    reports = suites.run_suite("basis-change", p=None, k=None)
+    pairs = [(r.parameters["p"], r.parameters["k"]) for r in reports]
+    assert pairs == suites.DEFAULT_PAIRS["basis-change"]
+
+
 def test_bad_alpha_is_usage_error(tmp_path, capsys):
     d1 = tmp_path / "d1.json"
     run(capsys, "build", "d1", "--p", "3", "--k", "2", "--out", str(d1))
@@ -222,6 +261,28 @@ INVALID_INPUTS = {
     "file-irr-entry-not-int": ["query", "projective", "--module", "{tmp}/irrentry.json"],
     "point-too-many-coordinates": ["query", "jordan", "--module", "{d1}", "--alpha", "1,1,1"],
     "point-zero": ["query", "jordan", "--module", "{d1}", "--alpha", "0,0"],
+    "green-p0": ["verify", "--suite", "green", "--p", "0"],
+    "dv-rank2-ext0": ["verify", "--suite", "dv-rank2", "--ext", "0"],
+    "dv-linear-k0": ["verify", "--suite", "dv-linear", "--k", "0"],
+    "all-with-options": ["verify", "--suite", "all", "--p", "5", "--k", "3"],
+    "main-thm-seed": ["verify", "--suite", "main-thm", "--p", "3", "--k", "2", "--seed", "5"],
+    "rank-lemma-ext": ["verify", "--suite", "rank-lemma", "--p", "3", "--k", "2", "--ext", "2"],
+    "generic-trials0": ["query", "generic", "--module", "{d1}", "--trials", "0"],
+    "decompose-trials0": ["query", "decompose", "--module", "{d1}", "--trials", "0"],
+    "jordan-ext0": ["query", "jordan", "--module", "{d1}", "--alpha", "1,1", "--ext", "0"],
+}
+
+# what the message of each refused option or value names
+NAMED_IN_ERROR = {
+    "green-p0": "0 is not prime",
+    "dv-rank2-ext0": "extension degree 0",
+    "dv-linear-k0": "k must be >= 1, got 0",
+    "all-with-options": "--p",
+    "main-thm-seed": "--seed",
+    "rank-lemma-ext": "--ext",
+    "generic-trials0": "trials",
+    "decompose-trials0": "trials",
+    "jordan-ext0": "extension degree 0",
 }
 
 
@@ -251,3 +312,11 @@ def test_invalid_input_is_usage_error(tmp_path, capsys, argv):
     (tmp_path / "irrentry.json").write_text(json.dumps(dict(raw, field={"p": 3, "m": 1, "irr": [[0], 1]})))
     code, _, err = run(capsys, *[a.format(tmp=tmp_path, d1=d1) for a in argv])
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("case", list(NAMED_IN_ERROR))
+def test_refusal_names_the_option(tmp_path, capsys, case):
+    d1 = tmp_path / "d1.json"
+    run(capsys, "build", "d1", "--p", "3", "--k", "2", "--out", str(d1))
+    code, _, err = run(capsys, *[a.format(d1=d1) for a in INVALID_INPUTS[case]])
+    assert code == 2 and NAMED_IN_ERROR[case] in err

@@ -521,7 +521,20 @@ def test_lift_to_extension():
     assert lifted.field == F9 and lifted.n == mod.n
     assert mr.point_jordan_type(lifted, [1, 1]) == mr.point_jordan_type(mod, [1, 1])
     with pytest.raises(MismatchedContext):
-        mr.lift_to_extension(lifted, field_create(3, 4))
+        mr.lift_to_extension(lifted, field_create(3, 3))
+
+
+def test_lift_from_f9_sends_w_to_a_root_of_its_irr():
+    f81 = field_create(3, 4)
+    line = mr.linear_variety_module(3, 2, F9, [[F9.gen(), F9.one()]])
+    lifted = mr.lift_to_extension(line, f81)
+    assert lifted.symmetry == mr.Symmetry.NONE
+    # the line through (w, 1) goes to the line through (r, 1), r a root of F_9's irr
+    points = [pt for pt in enumerate_projective(f81, 2) if not mr.is_free_at(lifted, pt)]
+    assert len(points) == 1
+    x, y = points[0].coords
+    ratio = x / y
+    assert not sum((c * ratio ** i for i, c in enumerate(F9.irr)), f81.zero())
 
 
 @st.composite
