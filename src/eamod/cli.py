@@ -127,11 +127,45 @@ def _given(**options) -> dict:
     return {key: value for key, value in options.items() if value is not None}
 
 
+# the options each build kind and query command takes besides --out (and
+# query's --module); any other option given is refused, naming it
+BUILD_TAKES = {
+    "d1": ("--p", "--k", "--ext"),
+    "dr": ("--p", "--k", "-r", "--ext"),
+    "benson": ("--p", "--ext", "--lambda", "--mu"),
+    "linear": ("--p", "--k", "--ext", "--w"),
+    "induce": ("--p", "--ext", "--w", "--module"),
+    "sum": ("--modules",),
+    "tensor": ("--modules",),
+    "wedge": ("--module", "-r"),
+    "dual": ("--module",),
+    "regular": ("--p", "--k", "--ext"),
+}
+QUERY_TAKES = {
+    "jordan": ("--alpha", "--ext"),
+    "generic": ("--ext", "--trials", "--seed"),
+    "variety": ("--ext", "--poly", "--compare", "--format"),
+    "projective": (),
+    "decompose": ("--trials", "--seed"),
+    "green": ("--ext",),
+}
+
+
+def _refuse_unused(args, command: str, name: str, takes: dict) -> None:
+    """Refuse (BadParams) every option given that `command name` does not take."""
+    offered = dict.fromkeys(flag for flags in takes.values() for flag in flags)
+    unused = [flag for flag in offered if flag not in takes[name]
+              and getattr(args, {"--lambda": "lam"}.get(flag, flag.lstrip("-"))) is not None]
+    if unused:
+        raise BadParams(f"{command} {name} takes no {', '.join(unused)}")
+
+
 def cmd_build(args) -> int:
     kind = args.kind
+    _refuse_unused(args, "build", kind, BUILD_TAKES)
     if kind in ("d1", "dr", "regular", "linear") and (args.p is None or args.k is None):
         raise BadParams(f"build {kind} needs --p and --k")
-    field = None if args.p is None else field_create(args.p, args.ext)
+    field = None if args.p is None else field_create(args.p, 1 if args.ext is None else args.ext)
     if kind == "d1":
         module = sr.block_model_d1(sr.SymContext(args.p, args.k), field)
     elif kind == "dr":
@@ -141,8 +175,8 @@ def cmd_build(args) -> int:
     elif kind == "benson":
         if args.p is None:
             raise BadParams("build benson needs --p")
-        lam = parse_element(field, args.lam)
-        mu = parse_element(field, args.mu)
+        lam = parse_element(field, "0" if args.lam is None else args.lam)
+        mu = parse_element(field, "0" if args.mu is None else args.mu)
         x1 = MatF.from_rows(field, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
         x2 = MatF.from_rows(field, [[0, 0, 0], [lam, 0, 0], [mu, lam, 0]])
         module = EAModule(args.p, 2, field, [x1, x2])
@@ -157,6 +191,8 @@ def cmd_build(args) -> int:
         if not args.w:
             raise BadParams("build induce needs --w (embed vectors)")
         if args.module:
+            if args.p is not None or args.ext is not None:
+                raise BadParams("build induce --module takes no --p or --ext: the module fixes the field")
             base = _load(args.module)
             embed = [[int(c.coeffs[0]) for c in v] for v in
                      parse_vectors(field_create(base.p, 1), args.w)]
@@ -203,6 +239,7 @@ def _module_over_ext(args) -> EAModule:
 
 def cmd_query(args) -> int:
     command = args.command
+    _refuse_unused(args, "query", command, QUERY_TAKES)
     if command == "jordan":
         module = _module_over_ext(args)
         if not args.alpha:
@@ -309,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--p", type=int)
     b.add_argument("--k", type=int)
     b.add_argument("-r", type=int, dest="r")
-    b.add_argument("--ext", type=int, default=1, help="extension degree of the field")
-    b.add_argument("--lambda", dest="lam", default="0", help="benson parameter (w-polynomial)")
-    b.add_argument("--mu", default="0", help="benson parameter (w-polynomial)")
+    b.add_argument("--ext", type=int, help="extension degree of the field (default 1)")
+    b.add_argument("--lambda", dest="lam", help="benson parameter (w-polynomial, default 0)")
+    b.add_argument("--mu", help="benson parameter (w-polynomial, default 0)")
     b.add_argument("--w", help="vectors: comma coords, semicolon separated")
     b.add_argument("--module", help="input module file")
     b.add_argument("--modules", nargs="*", help="input module files (sum/tensor)")
@@ -327,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--trials", type=int)
     q.add_argument("--seed", type=int)
     q.add_argument("--poly", help="target zero set (pk)")
-    q.add_argument("--compare", action="store_true")
+    q.add_argument("--compare", action="store_true", default=None)
     q.add_argument("--out")
-    q.add_argument("--format", choices=["json", "csv"], default="json")
+    q.add_argument("--format", choices=["json", "csv"], help="variety report format (default json)")
     q.set_defaults(fn=cmd_query)
 
     v = sub.add_parser("verify", help="run a named verification suite")

@@ -561,33 +561,130 @@ def projective_test(module: EAModule):
     return free * module.p ** module.k == module.n, free
 
 
-def endomorphism_basis(module: EAModule):
-    """Basis of the commutant {Y : Y X_i = X_i Y for all i}.
+def _wide_and_tall(module: EAModule):
+    """[X_1 | ... | X_k] (n x kn) and the X_i stacked (kn x n)."""
+    n, k, m = module.n, module.k, module.field.m
+    gens = np.array([x.data for x in module.gens], dtype=np.int64).reshape(k, n, n, m)
+    return (MatF(module.field, gens.transpose(1, 0, 2, 3).reshape(n, k * n, m)),
+            MatF(module.field, gens.reshape(k * n, n, m)))
 
-    The identity is one of the basis elements: it replaces the first
-    kernel vector whose free column is diagonal.
+
+def _top_and_socle(module: EAModule):
+    """(dim top, dim socle): n - rank [X_1 | ... | X_k] and n - rank of the X_i stacked."""
+    wide, tall = _wide_and_tall(module)
+    return module.n - wide.rank(), module.n - tall.rank()
+
+
+def _top_generators(module: EAModule) -> np.ndarray:
+    """The j whose standard vectors e_j generate the module, ascending.
+
+    They are the pivots of [X_1 | ... | X_k | I] past its kn columns: the
+    e_j span a complement of the radical, the column space of
+    [X_1 | ... | X_k], so by Nakayama they generate M, and there are
+    dim top of them.
     """
-    n = module.n
-    field = module.field
+    wide, _ = _wide_and_tall(module)
+    eye = MatF.identity(module.field, module.n)
+    _, pivots = MatF(module.field, np.concatenate([wide.data, eye.data], axis=1)).rref()
+    return np.array([j - wide.cols for j in pivots if j >= wide.cols], dtype=np.intp)
+
+
+def _spin(module: EAModule, generators: np.ndarray):
+    """Spin the generators g_j = e_{generators[j]} to a basis S of M.
+
+    Returns (S, words, owner, tree).  Column u of S is W_u g_owner[u] for
+    a word W_u in the X_i, and words[:, u] is W_u.  tree[i, v] says that
+    X_i S[:, v] was kept as a column of S.  Each level applies every X_i
+    to the words the last level kept and keeps the candidates that are
+    independent of the columns before them.
+    """
+    field, n, m, k = module.field, module.n, module.field.m, module.k
+    _, stacked = _wide_and_tall(module)
+    words = np.zeros((n, generators.size, n, m), dtype=np.int64)
+    words[:, :, :, 0] = np.eye(n, dtype=np.int64)[:, None]
+    owner = np.arange(generators.size)
+    basis = words[:, owner, generators]
+    tree = np.zeros((k, n), dtype=bool)
+    frontier = owner
+    while frontier.size and owner.size < n:
+        f, b = frontier.size, owner.size
+        # candidate i f + v is X_i times the word of frontier[v]
+        spun = stacked @ MatF(field, words[:, frontier].reshape(n, f * n, m))
+        spun = spun.data.reshape(k, n, f, n, m).transpose(1, 0, 2, 3, 4).reshape(n, k * f, n, m)
+        spun_owner = np.tile(owner[frontier], k)
+        candidates = spun[:, np.arange(k * f), generators[spun_owner]]
+        _, pivots = MatF(field, np.concatenate([basis, candidates], axis=1)).rref()
+        kept = np.array(pivots[b:], dtype=np.intp) - b
+        tree[kept // f, frontier[kept % f]] = True
+        words = np.concatenate([words, spun[:, kept]], axis=1)
+        owner = np.concatenate([owner, spun_owner[kept]])
+        basis = np.concatenate([basis, candidates[:, kept]], axis=1)
+        frontier = np.arange(b, owner.size)
+    return MatF(field, basis), words, owner, tree
+
+
+def endomorphism_basis(module: EAModule):
+    """Basis of the commutant End(M) = {Y : Y X_i = X_i Y for all i}, by spinning.
+
+    An endomorphism Y is fixed by the images y_j = Y g_j of the dim top
+    generators g_j (_top_generators).  Spun to a basis S with words W_u
+    (_spin), Y S[:, u] = W_u y_o(u), and with A_i = S^-1 X_i S the
+    condition Y X_i = X_i Y is one relation per column v of Y X_i S:
+
+        sum_u (A_i)_uv W_u y_o(u) - X_i W_v y_o(v) = 0,
+
+    n equations in the t n unknowns y.  The relations (i, v) of the
+    spanning tree hold by construction and are left out.  The others'
+    nonzero rows go tn at a time: each block's image on the solutions
+    found so far is at most square, and its kernel cuts them down.  Each
+    solution gives Y = [W_u y_o(u)]_u S^-1.  The basis is canonical, a
+    function of End(M) alone: the rows of the RREF of the flattened n^2
+    vectors, except row 0, whose pivot is entry (0, 0), which the
+    identity replaces.
+    """
+    field, n, m, k = module.field, module.n, module.field.m, module.k
     if n == 0:
         return []
-    m = field.m
-    nn = n * n
-    system = np.empty((module.k * nn, nn, m), dtype=np.int64)
-    eye = np.eye(n, dtype=np.int64)
-    for i, x in enumerate(module.gens):
-        for a in range(m):
-            xa = x.data[:, :, a]
-            # row-major vec: vec(Y X) = (I kron X^T) vec(Y), vec(X Y) = (X kron I) vec(Y)
-            system[i * nn : (i + 1) * nn, :, a] = np.kron(eye, xa.T) - np.kron(xa, eye)
-    system = MatF(field, system)
-    kernel = system.kernel_array()
-    basis = [MatF(field, vec.reshape(n, n, m).copy()) for vec in kernel]
-    # the identity, which always commutes, replaces the first vector it has a
-    # coordinate on: one whose free column (its last nonzero one) is diagonal
-    free = [np.flatnonzero(vec.any(axis=1))[-1] for vec in kernel]
-    basis[next(v for v, j in enumerate(free) if j % (n + 1) == 0)] = MatF.identity(field, n)
-    return basis
+    generators = _top_generators(module)
+    t = generators.size
+    s_mat, words, owner, tree = _spin(module, generators)
+    s_inv = s_mat.inv()
+    _, stacked = _wide_and_tall(module)
+    # [A_1 | ... | A_k], A_i = S^-1 X_i S
+    xs = (stacked @ s_mat).data.reshape(k, n, n, m).transpose(1, 0, 2, 3).reshape(n, k * n, m)
+    a = (s_inv @ MatF(field, xs)).data
+    # relation q = (i, v) off the spanning tree, column i n + v of [A_1 | ... | A_k]
+    rel_i, rel_v = np.divmod(np.flatnonzero(~tree.reshape(-1)), n)
+    q = rel_i.size
+    # sum_u (A_i)_uv W_u, with W_u in block column owner[u]: row u of A moves there
+    a_owned = np.zeros((n, t, q, m), dtype=np.int64)
+    a_owned[np.arange(n), owner] = a[:, rel_i * n + rel_v]
+    words_rb = MatF(field, words.transpose(0, 2, 1, 3).reshape(n * n, n, m))
+    rel = (words_rb @ MatF(field, a_owned.reshape(n, t * q, m))).data
+    rel = rel.reshape(n, n, t, q, m).transpose(3, 0, 2, 1, 4).copy()  # [q, row, j, column]
+    # minus X_i W_v in block column owner[v]
+    xw = (stacked @ MatF(field, words.reshape(n, n * n, m))).data.reshape(k, n, n, n, m)
+    rel[np.arange(q), :, owner[rel_v]] -= xw[rel_i, :, rel_v]
+    rows = rel.reshape(q * n, t * n, m)
+    rows = rows[rows.any(axis=(1, 2))]
+    first, *rest = np.split(rows, range(t * n, len(rows), t * n))
+    solutions = MatF(field, MatF(field, first).kernel_array())  # rows: the y found so far
+    for block in rest:
+        image = MatF(field, block) @ solutions.transpose()
+        if not image.is_zero():
+            solutions = MatF(field, image.kernel_array()) @ solutions
+    d = solutions.rows
+    z = np.empty((n, n, d, m), dtype=np.int64)  # [row, u, solution]
+    for j in range(t):
+        u = np.flatnonzero(owner == j)
+        y = MatF(field, solutions.data[:, j * n : (j + 1) * n].transpose(1, 0, 2))
+        z[:, u] = (MatF(field, words[:, u].reshape(n * u.size, n, m)) @ y).data.reshape(
+            n, u.size, d, m)
+    flat = MatF(field, z.transpose(2, 0, 1, 3).reshape(d * n, n, m)) @ s_inv
+    reduced, pivots = MatF(field, flat.data.reshape(d, n * n, m)).rref()
+    assert pivots[0] == 0
+    return [MatF.identity(field, n)] + [MatF(field, row.reshape(n, n, m))
+                                        for row in reduced.data[1:]]
 
 
 @dataclass
@@ -658,7 +755,16 @@ def _fitting_split(theta: MatF):
 
 
 def _try_split(module: EAModule, trials: int, stream: CounterStream):
-    if module.n <= 1:
+    """Split the module in two along a random commutant element, or None.
+
+    A module whose top or socle has dimension at most 1 is returned as
+    None before any commutant or theta is computed: top and socle are
+    additive over direct sums and nonzero on every nonzero summand
+    (Nakayama; a p-group fixes a nonzero vector), so a 1-dimensional one
+    proves the module indecomposable.  Otherwise up to `trials` thetas are
+    drawn from the commutant basis and split by _fitting_split.
+    """
+    if min(_top_and_socle(module)) <= 1:
         return None
     basis = endomorphism_basis(module)
     if len(basis) <= 1:
@@ -683,8 +789,8 @@ def _try_split(module: EAModule, trials: int, stream: CounterStream):
             assert not conj.data[da:, :da].any() and not conj.data[:da, da:].any()
             gens_a.append(MatF(field, conj.data[:da, :da].copy()))
             gens_b.append(MatF(field, conj.data[da:, da:].copy()))
-        part_a = EAModule(module.p, module.k, field, gens_a)
-        part_b = EAModule(module.p, module.k, field, gens_b)
+        part_a = EAModule(module.p, module.k, field, gens_a, dim=da)
+        part_b = EAModule(module.p, module.k, field, gens_b, dim=module.n - da)
         return part_a, part_b
     return None
 
@@ -692,10 +798,12 @@ def _try_split(module: EAModule, trials: int, stream: CounterStream):
 def fitting_decompose(module: EAModule, trials: int = 60, seed: int = 7) -> FittingResult:
     """Split into direct summands via random commutant elements.
 
-    Draws up to `trials` random endomorphisms theta per remaining piece
-    from a counter-based stream keyed by seed, splits at the first
-    polynomial in theta whose Fitting decomposition ker t^n + im t^n is
-    nontrivial (see _fitting_split) and recurses on both parts.
+    A piece with a top or socle of dimension at most 1 is proved
+    indecomposable and kept as it is, with no draws.  Every other piece
+    draws up to `trials` random endomorphisms theta from a counter-based
+    stream keyed by seed, splits at the first polynomial in theta whose
+    Fitting decomposition ker t^n + im t^n is nontrivial (see
+    _fitting_split) and recurses on both parts.  For such a piece
     "no_split_found" is evidence, not proof, of indecomposability.
     """
     if trials < 1:

@@ -700,7 +700,7 @@ def suite_dimension(p: int = 3) -> SuiteReport:
 
 @_timed
 def suite_explore_k1modp(p: int = 3, k: int = 4, ext: int = 2) -> SuiteReport:
-    ext_degrees = (1, ext)
+    ext_degrees = (1,) if ext == 1 else (1, ext)
     rep = SuiteReport(
         "explore-k1modp",
         {"p": p, "k": k, "ext_degrees": list(ext_degrees)},

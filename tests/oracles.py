@@ -109,3 +109,33 @@ def brute_irreducible(p, coeffs):
             if not any(rem):
                 return False
     return True
+
+
+def slow_commutant_rref(gens):
+    """RREF rows of the commutant {Y : Y X = X Y for every X in gens}.
+
+    gens are n x n lists of lists of Fel.  Each row of the kron system
+    [I (x) X^T - X (x) I] is entry (a, b) of Y X - X Y, with Y flattened
+    row-major; its kernel, read off slow_rref, is row-reduced again.
+    Returns n^2-long lists of Fel, one per basis element.
+    """
+    n = len(gens[0])
+    ctx = gens[0][0][0].ctx
+    system = []
+    for x in gens:
+        for a in range(n):
+            for b in range(n):
+                row = [ctx.zero()] * (n * n)
+                for c in range(n):
+                    row[a * n + c] = row[a * n + c] + x[c][b]
+                    row[c * n + b] = row[c * n + b] - x[a][c]
+                system.append(row)
+    reduced, pivots = slow_rref(system)
+    kernel = []
+    for free in (j for j in range(n * n) if j not in pivots):
+        vec = [ctx.zero()] * (n * n)
+        vec[free] = ctx.one()
+        for r, c in enumerate(pivots):
+            vec[c] = -reduced[r][free]
+        kernel.append(vec)
+    return slow_rref(kernel)[0]

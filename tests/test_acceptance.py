@@ -16,8 +16,15 @@ from eamod.gf import field_create
 from eamod.linalg import JordanType
 
 
+def assert_unique_check_ids(reports):
+    for r in reports:
+        ids = [c.id for c in r.checks]
+        assert len(ids) == len(set(ids)), f"{r.suite}: a check id repeats in {ids}"
+
+
 def _finish(name, reports, started, budget):
     elapsed = time.perf_counter() - started
+    assert_unique_check_ids(reports)
     failures = [
         (c.id, c.expected, c.actual)
         for r in reports
@@ -142,6 +149,7 @@ def test_13_explore_k1modp():
     elapsed = time.perf_counter() - t0
     assert report.exploratory and report.passed
     assert len(report.checks) == 2
+    assert_unique_check_ids([report])
     verdicts = {c.id: c.actual["verdict"] for c in report.checks}
     print(f"ACCEPTANCE 13 explore-k1modp: REPORT {verdicts} ({elapsed:.1f}s / budget 600s)")
     assert elapsed < 600

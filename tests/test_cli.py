@@ -231,6 +231,9 @@ def test_verify_exploratory_always_zero(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["exploratory"] is True
+    # F_3 is swept once, so no check id repeats
+    assert payload["parameters"]["ext_degrees"] == [1]
+    assert [c["id"] for c in payload["checks"]] == ["explore/3-4/ext1"]
 
 
 @pytest.mark.parametrize("p,k", [("2", "2"), ("4", "2"), ("3", "0")])
@@ -270,6 +273,12 @@ INVALID_INPUTS = {
     "generic-trials0": ["query", "generic", "--module", "{d1}", "--trials", "0"],
     "decompose-trials0": ["query", "decompose", "--module", "{d1}", "--trials", "0"],
     "jordan-ext0": ["query", "jordan", "--module", "{d1}", "--alpha", "1,1", "--ext", "0"],
+    "build-unused-options": ["build", "dual", "--module", "{d1}", "--k", "7", "--ext", "5", "-r", "3",
+                             "--out", "{tmp}/x.json"],
+    "query-unused-options": ["query", "projective", "--module", "{d1}", "--ext", "3", "--seed", "4",
+                             "--trials", "9"],
+    "induce-module-with-p": ["build", "induce", "--module", "{d1}", "--w", "1,0;0,1", "--p", "3",
+                             "--out", "{tmp}/x.json"],
 }
 
 # what the message of each refused option or value names
@@ -283,6 +292,9 @@ NAMED_IN_ERROR = {
     "generic-trials0": "trials",
     "decompose-trials0": "trials",
     "jordan-ext0": "extension degree 0",
+    "build-unused-options": "build dual takes no --k, --ext, -r",
+    "query-unused-options": "query projective takes no --ext, --trials, --seed",
+    "induce-module-with-p": "build induce --module takes no --p or --ext",
 }
 
 
@@ -318,5 +330,5 @@ def test_invalid_input_is_usage_error(tmp_path, capsys, argv):
 def test_refusal_names_the_option(tmp_path, capsys, case):
     d1 = tmp_path / "d1.json"
     run(capsys, "build", "d1", "--p", "3", "--k", "2", "--out", str(d1))
-    code, _, err = run(capsys, *[a.format(d1=d1) for a in INVALID_INPUTS[case]])
+    code, _, err = run(capsys, *[a.format(tmp=tmp_path, d1=d1) for a in INVALID_INPUTS[case]])
     assert code == 2 and NAMED_IN_ERROR[case] in err

@@ -18,9 +18,10 @@ from eamod.modrep import (
     ZeroPoint,
 )
 from eamod.stream import CounterStream
+from eamod import variety as vy
 from eamod.variety import enumerate_projective
 
-from oracles import slow_combination, slow_jordan_mult, slow_rref
+from oracles import slow_combination, slow_commutant_rref, slow_jordan_mult, slow_rref
 
 F3 = field_create(3, 1)
 F9 = field_create(3, 2)
@@ -303,44 +304,79 @@ def test_endomorphism_basis_examples():
                 assert b @ x == x @ b
 
 
-def test_endomorphism_basis_replaces_first_identity_coordinate():
-    # the identity takes the place of the first kernel vector of the
-    # commutant system on which its coordinates (read off an oracle RREF)
-    # are nonzero; every other basis element is the kernel vector itself
+def canonical_commutant(mod):
+    """[I] + rows 1.. of the oracle's RREF of the commutant, as matrices."""
+    n, field = mod.n, mod.field
+    rows = slow_commutant_rref([[[x.get(i, j) for j in range(n)] for i in range(n)] for x in mod.gens])
+    assert rows[0][0] == 1
+    return [MatF.identity(field, n)] + [
+        MatF.from_rows(field, [row[i * n : (i + 1) * n] for i in range(n)]) for row in rows[1:]
+    ]
+
+
+def conjugate(mod, c):
+    """The module with generators c X c^-1."""
+    inv = c.inv()
+    return EAModule(mod.p, mod.k, mod.field, [c @ x @ inv for x in mod.gens])
+
+
+def test_endomorphism_basis_is_canonical():
+    # the basis is the identity and rows 1.. of the RREF of the flattened
+    # commutant, whatever basis the module is written in
     w = F9.gen()
     j2 = EAModule(3, 1, F3, [MatF.from_rows(F3, [[0, 0], [1, 0]])])
 
-    def conjugate(mod, rows):
-        # in a dense basis the kernel vectors' first nonzero coordinates
-        # are diagonal too, and only their free columns mark the identity
-        c = MatF.from_rows(mod.field, rows)
-        return EAModule(mod.p, mod.k, mod.field, [c @ x @ c.inv() for x in mod.gens])
+    def conj(mod, rows):
+        return conjugate(mod, MatF.from_rows(mod.field, rows))
 
     modules = [
         j2,
         mr.direct_sum(mr.trivial_module(3, 1, F3), j2),
         benson(F9, w, 1),
         mr.direct_sum(benson(F9, w + 1, w), mr.trivial_module(3, 2, F9)),
-        conjugate(j2, [[1, 1], [1, 2]]),
-        conjugate(mr.direct_sum(j2, mr.trivial_module(3, 1, F3)), [[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
-        conjugate(benson(F9, w, 1), [[1, w, 0], [0, 1, 1], [1, 0, w]]),
+        conj(j2, [[1, 1], [1, 2]]),
+        conj(mr.direct_sum(j2, mr.trivial_module(3, 1, F3)), [[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+        conj(benson(F9, w, 1), [[1, w, 0], [0, 1, 1], [1, 0, w]]),
     ]
     for mod in modules:
-        n, field = mod.n, mod.field
-        eye = MatF.identity(field, n)
-        system = np.concatenate(
-            [(eye.kron(x.transpose()) - x.kron(eye)).data for x in mod.gens], axis=0)
-        kernel = MatF(field, system).kernel_array()
-        target = eye.data.reshape(n * n, field.m)
-        aug = [[field.el(vec[row].tolist()) for vec in kernel] + [field.el(target[row].tolist())]
-               for row in range(n * n)]
-        reduced, pivots = slow_rref(aug)
-        assert pivots == list(range(len(kernel)))
-        swap = next(v for v in pivots if reduced[v][-1])
-        basis = mr.endomorphism_basis(mod)
-        assert len(basis) == len(kernel)
-        for v, b in enumerate(basis):
-            assert b == (eye if v == swap else MatF(field, kernel[v].reshape(n, n, field.m)))
+        assert mr.endomorphism_basis(mod) == canonical_commutant(mod)
+
+
+@st.composite
+def small_modules(draw):
+    """A sum of one or two small pieces over F_2, F_3, F_4, F_9 or F_25, maybe conjugated."""
+    field = draw(st.sampled_from([field_create(2, 1), F3, field_create(2, 2), F9, field_create(5, 2)]))
+    p = field.p
+    k = draw(st.sampled_from([1, 2]))
+    pieces = []
+    for _ in range(draw(st.integers(1, 2))):
+        if k == 1:
+            size = draw(st.integers(1, min(p, 3)))
+            pieces.append(EAModule(p, 1, field, [canonical_nilpotent(field, JordanType.from_blocks(p, [size]))]))
+        elif p == 3 and draw(st.booleans()):
+            lam, mu = (field.from_code(draw(st.integers(0, field.q - 1))) for _ in range(2))
+            pieces.append(benson(field, lam, mu))
+        elif p == 2 and draw(st.booleans()):
+            codes = draw(st.tuples(st.integers(0, field.q - 1), st.integers(0, field.q - 1)).filter(any))
+            pieces.append(mr.linear_variety_module(p, 2, field, [[field.from_code(c) for c in codes]]))
+        else:
+            pieces.append(mr.trivial_module(p, 2, field))
+    mod = pieces[0]
+    for piece in pieces[1:]:
+        mod = mr.direct_sum(mod, piece)
+    if draw(st.booleans()):
+        codes = draw(st.lists(st.integers(0, field.q - 1), min_size=mod.n ** 2, max_size=mod.n ** 2))
+        c = MatF.from_rows(field, [[field.from_code(codes[i * mod.n + j]) for j in range(mod.n)]
+                                   for i in range(mod.n)])
+        assume(c.rank() == mod.n)
+        mod = conjugate(mod, c)
+    return mod
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(small_modules())
+def test_endomorphism_basis_matches_oracle_property(mod):
+    assert mr.endomorphism_basis(mod) == canonical_commutant(mod)
 
 
 def test_fitting_decompose_splits_j1_plus_j2():
@@ -351,6 +387,14 @@ def test_fitting_decompose_splits_j1_plus_j2():
     assert sorted(s.n for s in result.summands) == [1, 2]
     for s in result.summands:
         mr.validate(s)
+
+
+def test_fitting_decompose_rank_zero_module():
+    # with no generators every matrix commutes, and the pieces keep their dimensions
+    mod = EAModule(3, 0, F3, [], dim=2)
+    assert len(mr.endomorphism_basis(mod)) == 4
+    result = mr.fitting_decompose(mod, trials=20, seed=7)
+    assert result.status == "decomposed" and [s.n for s in result.summands] == [1, 1]
 
 
 def test_fitting_summands_recombine_pointwise():
@@ -428,6 +472,86 @@ def test_fitting_splits_rational_line_off_restricted_line(p):
     result = mr.fitting_decompose(mod, trials=60, seed=7)
     assert result.status == "decomposed"
     assert sorted(s.n for s in result.summands) == [p, 2 * p]
+
+
+class CountingStream(CounterStream):
+    """A CounterStream that counts its draws."""
+
+    draws = 0
+
+    def below(self, bound):
+        self.draws += 1
+        return super().below(bound)
+
+
+def radical_square_zero(field):
+    """F[x, y]/(x, y)^2 at p = 3, basis 1, x, y: cyclic, socle spanned by x and y."""
+    x = MatF.from_rows(field, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    y = MatF.from_rows(field, [[0, 0, 0], [0, 0, 0], [1, 0, 0]])
+    return EAModule(3, 2, field, [x, y])
+
+
+# modules with a 1-dimensional top or socle, and their (dim top, dim socle);
+# each has a commutant of dimension 3, so trials would draw
+CERTIFIED = {
+    "line": (lambda: mr.linear_variety_module(3, 2, F9, [[1, F9.gen()]]), (1, 1)),
+    "jordan-block": (lambda: EAModule(3, 1, F3, [canonical_nilpotent(F3, JordanType.from_blocks(3, [3]))]),
+                     (1, 1)),
+    "cyclic": (lambda: radical_square_zero(F3), (1, 2)),
+    "dual-of-cyclic": (lambda: mr.dual(radical_square_zero(F3)), (2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(CERTIFIED))
+def test_simple_top_or_socle_is_certified_without_trials(monkeypatch, name):
+    build, top_socle = CERTIFIED[name]
+    mod = build()
+    assert mr._top_and_socle(mod) == top_socle
+
+    def refuse(module):
+        raise AssertionError("commutant computed for a certified module")
+
+    monkeypatch.setattr(mr, "endomorphism_basis", refuse)
+    stream = CountingStream(7)
+    assert mr._try_split(mod, 60, stream) is None and stream.draws == 0
+    result = mr.fitting_decompose(mod)
+    assert result.status == "no_split_found" and result.summands == [mod]
+
+
+@pytest.mark.parametrize("p", [3, 2])
+def test_restricted_line_goes_through_trials(monkeypatch, p):
+    mod = restricted_line(p, 0)
+    assert mr._top_and_socle(mod) == (2, 2)
+    calls = []
+    basis_of = mr.endomorphism_basis
+
+    def recording(module):
+        calls.append(module)
+        return basis_of(module)
+
+    monkeypatch.setattr(mr, "endomorphism_basis", recording)
+    stream = CountingStream(7)
+    assert mr._try_split(mod, 5, stream) is None
+    assert calls == [mod] and stream.draws == 5 * len(basis_of(mod)) > 0
+
+
+def test_fitting_decompose_dense_ten_line_sum():
+    # the ten lines of P^1(F_9) summed in a dense basis (a random change of
+    # basis, numpy seed 1) split into the same lines as in the block basis
+    elements = [F9.from_code(c) for c in range(9)]
+    directions = [[elements[1], c] for c in elements] + [[elements[0], elements[1]]]
+    block = vy.dv_rank2_builder(3, F9, directions)
+    change = MatF(F9, np.random.default_rng(1).integers(0, 3, (30, 30, 2)))
+    dense = conjugate(block, change)
+
+    def dims_and_lines(result):
+        assert result.status == "decomposed"
+        return (sorted(s.n for s in result.summands),
+                sorted(sorted(vy.variety_points(s, F9).variety_codes()) for s in result.summands))
+
+    found = dims_and_lines(mr.fitting_decompose(dense, 60, 7))
+    assert found == dims_and_lines(mr.fitting_decompose(block, 60, 7))
+    assert found[0] == [3] * 10 and len({tuple(line) for line in found[1]}) == 10
 
 
 # theta = diag(c_1, c_2) over F_{p^2} (entries by code: w is code p), viewed
