@@ -7,16 +7,27 @@ block sum_t x_t C^t (C the companion matrix of irr), a ring embedding,
 so products, ranks and echelon forms over F_{p^m} are read off F_p ones
 and one elimination loop serves every field.
 
-Products are float64 BLAS products of residues in 0..p-1, reduced mod p
-afterwards.  An inner dimension of n entries is nm residues, each term
-is at most (p-1)^2, and every integer up to 2^53 is a float64, so a
-product is exact while n m (p-1)^2 <= 2^53 (FieldCtx.max_inner) and is
-refused beyond.  Elimination runs on integers in the narrowest signed
-dtype holding -p(p-1), below which no row update goes before it is
-reduced.
+Products are float BLAS products of residues in 0..p-1, cast to
+integers and reduced mod p afterwards.  An inner dimension of n entries
+is nm residues, each term is at most (p-1)^2, and every integer up to
+2^53 is a float64, so a product is exact while n m (p-1)^2 <= 2^53
+(FieldCtx.max_inner) and is refused beyond; below 2^24 it is exact in
+float32 and runs there (product_dtype).
+
+Elimination runs on a (B, r, c) stack of F_p matrices at once: B
+matrices step through the c columns together, each with its own pivot
+rows, and a single matrix is a stack of one.  Reduction mod p is lazy:
+a step reduces only its pivot column and its pivot rows, and every
+other row keeps the unreduced differences.  An update subtracts at most
+(p-1)^2 and a row takes at most c of them, so entries stay within
+(p-1) + c(p-1)^2 in absolute value; the work dtype is the narrowest
+signed integer holding c(p-1)^2 + p, and a stack that no int64 holds is
+refused.
 
 Jordan types of nilpotent matrices are extracted from rank sequences
-only; no similarity transform is computed.
+only; no similarity transform is computed.  A stack of matrices takes
+its powers as one batched product each and the ranks of all of them in
+one elimination.
 """
 
 from __future__ import annotations
@@ -170,9 +181,10 @@ class MatF:
         self._check_mul(other)
         m, p = self.ctx.m, self.ctx.p
         stacked = other.data.transpose(0, 2, 1).reshape(other.rows * m, other.cols)
-        prod = expand(self.ctx, self.data, np.float64) @ stacked.astype(np.float64)
-        prod = (prod % p).astype(np.int64).reshape(self.rows, m, other.cols)
-        return MatF(self.ctx, prod.transpose(0, 2, 1))
+        dtype = product_dtype(self.ctx, self.cols)
+        prod = (expand(self.ctx, self.data, dtype) @ stacked.astype(dtype)).astype(np.int64)
+        prod %= p
+        return MatF(self.ctx, prod.reshape(self.rows, m, other.cols).transpose(0, 2, 1))
 
     def mat_pow(self, e: int) -> "MatF":
         if self.rows != self.cols:
@@ -212,8 +224,9 @@ class MatF:
     # -- elimination --
 
     def rank(self) -> int:
-        work = expand(self.ctx, self.data, _elim_dtype(self.ctx.p))
-        return len(_eliminate(work, self.ctx.p, full=False)[1]) // self.ctx.m
+        ctx = self.ctx
+        work = expand(ctx, self.data, elim_dtype(ctx.p, self.cols * ctx.m))
+        return int(_ranks(work[None], ctx.p)[0]) // ctx.m
 
     def rref(self):
         """Reduced row echelon form; returns (MatF, pivot column list)."""
@@ -254,10 +267,25 @@ class MatF:
             raise ValueError("mixed field contexts")
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
-        if self.cols > self.ctx.max_inner:
-            raise BadParams(f"matmul over p={self.ctx.p}, m={self.ctx.m} with inner dimension "
-                            f"n={self.cols} can overflow float64 exactness "
-                            f"(at most {self.ctx.max_inner})")
+        _check_inner(self.ctx, self.cols)
+
+
+def product_dtype(ctx: FieldCtx, n: int):
+    """float32 for F_p products with inner dimension n m that stay exact in it, else float64.
+
+    Every term is at most (p-1)^2 and every partial sum of nonnegative
+    terms is at most the total, so a product is exact in float32 while
+    n m (p-1)^2 <= 2^24, whatever order BLAS sums in.
+    """
+    return np.dtype(np.float32 if n * ctx.m * (ctx.p - 1) ** 2 <= 2 ** 24 else np.float64)
+
+
+def _check_inner(ctx: FieldCtx, n: int) -> None:
+    """Refuse products with inner dimension n past float64 exactness."""
+    if n > ctx.max_inner:
+        raise BadParams(f"matmul over p={ctx.p}, m={ctx.m} with inner dimension "
+                        f"n={n} can overflow float64 exactness "
+                        f"(at most {ctx.max_inner})")
 
 
 def null_space(ctx: FieldCtx, reduced: np.ndarray, pivots) -> np.ndarray:
@@ -287,50 +315,97 @@ def _rref(ctx: FieldCtx, data: np.ndarray):
     of each block holds the coefficient vector of the entry.
     """
     rows, cols, m = data.shape
-    work, pivots = _eliminate(expand(ctx, data, _elim_dtype(ctx.p)), ctx.p, full=True)
-    reduced = work[:, ::m].reshape(rows, m, cols).transpose(0, 2, 1)
-    return reduced, [j // m for j in pivots[::m]]
+    work = expand(ctx, data, elim_dtype(ctx.p, cols * m))[None]
+    pivots = _eliminate(work, ctx.p, full=True)[0]
+    reduced = work[0, :, ::m].reshape(rows, m, cols).transpose(0, 2, 1)
+    return reduced, [int(j) // m for j in pivots[pivots >= 0][::m]]
 
 
-def _elim_dtype(p: int):
-    """The narrowest signed dtype holding -p(p-1), the floor of a row update."""
-    return np.min_scalar_type(-p * (p - 1))
+def elim_dtype(p: int, cols: int):
+    """The narrowest signed dtype holding cols (p-1)^2 + p, the reach of a lazy elimination.
 
-
-def _eliminate(work: np.ndarray, p: int, full: bool):
-    """Gaussian elimination, in place, of an F_p matrix with entries in 0..p-1.
-
-    Returns the reduced matrix and its pivot columns.  full=False clears
-    below pivots only (rank); full=True clears above as well (RREF).
-    Pivots are normalized with the inverse a^(p-2).  Products of
-    residues reach (p-1)^2 and a row update goes no lower than -(p-1)^2
-    before it is reduced, so the work array must hold -p(p-1)
-    (_elim_dtype).
+    Raises BadParams when not even int64 holds it.
     """
-    rows, cols = work.shape
-    r = 0
-    pivots = []
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = work[r:, c].nonzero()[0]
-        if nz.size == 0:
+    reach = cols * (p - 1) ** 2 + p
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if reach <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    raise BadParams(f"elimination over F_{p} with {cols} columns can overflow int64 "
+                    f"(cols (p-1)^2 + p = {reach})")
+
+
+def _eliminate(work: np.ndarray, p: int, full: bool) -> np.ndarray:
+    """Gaussian elimination, in place, of a (B, r, c) stack of F_p matrices.
+
+    Entries start in 0..p-1, in the dtype elim_dtype(p, c), and the
+    stack is C-contiguous.  The B matrices step through the columns
+    together.  At column j each takes as its pivot row the first row
+    not yet used with a nonzero entry there; rows are never swapped.
+    The pivot row is reduced mod p and scaled to a leading 1 (inverse
+    a^(p-2)), and every row with an entry b != 0 mod p there takes away
+    b times it: the unused rows, the pivot row among them, with
+    full=False (for a rank); every row with full=True (for an RREF),
+    which then puts the scaled pivot row back.  Only those rows are
+    touched, all members' in one update, and only column j and the
+    pivot rows are reduced: each update subtracts at most (p-1)^2 and a
+    row takes at most one per column, so elim_dtype(p, c) holds every
+    entry.  Row operations keep a column that is zero in every row
+    zero, so such columns are skipped.
+
+    Returns the (B, r) pivot column of each row, -1 where a row has
+    none.  full=True then reduces the stack mod p and orders each
+    matrix's rows by pivot column, zero rows last, so work holds the
+    RREFs and each row of the result is ascending with its -1s last.
+    """
+    count, rows, cols = work.shape
+    if not work.flags.c_contiguous:
+        raise ValueError("the elimination works in place on a C-contiguous stack")
+    flat = work.reshape(count * rows, cols)
+    pivcol = np.full((count, rows), -1, dtype=np.intp)
+    members = np.arange(count)
+    left = count * rows
+    for j in work.any(axis=(0, 1)).nonzero()[0].tolist():
+        col = work[:, :, j] % p
+        hit = col != 0
+        cand = hit & (pivcol < 0)
+        prow = cand.argmax(axis=1)
+        found = cand[members, prow]
+        who = found.nonzero()[0]
+        if not who.size:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            work[[r, pr]] = work[[pr, r]]
-        work[r, c:] = work[r, c:] * pow(int(work[r, c]), p - 2, p) % p
+        if who.size < count:
+            prow = prow[who]
+        pivcol[who, prow] = j
+        piv = work[who, prow, j:]
+        piv %= p
+        lead = piv[:, 0].tolist()
+        if lead.count(1) < len(lead):
+            piv *= np.array([pow(a, p - 2, p) for a in lead], dtype=work.dtype)[:, None]
+            piv %= p
+        if not full:
+            hit = cand
+        elif who.size < count:
+            hit &= found[:, None]
+        # only members with a pivot have rows to clear; their pivot rows are piv
+        member, row = hit.nonzero()
+        pick = member if who.size == count else np.searchsorted(who, member)
+        flat[member * rows + row, j:] -= col[member, row, None] * piv[pick]
         if full:
-            targets = work[:, c].nonzero()[0]
-            targets = targets[targets != r]
-        else:
-            targets = r + 1 + work[r + 1 :, c].nonzero()[0]
-        if targets.size:
-            update = np.multiply.outer(work[targets, c], work[r, c:])
-            work[targets, c:] = (work[targets, c:] - update) % p
-        pivots.append(c)
-        r += 1
-    return work, pivots
+            work[who, prow, j:] = piv
+        left -= who.size
+        if not left:
+            break
+    if full:
+        order = np.argsort(np.where(pivcol < 0, cols, pivcol), axis=1, kind="stable")
+        ordered = members[:, None], order
+        np.remainder(work[ordered], p, out=work)
+        pivcol = pivcol[ordered]
+    return pivcol
+
+
+def _ranks(work: np.ndarray, p: int) -> np.ndarray:
+    """F_p ranks of a (B, r, c) stack in its elimination dtype, which is destroyed."""
+    return (_eliminate(work, p, full=False) >= 0).sum(axis=1)
 
 
 # -- Jordan types --
@@ -395,34 +470,55 @@ class JordanType:
 
 
 def jordan_type_nilpotent(n_mat: MatF, p: int) -> JordanType:
-    """Jordan type of a nilpotent matrix from its rank sequence.
-
-    With b_r = rank(N^{r-1}) - rank(N^r), the multiplicity of size-r
-    blocks is b_r - b_{r+1}.  N is expanded to F_p once; its powers and
-    their ranks are taken on the expansion, whose ranks are m times
-    those over F_{p^m}.
-    """
+    """Jordan type of a nilpotent matrix: jordan_types on a stack of one."""
     if n_mat.rows != n_mat.cols:
         raise ValueError("matrix must be square")
-    n_mat._check_mul(n_mat)
-    ctx, dim = n_mat.ctx, n_mat.rows
-    expanded = expand(ctx, n_mat.data, np.float64)
-    ranks = [dim]
-    power = expanded
-    while ranks[-1] and len(ranks) < p:
-        work = power.astype(_elim_dtype(ctx.p))
-        ranks.append(len(_eliminate(work, ctx.p, full=False)[1]) // ctx.m)
-        if ranks[-1]:
-            power = power @ expanded % ctx.p
-    # power is N^p when N^(p-1) is nonzero
-    if ranks[-1] and power.any():
-        raise NotNilpotent(f"matrix is not nilpotent of order <= {p}")
-    ranks += [0] * (p + 1 - len(ranks))
-    b = [ranks[r - 1] - ranks[r] for r in range(1, p + 1)] + [0]
-    mult = tuple(b[r - 1] - b[r] for r in range(1, p + 1))
-    jt = JordanType(p, mult)
-    assert jt.total == dim
-    return jt
+    ctx = n_mat.ctx
+    expanded = expand(ctx, n_mat.data, elim_dtype(ctx.p, n_mat.cols * ctx.m))
+    return jordan_types(ctx, expanded[None], p)[0]
+
+
+def jordan_types(ctx: FieldCtx, stack: np.ndarray, p: int) -> list:
+    """Jordan types of a (B, nm, nm) stack of F_p expansions of nilpotent n x n matrices.
+
+    With b_r = rank(N^{r-1}) - rank(N^r), the multiplicity of size-r
+    blocks is b_r - b_{r+1}.  Each power of the stack is one batched
+    product (product_dtype, exact while n <= ctx.max_inner), and the
+    ranks of N, ..., N^(p-1) for every matrix are one elimination of
+    their B(p-1) expansions; they are m times the ranks over F_{p^m}.
+    Raises NotNilpotent when some N^p is nonzero.
+    """
+    count, size = stack.shape[:2]
+    n = size // ctx.m
+    _check_inner(ctx, n)
+    dtype = elim_dtype(ctx.p, size)
+    base = stack.astype(product_dtype(ctx, n))
+    # powers[:, e - 1] is N^e for e = 1..p-1, left zero once every N^e is
+    powers = np.zeros((count, p - 1, size, size), dtype=dtype)
+    powers[:, 0] = stack
+    power = base
+    for e in range(2, p + 1):
+        power = np.matmul(power, base)
+        work = power.astype(dtype)
+        work %= ctx.p
+        if e == p:
+            if work.any():
+                raise NotNilpotent(f"matrix is not nilpotent of order <= {p}")
+            break
+        if not work.any():
+            break
+        powers[:, e - 1] = work
+        power[...] = work
+    ranks = np.zeros((count, p + 1), dtype=np.int64)
+    ranks[:, 0] = size
+    every_power = powers.reshape(count * (p - 1), size, size)
+    ranks[:, 1:p] = _ranks(every_power, ctx.p).reshape(count, p - 1)
+    ranks //= ctx.m
+    # b[:, r-1] = b_r for r = 1..p+1, the last rank(N^p) - 0 = 0
+    b = -np.diff(ranks, axis=1, append=0)
+    types = [JordanType(p, tuple(row)) for row in (b[:, :p] - b[:, 1:]).tolist()]
+    assert all(jt.total == n for jt in types)
+    return types
 
 
 def canonical_nilpotent(ctx: FieldCtx, jt: JordanType) -> MatF:

@@ -200,7 +200,7 @@ class EAModule:
             if arr.min(initial=0) < 0 or arr.max(initial=0) >= p:
                 raise ValueError("generator entries out of range")
             gens.append(MatF(field, arr))
-        mod = cls(p, k, field, gens)
+        mod = cls(p, k, field, gens, dim=n)
         validate(mod)
         return mod
 

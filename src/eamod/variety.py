@@ -18,7 +18,18 @@ from typing import Optional
 import numpy as np
 
 from .gf import FieldCtx, field_create
-from .linalg import Dominance, JordanType, MatF, arr_mul, arr_pow, dominance_compare
+from .linalg import (
+    Dominance,
+    JordanType,
+    MatF,
+    arr_mul,
+    arr_pow,
+    dominance_compare,
+    elim_dtype,
+    expand,
+    jordan_types,
+    product_dtype,
+)
 from .modrep import (
     EAModule,
     MismatchedContext,
@@ -34,6 +45,10 @@ from .stream import CounterStream
 from .symrep import PkPoly, pk_eval_batch
 
 POINT_SWEEP_CAP = 10 ** 7
+# variety_points sends the X_alpha of max(1, STACK_BYTES // (8 (nm)^2))
+# points through jordan_types at once: 256 KB if they were float64,
+# which bounds the float and integer copies that jordan_types makes
+STACK_BYTES = 1 << 18
 
 
 class TooLarge(ValueError):
@@ -176,6 +191,41 @@ def orbit_representatives(field: FieldCtx, codes: np.ndarray, symmetry: Symmetry
             return rep
 
 
+def _sweep_types(module: EAModule, codes: np.ndarray) -> list:
+    """Jordan types of X_alpha at the points of an (N, k) code array, a stack at a time.
+
+    The F_p expansion of a*X_i is expand(X_i)(I (x) C(a)), C(a) the
+    multiplication matrix of a, so a stack of X_alpha is built straight
+    from the codes as sum_i expand(X_i)(I (x) C(alpha_i)): one batched
+    product with inner dimension km, whose entries reach k m (p-1)^2.
+    projective_codes keeps q^k <= 10^7, so that is far below 2^53.
+    Stacks hold max(1, STACK_BYTES // (8 (nm)^2)) points, a number
+    fixed by nm.
+    """
+    field, n, k = module.field, module.n, module.k
+    m, p = field.m, field.p
+    size = n * m
+    if not len(codes):
+        return []
+    exact = product_dtype(field, k)
+    # the m columns of every block column of expand(X_1), ..., expand(X_k)
+    # side by side, to be multiplied by C(alpha_1), ..., C(alpha_k) stacked
+    gens = [expand(field, g.data, exact).reshape(size * n, m) for g in module.gens]
+    gens = np.concatenate(gens, axis=1)
+    mult = expand(field, _elements(field)[:, None], exact).reshape(field.q, m, m)
+    # holds the unreduced sums as well as the elimination's reach
+    stage = elim_dtype(p, max(size, k * m))
+    step = max(1, STACK_BYTES // (8 * size * size)) if size else len(codes)
+    types = []
+    for start in range(0, len(codes), step):
+        chunk = codes[start : start + step]
+        stack = np.matmul(gens, mult[chunk].reshape(len(chunk), k * m, m))
+        stack = stack.reshape(len(chunk), size, size).astype(stage)
+        stack %= p
+        types += jordan_types(field, stack, p)
+    return types
+
+
 def variety_points(module: EAModule, field: FieldCtx) -> PointSetReport:
     """Jordan type at every projective point; freeness is read from the type.
 
@@ -186,17 +236,22 @@ def variety_points(module: EAModule, field: FieldCtx) -> PointSetReport:
     modules derived by direct_sum, tensor, wedge and the like declare
     none and get one type per point.
 
+    The orbit representatives go through jordan_types in stacks whose
+    X_alpha are built from the point codes (_sweep_types); a stack
+    holds as many as fit in STACK_BYTES of float64 expansions, at least
+    one, so its size follows from the module's dimension and field.
+
     The module must already live over the sweep field; subfield modules
     are re-built over the larger field rather than embedded.
     """
     if field != module.field:
         raise MismatchedContext("module must be constructed over the sweep field")
     codes = projective_codes(field, module.k)
-    reps = orbit_representatives(field, codes, module.symmetry).tolist()
-    records = []
-    for i, (pt, rep) in enumerate(zip(_points(field, codes), reps)):
-        jt = point_jordan_type(module, pt) if rep == i else records[rep].jordan_type
-        records.append(PointRecord(pt, jt))
+    reps = orbit_representatives(field, codes, module.symmetry)
+    firsts = np.flatnonzero(reps == np.arange(len(reps)))
+    type_of = dict(zip(firsts.tolist(), _sweep_types(module, codes[firsts])))
+    points = _points(field, codes)
+    records = [PointRecord(pt, type_of[rep]) for pt, rep in zip(points, reps.tolist())]
     return PointSetReport(field, module.k, records)
 
 

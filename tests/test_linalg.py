@@ -2,18 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from eamod.gf import FieldCtx, field_create
+from eamod.gf import BadParams, FieldCtx, field_create
 from eamod.linalg import (
     Dominance,
     JordanType,
     MatF,
     NotNilpotent,
     UnequalTotals,
+    _eliminate,
+    _ranks,
     arr_mul,
     canonical_nilpotent,
     compound_matrix,
     dominance_compare,
+    elim_dtype,
+    expand,
     jordan_type_nilpotent,
+    jordan_types,
 )
 from eamod.stream import CounterStream
 
@@ -311,3 +316,108 @@ def test_jordan_type_conjugation_property(case):
     expect = JordanType(p, slow_jordan_mult(nil, p))
     assert expect == jt
     assert jordan_type_nilpotent(MatF.from_rows(ctx, nil), p) == expect
+
+
+def test_elim_dtype_bounds():
+    # the narrowest signed dtype holding c (p-1)^2 + p, chosen without allocating
+    assert elim_dtype(3, 31) == np.int8  # 31 * 4 + 3 = 127
+    assert elim_dtype(3, 63) == np.int16  # 255
+    assert elim_dtype(7, 910) == np.int16  # 910 * 36 + 7 = 32767
+    assert elim_dtype(7, 1848) == np.int32  # D(6) at (7, 2) over F_49
+    big = 2**26 - 5
+    assert elim_dtype(big, 2**11) == np.int64
+    with pytest.raises(BadParams, match="int64"):
+        elim_dtype(big, 2**12)
+
+
+def _invertible(ctx, n, stream):
+    """A random unit lower times unit upper triangular n x n matrix, as Fel rows."""
+    def entry():
+        return ctx.el(ctx.from_code(stream.below(ctx.q)))
+    lower = [[entry() if j < i else ctx.el(int(i == j)) for j in range(n)] for i in range(n)]
+    upper = [[entry() if j > i else ctx.el(int(i == j)) for j in range(n)] for i in range(n)]
+    return slow_matmul(lower, upper)
+
+
+@st.composite
+def elimination_stacks(draw):
+    """B matrices of one shape over F_{p^m}: zero, full-rank and rank-deficient members.
+
+    A member of rank k is the first k columns of a random invertible P
+    times the first k rows of a random invertible Q, so its rank is
+    exactly k.  Stacks of three or more start with one of each kind.
+    """
+    ctx = field_create(draw(st.sampled_from([2, 3, 5, 7])), draw(st.sampled_from([1, 2, 3])))
+    count = draw(st.sampled_from([1, 3, 17]))
+    rows, cols = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    top = min(rows, cols)
+    kinds = [0, top, draw(st.integers(1, top - 1))]
+    ranks = kinds[:count] if count > 1 else [draw(st.sampled_from(kinds))]
+    ranks += [draw(st.integers(0, top)) for _ in range(count - len(ranks))]
+    stream = CounterStream(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for k in ranks:
+        left = [row[:k] for row in _invertible(ctx, rows, stream)]
+        right = _invertible(ctx, cols, stream)[:k]
+        members.append(slow_matmul(left, right) if k else
+                       [[ctx.zero()] * cols for _ in range(rows)])
+    return ctx, ranks, members
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(elimination_stacks())
+def test_eliminate_stack_matches_oracles(case):
+    ctx, ranks, members = case
+    p, m = ctx.p, ctx.m
+    cols = len(members[0][0])
+    dtype = elim_dtype(p, cols * m)
+    stack = np.stack([expand(ctx, MatF.from_rows(ctx, rows).data, dtype) for rows in members])
+    assert (_ranks(stack.copy(), p) // m).tolist() == ranks == [slow_rank(rows) for rows in members]
+    pivcol = _eliminate(stack, p, full=True)
+    for work, pivots, rows in zip(stack, pivcol, members):
+        reduced, expect = slow_rref(rows)
+        # the F_p RREF of an expansion is the expansion of the RREF over F_{p^m}
+        assert np.array_equal(work, expand(ctx, MatF.from_rows(ctx, reduced).data, dtype))
+        assert pivots.tolist() == [j * m + t for j in expect for t in range(m)] + [-1] * (
+            len(pivots) - len(expect) * m)
+
+
+def test_jordan_types_of_a_stack():
+    ctx = F9
+    stream = CounterStream(31)
+    blocks = [[3, 3, 2], [2, 2, 2, 2], [1] * 8, [3, 2, 1, 1, 1], [3, 3, 1, 1]]
+    stack = []
+    for b in blocks:
+        while True:
+            conj = random_mat(ctx, 8, 8, stream)
+            try:
+                inv = conj.inv()
+            except ZeroDivisionError:
+                continue
+            break
+        nil = conj @ canonical_nilpotent(ctx, JordanType.from_blocks(3, b)) @ inv
+        stack.append(expand(ctx, nil.data, np.int64))
+    types = jordan_types(ctx, np.stack(stack), 3)
+    assert types == [JordanType.from_blocks(3, b) for b in blocks]
+    assert jordan_types(ctx, np.zeros((0, 16, 16), dtype=np.int64), 3) == []
+    # one member that is not nilpotent fails the whole stack
+    stack[2] = expand(ctx, MatF.identity(ctx, 8).data, np.int64)
+    with pytest.raises(NotNilpotent):
+        jordan_types(ctx, np.stack(stack), 3)
+
+
+@pytest.mark.parametrize("p,rows,cols", [(3, 40, 31), (5, 12, 7), (2, 30, 125)])
+def test_eliminate_at_the_edge_of_its_dtype(p, rows, cols):
+    # cols (p-1)^2 + p is just inside int8: dense rows take many unreduced
+    # updates before they pivot, so a step that skipped a reduction overflows
+    ctx = field_create(p, 1)
+    assert elim_dtype(p, cols) == np.int8 and elim_dtype(p, cols + 1) == np.int16
+    stream = CounterStream(37, p)
+    mats = [random_mat(ctx, rows, cols, stream) for _ in range(3)]
+    stack = np.stack([m.data[:, :, 0] for m in mats]).astype(np.int8)
+    pivcol = _eliminate(stack, p, full=True)
+    for mat, work, pivots in zip(mats, stack, pivcol):
+        reduced, expect = slow_rref(as_fel_rows(mat))
+        assert work.tolist() == [[int(x.coeffs[0]) for x in row] for row in reduced]
+        assert pivots[pivots >= 0].tolist() == expect
+        assert mat.rank() == len(expect)

@@ -71,6 +71,15 @@ def test_zero_module_file_roundtrip(field):
             EAModule.from_dict(dict(raw, generators=[bad, []]))
 
 
+@pytest.mark.parametrize("field", [F3, F9], ids=["F3", "F9"])
+def test_rank_zero_module_file_keeps_dimension(field):
+    # no generators carry the size, so only the file's dim can
+    mod = EAModule(3, 0, field, [], dim=2)
+    loaded = EAModule.from_dict(json.loads(json.dumps(mod.to_dict())))
+    assert loaded.n == 2
+    assert loaded.to_dict() == mod.to_dict()
+
+
 def test_x_alpha_unit_vector_and_shape():
     mod = benson(F3, 2, 1)
     assert mr.x_alpha(mod, [1, 0]) == mod.gens[0]

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from eamod.gf import field_create
-from eamod.linalg import JordanType
+from eamod.linalg import JordanType, jordan_types
 from eamod import modrep as mr
 from eamod import symrep as sr
 from eamod import variety as vy
@@ -411,11 +411,11 @@ def test_orbit_sweep_matches_full_sweep(tmp_path, monkeypatch, p, k, m):
     full = vy.variety_points(undeclared(module), field)
     evaluated = []
 
-    def counted(mod, pt):
-        evaluated.append(pt)
-        return mr.point_jordan_type(mod, pt)
+    def counted(ctx, stack, prime):
+        evaluated.extend(stack)
+        return jordan_types(ctx, stack, prime)
 
-    monkeypatch.setattr(vy, "point_jordan_type", counted)
+    monkeypatch.setattr(vy, "jordan_types", counted)
     swept = vy.variety_points(module, field)
     reps = vy.orbit_representatives(field, vy.projective_codes(field, k), module.symmetry)
     assert len(evaluated) == len(set(reps.tolist())) < len(full.points)
