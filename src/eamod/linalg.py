@@ -1,11 +1,10 @@
 """Dense exact matrix algebra over a FieldCtx.
 
 Matrices are stored as int64 arrays of shape (rows, cols, m): one
-coefficient plane per power of the field generator w.  Every operation
-runs over F_p: expand() writes each entry sum_t x_t w^t as the m x m
-block sum_t x_t C^t (C the companion matrix of irr), a ring embedding,
-so products, ranks and echelon forms over F_{p^m} are read off F_p ones
-and one elimination loop serves every field.
+coefficient plane per power of the field generator w.  Products run
+over F_p: expand() writes each entry sum_t x_t w^t as the m x m block
+sum_t x_t C^t (C the companion matrix of irr), a ring embedding, so a
+product over F_{p^m} is an F_p product of expansions.
 
 Products are float BLAS products of residues in 0..p-1, cast to
 integers and reduced mod p afterwards.  An inner dimension of n entries
@@ -14,15 +13,20 @@ is nm residues, each term is at most (p-1)^2, and every integer up to
 (FieldCtx.max_inner) and is refused beyond; below 2^24 it is exact in
 float32 and runs there (product_dtype).
 
-Elimination runs on a (B, r, c) stack of F_p matrices at once: B
-matrices step through the c columns together, each with its own pivot
-rows, and a single matrix is a stack of one.  Reduction mod p is lazy:
-a step reduces only its pivot column and its pivot rows, and every
-other row keeps the unreduced differences.  An update subtracts at most
-(p-1)^2 and a row takes at most c of them, so entries stay within
-(p-1) + c(p-1)^2 in absolute value; the work dtype is the narrowest
-signed integer holding c(p-1)^2 + p, and a stack that no int64 holds is
-refused.
+Elimination runs over F_{p^m} itself, on a (B, r, m, c) stack of
+coefficient planes: the storage layout with its last two axes swapped.
+B matrices step through the c columns together, one step per column,
+each with its own pivot rows, and a single matrix is a stack of one.
+A pivot row with lead a is multiplied by the blocks of w^s / a, s < m
+(C^s times the block sum_t x_t C^t of x = 1/a, C^t from
+FieldCtx.regular()), and a row with entry b there takes away
+sum_s b_s (w^s / a) times the pivot row: m broadcast products on
+coefficient planes.  Reduction mod p is lazy: a step reduces only its
+pivot column and its pivot rows, and every other row keeps the
+unreduced differences.  An update subtracts at most m(p-1)^2 and a row
+takes at most c of them, so entries stay within (p-1) + c m (p-1)^2 in
+absolute value; the work dtype is the narrowest signed integer holding
+c m (p-1)^2 + p, and a stack that no int64 holds is refused.
 
 Jordan types of nilpotent matrices are extracted from rank sequences
 only; no similarity transform is computed.  A stack of matrices takes
@@ -224,9 +228,7 @@ class MatF:
     # -- elimination --
 
     def rank(self) -> int:
-        ctx = self.ctx
-        work = expand(ctx, self.data, elim_dtype(ctx.p, self.cols * ctx.m))
-        return int(_ranks(work[None], ctx.p)[0]) // ctx.m
+        return int(_ranks(self.ctx, _planes(self.ctx, self.data))[0])
 
     def rref(self):
         """Reduced row echelon form; returns (MatF, pivot column list)."""
@@ -302,28 +304,32 @@ def null_space(ctx: FieldCtx, reduced: np.ndarray, pivots) -> np.ndarray:
         return out
     out[np.arange(free.size), free, 0] = 1
     out[:, pivots] = (-reduced[: len(pivots), free]).transpose(1, 0, 2) % ctx.p
-    # x^(q-2) inverts the first nonzero coordinate x of each vector
     lead = out[np.arange(free.size), out.any(axis=2).argmax(axis=1)]
-    return arr_mul(ctx, arr_pow(ctx, lead, ctx.q - 2)[:, None], out)
+    inverse = _pivot_blocks(ctx, lead, np.int64)[:, 0]
+    return np.einsum("nab,ncb->nca", inverse, out) % ctx.p
 
 
 def _rref(ctx: FieldCtx, data: np.ndarray):
     """RREF over F_{p^m} of an (r, c, m) array and its pivot columns.
 
-    The expansion of the F_{p^m} RREF is the F_p RREF of the expansion:
-    its pivots become identity blocks, and RREFs are unique.  Column 0
-    of each block holds the coefficient vector of the entry.
+    The RREF is returned in the same (r, c, m) layout, as a view of the
+    elimination's coefficient planes, in its dtype.
     """
-    rows, cols, m = data.shape
-    work = expand(ctx, data, elim_dtype(ctx.p, cols * m))[None]
-    pivots = _eliminate(work, ctx.p, full=True)[0]
-    reduced = work[0, :, ::m].reshape(rows, m, cols).transpose(0, 2, 1)
-    return reduced, [int(j) // m for j in pivots[pivots >= 0][::m]]
+    work = _planes(ctx, data)
+    pivots = _eliminate(ctx, work, full=True)[0]
+    return work[0].transpose(0, 2, 1), pivots[pivots >= 0].tolist()
+
+
+def _planes(ctx: FieldCtx, data: np.ndarray) -> np.ndarray:
+    """A C-contiguous (1, r, m, c) elimination stack, in elim_dtype, copied from an (r, c, m) array."""
+    dtype = elim_dtype(ctx.p, data.shape[1] * ctx.m)
+    return data.transpose(0, 2, 1).astype(dtype, order="C")[None]
 
 
 def elim_dtype(p: int, cols: int):
     """The narrowest signed dtype holding cols (p-1)^2 + p, the reach of a lazy elimination.
 
+    An elimination over F_{p^m} with c columns passes cols = c m.
     Raises BadParams when not even int64 holds it.
     """
     reach = cols * (p - 1) ** 2 + p
@@ -334,39 +340,84 @@ def elim_dtype(p: int, cols: int):
                     f"(cols (p-1)^2 + p = {reach})")
 
 
-def _eliminate(work: np.ndarray, p: int, full: bool) -> np.ndarray:
-    """Gaussian elimination, in place, of a (B, r, c) stack of F_p matrices.
+# field -> {coefficient tuple of a: _scaled_blocks of 1/a}, for the pivots met so far
+_PIVOTS: dict = {}
+_PIVOTS_CAP = 2 ** 16
 
-    Entries start in 0..p-1, in the dtype elim_dtype(p, c), and the
-    stack is C-contiguous.  The B matrices step through the columns
-    together.  At column j each takes as its pivot row the first row
-    not yet used with a nonzero entry there; rows are never swapped.
-    The pivot row is reduced mod p and scaled to a leading 1 (inverse
-    a^(p-2)), and every row with an entry b != 0 mod p there takes away
-    b times it: the unused rows, the pivot row among them, with
-    full=False (for a rank); every row with full=True (for an RREF),
-    which then puts the scaled pivot row back.  Only those rows are
-    touched, all members' in one update, and only column j and the
-    pivot rows are reduced: each update subtracts at most (p-1)^2 and a
-    row takes at most one per column, so elim_dtype(p, c) holds every
-    entry.  Row operations keep a column that is zero in every row
-    zero, so such columns are skipped.
+
+def _scaled_blocks(ctx: FieldCtx, x) -> np.ndarray:
+    """(m, m, m) int64 array in 0..p-1: entry s is the multiplication block of w^s x.
+
+    The block of x is sum_t x_t C^t, and that of w^s x is C^s times it.
+    """
+    regular = ctx.regular()
+    block = np.tensordot(np.array(x, dtype=np.int64), regular, 1) % ctx.p
+    return regular @ block % ctx.p
+
+
+def _pivot_blocks(ctx: FieldCtx, lead: np.ndarray, dtype) -> np.ndarray:
+    """(N, m, m, m) array: entry (n, s) is the multiplication block of w^s / lead[n].
+
+    lead holds N nonzero coefficient vectors in 0..p-1.  Over F_p the
+    inverse is a^(p-2) mod p.  Otherwise the blocks of each lead come
+    from a memo of the field, keyed by coefficient tuple and filled
+    through FieldCtx.cinv, so it holds only the leads met (and starts
+    over past _PIVOTS_CAP); no table of all q elements is built.
+    """
+    p, m = ctx.p, ctx.m
+    if m == 1:
+        inverse = [pow(a, p - 2, p) for a in lead[:, 0].tolist()]
+        return np.array(inverse, dtype=dtype).reshape(-1, 1, 1, 1)
+    memo = _PIVOTS.setdefault(ctx, {})
+    if len(memo) > _PIVOTS_CAP:
+        memo.clear()
+    out = []
+    for key in map(tuple, lead.tolist()):
+        blocks = memo.get(key)
+        if blocks is None:
+            blocks = memo[key] = _scaled_blocks(ctx, ctx.cinv(key))
+        out.append(blocks)
+    return np.array(out, dtype=dtype)
+
+
+def _eliminate(ctx: FieldCtx, work: np.ndarray, full: bool) -> np.ndarray:
+    """Gaussian elimination over F_{p^m}, in place, of a (B, r, m, c) stack of coefficient planes.
+
+    work[b, i, :, j] is the coefficient vector of entry (i, j) of member
+    b.  Entries start in 0..p-1, in the dtype elim_dtype(p, c m), and
+    the stack is C-contiguous.  The B matrices step through the c
+    columns together, one step per column.  At column j each takes as
+    its pivot row the first row not yet used with a nonzero entry a
+    there; rows are never swapped.  The pivot row is reduced mod p, and
+    one small product with the blocks of w^s / a (_pivot_blocks) gives
+    its multiples w^s / a times it for s < m, reduced mod p; the first
+    is the pivot row scaled to a leading 1.  Every row with an entry
+    b != 0 there takes away b / a times the pivot row, which is
+    sum_s b_s (w^s / a) times it: m broadcast products.  The rows are
+    the unused ones, the pivot row among them, with full=False (for a
+    rank); every row with full=True (for an RREF), which then puts the
+    scaled pivot row back.  Only those rows are touched, all members'
+    in one update, and only column j and the pivot rows are reduced:
+    each update subtracts at most m(p-1)^2 and a row takes at most one
+    per column, so elim_dtype(p, c m) holds every entry.  Row
+    operations keep a column that is zero in every row zero, so such
+    columns are skipped.
 
     Returns the (B, r) pivot column of each row, -1 where a row has
     none.  full=True then reduces the stack mod p and orders each
     matrix's rows by pivot column, zero rows last, so work holds the
     RREFs and each row of the result is ascending with its -1s last.
     """
-    count, rows, cols = work.shape
+    count, rows, m, cols = work.shape
+    p = ctx.p
     if not work.flags.c_contiguous:
         raise ValueError("the elimination works in place on a C-contiguous stack")
-    flat = work.reshape(count * rows, cols)
     pivcol = np.full((count, rows), -1, dtype=np.intp)
     members = np.arange(count)
     left = count * rows
-    for j in work.any(axis=(0, 1)).nonzero()[0].tolist():
-        col = work[:, :, j] % p
-        hit = col != 0
+    for j in work.any(axis=(0, 1, 2)).nonzero()[0].tolist():
+        col = work[..., j] % p
+        hit = col.any(axis=2)
         cand = hit & (pivcol < 0)
         prow = cand.argmax(axis=1)
         found = cand[members, prow]
@@ -376,22 +427,28 @@ def _eliminate(work: np.ndarray, p: int, full: bool) -> np.ndarray:
         if who.size < count:
             prow = prow[who]
         pivcol[who, prow] = j
-        piv = work[who, prow, j:]
+        piv = work[who, prow, :, j:]
         piv %= p
-        lead = piv[:, 0].tolist()
-        if lead.count(1) < len(lead):
-            piv *= np.array([pow(a, p - 2, p) for a in lead], dtype=work.dtype)[:, None]
-            piv %= p
+        # multiples[w, s] = (w^s / a) piv for pivot row piv with lead a
+        multiples = np.matmul(_pivot_blocks(ctx, piv[:, :, 0], work.dtype), piv[:, None])
+        multiples %= p
+        scaled = multiples[:, 0]
         if not full:
             hit = cand
         elif who.size < count:
             hit &= found[:, None]
-        # only members with a pivot have rows to clear; their pivot rows are piv
+        # only members with a pivot have rows to clear; one member's
+        # multiples broadcast over its rows, several are picked per row
         member, row = hit.nonzero()
-        pick = member if who.size == count else np.searchsorted(who, member)
-        flat[member * rows + row, j:] -= col[member, row, None] * piv[pick]
+        if who.size > 1:
+            multiples = multiples[member if who.size == count else np.searchsorted(who, member)]
+        b = col[member, row]
+        update = b[:, 0, None, None] * multiples[:, 0]
+        for s in range(1, m):
+            update += b[:, s, None, None] * multiples[:, s]
+        work[member, row, :, j:] -= update
         if full:
-            work[who, prow, j:] = piv
+            work[who, prow, :, j:] = scaled
         left -= who.size
         if not left:
             break
@@ -403,9 +460,9 @@ def _eliminate(work: np.ndarray, p: int, full: bool) -> np.ndarray:
     return pivcol
 
 
-def _ranks(work: np.ndarray, p: int) -> np.ndarray:
-    """F_p ranks of a (B, r, c) stack in its elimination dtype, which is destroyed."""
-    return (_eliminate(work, p, full=False) >= 0).sum(axis=1)
+def _ranks(ctx: FieldCtx, work: np.ndarray) -> np.ndarray:
+    """Ranks over F_{p^m} of a (B, r, m, c) plane stack in its elimination dtype (destroyed)."""
+    return (_eliminate(ctx, work, full=False) >= 0).sum(axis=1)
 
 
 # -- Jordan types --
@@ -452,7 +509,8 @@ class JordanType:
         return out
 
     def is_free(self) -> bool:
-        return self.total == self.p * self.mult[self.p - 1]
+        """Every block has size p."""
+        return not any(self.mult[:-1])
 
     def rank(self, e: int) -> int:
         """Rank of N^e for a nilpotent N of this type: a block of size r adds max(r - e, 0)."""
@@ -482,23 +540,27 @@ def jordan_types(ctx: FieldCtx, stack: np.ndarray, p: int) -> list:
     """Jordan types of a (B, nm, nm) stack of F_p expansions of nilpotent n x n matrices.
 
     With b_r = rank(N^{r-1}) - rank(N^r), the multiplicity of size-r
-    blocks is b_r - b_{r+1}.  Each power of the stack is one batched
-    product (product_dtype, exact while n <= ctx.max_inner), and the
-    ranks of N, ..., N^(p-1) for every matrix are one elimination of
-    their B(p-1) expansions; they are m times the ranks over F_{p^m}.
-    Raises NotNilpotent when some N^p is nonzero.
+    blocks is b_r - b_{r+1}.  Block column 0 of an expansion holds the
+    coefficient vectors of the entries, and block column 0 of N^e is
+    expand(N) times that of N^(e-1): each power is one batched product
+    of the stack with the (B, nm, n) columns of the last
+    (product_dtype, exact while n <= ctx.max_inner).  The ranks of N,
+    ..., N^(p-1) for every matrix are one elimination of their B(p-1)
+    coefficient planes, (B(p-1), n, m, n).  Raises NotNilpotent when
+    some N^p is nonzero.
     """
     count, size = stack.shape[:2]
-    n = size // ctx.m
+    m = ctx.m
+    n = size // m
     _check_inner(ctx, n)
     dtype = elim_dtype(ctx.p, size)
     base = stack.astype(product_dtype(ctx, n))
-    # powers[:, e - 1] is N^e for e = 1..p-1, left zero once every N^e is
-    powers = np.zeros((count, p - 1, size, size), dtype=dtype)
-    powers[:, 0] = stack
-    power = base
+    # powers[:, e - 1] holds the planes of N^e for e = 1..p-1, left zero once every N^e is
+    powers = np.zeros((count, p - 1, n, m, n), dtype=dtype)
+    powers[:, 0] = stack[..., ::m].reshape(count, n, m, n)
+    power = base[..., ::m]
     for e in range(2, p + 1):
-        power = np.matmul(power, base)
+        power = np.matmul(base, power)
         work = power.astype(dtype)
         work %= ctx.p
         if e == p:
@@ -507,13 +569,12 @@ def jordan_types(ctx: FieldCtx, stack: np.ndarray, p: int) -> list:
             break
         if not work.any():
             break
-        powers[:, e - 1] = work
+        powers[:, e - 1] = work.reshape(count, n, m, n)
         power[...] = work
     ranks = np.zeros((count, p + 1), dtype=np.int64)
-    ranks[:, 0] = size
-    every_power = powers.reshape(count * (p - 1), size, size)
-    ranks[:, 1:p] = _ranks(every_power, ctx.p).reshape(count, p - 1)
-    ranks //= ctx.m
+    ranks[:, 0] = n
+    every_power = powers.reshape(count * (p - 1), n, m, n)
+    ranks[:, 1:p] = _ranks(ctx, every_power).reshape(count, p - 1)
     # b[:, r-1] = b_r for r = 1..p+1, the last rank(N^p) - 0 = 0
     b = -np.diff(ranks, axis=1, append=0)
     types = [JordanType(p, tuple(row)) for row in (b[:, :p] - b[:, 1:]).tolist()]

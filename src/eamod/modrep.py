@@ -72,7 +72,9 @@ class Point:
         return False
 
     def normalize(self) -> "Point":
-        """Projective normalization: scale so the first nonzero coord is 1."""
+        """Projective normalization: scale so the first nonzero coord is 1 (self if it is)."""
+        if self.is_normalized():
+            return self
         for c in self.coords:
             if c:
                 inv = c.inverse()

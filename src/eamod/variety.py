@@ -279,11 +279,10 @@ def compare_sets(report: PointSetReport, target_points, target_tag: str = "targe
     Sets the verdict (Equal / ProperSubset / Superset / Incomparable) and
     witness lists on the report, and returns the verdict.
     """
-    mine = report.variety_codes()
-    target_pts = {p.normalize().codes(): p.normalize() for p in target_points}
-    theirs = set(target_pts)
-    only_mine = sorted(mine - theirs)
-    only_theirs = sorted(theirs - mine)
+    mine = {r.point.codes(): r.point for r in report.points if not r.jordan_type.is_free()}
+    target_pts = {q.codes(): q for q in map(Point.normalize, target_points)}
+    only_mine = sorted(mine.keys() - target_pts.keys())
+    only_theirs = sorted(target_pts.keys() - mine.keys())
     if not only_mine and not only_theirs:
         verdict = "Equal"
     elif not only_mine:
@@ -292,11 +291,10 @@ def compare_sets(report: PointSetReport, target_points, target_tag: str = "targe
         verdict = "Superset"
     else:
         verdict = "Incomparable"
-    by_code = {r.point.codes(): r.point for r in report.points}
     report.target = target_tag
     report.verdict = verdict
     report.witnesses = {
-        "variety_not_target": [str(by_code[c]) for c in only_mine],
+        "variety_not_target": [str(mine[c]) for c in only_mine],
         "target_not_variety": [str(target_pts[c]) for c in only_theirs],
     }
     return verdict

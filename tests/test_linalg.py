@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from eamod import linalg
 from eamod.gf import BadParams, FieldCtx, field_create
 from eamod.linalg import (
     Dominance,
@@ -10,6 +11,7 @@ from eamod.linalg import (
     NotNilpotent,
     UnequalTotals,
     _eliminate,
+    _pivot_blocks,
     _ranks,
     arr_mul,
     canonical_nilpotent,
@@ -368,18 +370,38 @@ def elimination_stacks(draw):
 @given(elimination_stacks())
 def test_eliminate_stack_matches_oracles(case):
     ctx, ranks, members = case
-    p, m = ctx.p, ctx.m
     cols = len(members[0][0])
-    dtype = elim_dtype(p, cols * m)
-    stack = np.stack([expand(ctx, MatF.from_rows(ctx, rows).data, dtype) for rows in members])
-    assert (_ranks(stack.copy(), p) // m).tolist() == ranks == [slow_rank(rows) for rows in members]
-    pivcol = _eliminate(stack, p, full=True)
+    dtype = elim_dtype(ctx.p, cols * ctx.m)
+    # coefficient planes: (B, r, m, c)
+    stack = np.stack([MatF.from_rows(ctx, rows).data.transpose(0, 2, 1) for rows in members])
+    stack = stack.astype(dtype, order="C")
+    assert _ranks(ctx, stack.copy()).tolist() == ranks == [slow_rank(rows) for rows in members]
+    pivcol = _eliminate(ctx, stack, full=True)
     for work, pivots, rows in zip(stack, pivcol, members):
         reduced, expect = slow_rref(rows)
-        # the F_p RREF of an expansion is the expansion of the RREF over F_{p^m}
-        assert np.array_equal(work, expand(ctx, MatF.from_rows(ctx, reduced).data, dtype))
-        assert pivots.tolist() == [j * m + t for j in expect for t in range(m)] + [-1] * (
-            len(pivots) - len(expect) * m)
+        assert np.array_equal(work.transpose(0, 2, 1), MatF.from_rows(ctx, reduced).data)
+        assert pivots.tolist() == expect + [-1] * (len(pivots) - len(expect))
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def test_pivot_blocks_scale_every_lead_to_powers_of_w(p, m, monkeypatch):
+    # entry (n, s) is the multiplication block of w^s / lead[n], checked
+    # against Fel arithmetic on a fresh memo, a filled one and a capped one
+    ctx = field_create(p, m)
+    monkeypatch.setattr(linalg, "_PIVOTS", {})
+    lead = np.array([ctx.from_code(c) for c in range(1, ctx.q)])
+    powers = [ctx.cpow(ctx.gen().coeffs, s) for s in range(m)]
+    for cap, leads in ((2 ** 16, lead), (2 ** 16, lead), (2, lead[:1])):
+        monkeypatch.setattr(linalg, "_PIVOTS_CAP", cap)
+        blocks = _pivot_blocks(ctx, leads, np.int8)
+        assert blocks.dtype == np.int8 and blocks.min() >= 0 and blocks.max() < p
+        for x, scaled in zip(leads.tolist(), blocks.astype(np.int64)):
+            inverse = ctx.cinv(tuple(x))
+            for s in range(m):
+                assert tuple(scaled[s] @ x % p) == powers[s]
+                assert tuple(scaled[s][:, 0]) == ctx.cmul(powers[s], inverse)
+    # the capped call found q - 1 > 2 leads in the memo and started over
+    assert len(linalg._PIVOTS[ctx]) == 1
 
 
 def test_jordan_types_of_a_stack():
@@ -406,18 +428,25 @@ def test_jordan_types_of_a_stack():
         jordan_types(ctx, np.stack(stack), 3)
 
 
-@pytest.mark.parametrize("p,rows,cols", [(3, 40, 31), (5, 12, 7), (2, 30, 125)])
-def test_eliminate_at_the_edge_of_its_dtype(p, rows, cols):
-    # cols (p-1)^2 + p is just inside int8: dense rows take many unreduced
-    # updates before they pivot, so a step that skipped a reduction overflows
-    ctx = field_create(p, 1)
-    assert elim_dtype(p, cols) == np.int8 and elim_dtype(p, cols + 1) == np.int16
+@pytest.mark.parametrize("p,m,rows,cols", [
+    pytest.param(3, 1, 40, 31, id="3-40-31"),
+    pytest.param(5, 1, 12, 7, id="5-12-7"),
+    pytest.param(2, 1, 30, 125, id="2-30-125"),
+    pytest.param(2, 5, 30, 25, id="2^5-30-25"),
+    pytest.param(3, 2, 40, 15, id="3^2-40-15"),
+])
+def test_eliminate_at_the_edge_of_its_dtype(p, m, rows, cols):
+    # cols m (p-1)^2 + p is just inside int8 (exactly 127 but for 3^2, the
+    # widest int8 case over F_9): dense rows take many unreduced updates
+    # before they pivot, so a step that skipped a reduction overflows
+    ctx = field_create(p, m)
+    assert elim_dtype(p, cols * m) == np.int8 and elim_dtype(p, (cols + 1) * m) == np.int16
     stream = CounterStream(37, p)
     mats = [random_mat(ctx, rows, cols, stream) for _ in range(3)]
-    stack = np.stack([m.data[:, :, 0] for m in mats]).astype(np.int8)
-    pivcol = _eliminate(stack, p, full=True)
+    stack = np.stack([mat.data.transpose(0, 2, 1) for mat in mats]).astype(np.int8, order="C")
+    pivcol = _eliminate(ctx, stack, full=True)
     for mat, work, pivots in zip(mats, stack, pivcol):
         reduced, expect = slow_rref(as_fel_rows(mat))
-        assert work.tolist() == [[int(x.coeffs[0]) for x in row] for row in reduced]
+        assert work.transpose(0, 2, 1).tolist() == [[list(x.coeffs) for x in row] for row in reduced]
         assert pivots[pivots >= 0].tolist() == expect
         assert mat.rank() == len(expect)

@@ -127,6 +127,18 @@ def test_compare_sets_verdicts():
     assert vy.compare_sets(empty, zeros, "pk") == "ProperSubset"
 
 
+def test_compare_sets_normalizes_targets():
+    w = F9.gen()
+    pt = Point.of(F9, [1, w])
+    assert pt.normalize() is pt
+    scaled = Point.of(F9, [2 * w, 2 * w * w])
+    assert scaled.normalize() == pt and scaled.normalize() is not scaled
+    # both stand for one projective point, named by its normalized form
+    empty = vy.variety_points(mr.regular_module(3, 2, F9), F9)
+    assert vy.compare_sets(empty, [scaled, pt], "t") == "ProperSubset"
+    assert empty.witnesses == {"variety_not_target": [], "target_not_variety": ["(1,w)"]}
+
+
 def test_generic_type_examples():
     ctx3 = sr.SymContext(3, 3)
     d1 = sr.block_model_d1(ctx3, F3)
