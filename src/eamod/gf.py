@@ -52,6 +52,15 @@ def json_int(d: dict, key: str, owner: str) -> int:
     return d[key]
 
 
+def exact_inner(p: int, m: int) -> int:
+    """Largest inner dimension n of exact float64 F_p products: n m (p-1)^2 <= 2^53 (see linalg)."""
+    term = m * (p - 1) ** 2
+    if term > 2 ** 53:
+        raise BadParams(f"products over F_{p}^{m} overflow float64 exactness "
+                        f"(m(p-1)^2 = {term} > 2^53)")
+    return 2 ** 53 // term
+
+
 class FieldCtx:
     """A finite field F_{p^m} with a fixed monic irreducible of degree m.
 
@@ -71,13 +80,7 @@ class FieldCtx:
         self.irr = tuple(int(c) % p for c in irr)
         if len(self.irr) != m + 1 or self.irr[-1] != 1:
             raise ValueError("irr must be monic of degree m (ascending coefficients)")
-        # float64 products of F_p expansions are exact while n*m terms of at
-        # most (p-1)^2 sum to at most 2^53 (see linalg)
-        term = self.m * (self.p - 1) ** 2
-        self.max_inner = 2 ** 53 // term
-        if self.max_inner < 1:
-            raise BadParams(f"products over F_{self.p}^{self.m} overflow float64 exactness "
-                            f"(m(p-1)^2 = {term} > 2^53)")
+        self.max_inner = exact_inner(self.p, self.m)
         if self.m >= 2 and not poly_is_irreducible(self.p, self.irr):
             raise BadParams(f"{list(self.irr)} is reducible over F_{self.p}")
         # rows d = 0..2m-2: coefficients of x^d reduced mod irr
@@ -385,12 +388,14 @@ def field_create(p: int, m: int) -> FieldCtx:
 
     Coefficient sequences (a_{m-1}, ..., a_0) are ordered as base-p
     integers, so the result is deterministic across runs and platforms.
-    For m = 1 the stored polynomial is the placeholder x.
+    For m = 1 the stored polynomial is the placeholder x.  A field past
+    the float64 bound of exact_inner raises BadParams before the search.
     """
     if not is_prime(p):
         raise NonPrime(f"{p} is not prime")
     if m < 1 or m > 8:
         raise DegreeOutOfRange(f"extension degree {m} outside 1..8")
+    exact_inner(p, m)
     if m == 1:
         return FieldCtx(p, 1, (0, 1))
     for t in range(p ** m):

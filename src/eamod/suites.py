@@ -182,14 +182,12 @@ def suite_jtd1(p: int, k: int, ext: int = 4, trials: int = 24, seed: int = 7) ->
     )
     field2 = field_create(p, 2)
     report = vy.variety_points(sr.block_model_d1(ctx, field2), field2)
-    pk_zeros = {pt.codes() for pt in vy.zero_points(sr.PkPoly(p, k), field2)}
+    pk_zeros = set(map(tuple, vy.zero_points(sr.PkPoly(p, k), field2).tolist()))
     mismatches = []
-    for rec in report.points:
-        pt = rec.point
-        zeros = sum(1 for c in pt.coords if not c)
-        want = _max_set_expected(p, pt.codes() in pk_zeros, zeros)
-        if want != (rec.jordan_type == expected):
-            mismatches.append(str(pt))
+    for codes, orbit in zip(map(tuple, report.codes.tolist()), report.orbit.tolist()):
+        want = _max_set_expected(p, codes in pk_zeros, codes.count(0))
+        if want != (report.types[orbit] == expected):
+            mismatches.append(codes)
     target = (
         "V(p_k) + coordinate hyperplanes" if p >= 5 else "V(p_k) (p=3 amendment)"
     )
@@ -198,7 +196,7 @@ def suite_jtd1(p: int, k: int, ext: int = 4, trials: int = 24, seed: int = 7) ->
         f"maximal-set complement over F_{field2.q} equals {target}",
         "Theorem jtD; Corollary complement",
         [],
-        mismatches,
+        [str(pt) for pt in vy.code_points(field2, mismatches)],
     )
     return rep
 
@@ -259,7 +257,7 @@ def suite_decomp_k2(p: int = 3, trials: int = 60, seed: int = None) -> SuiteRepo
     field = field_create(p, 2)
     module = sr.d_r(ctx, field, p - 1)
     # the p-1 lines through the (p-1)th roots of -1, i.e. the zero set of p_2
-    expected_lines = {pt.normalize().codes() for pt in vy.zero_points(sr.PkPoly(p, 2), field)}
+    expected_lines = set(map(tuple, vy.zero_points(sr.PkPoly(p, 2), field).tolist()))
     result = None
     used_seed = None
     for seed in seeds:
@@ -301,6 +299,11 @@ def suite_decomp_k2(p: int = 3, trials: int = 60, seed: int = None) -> SuiteRepo
     return rep
 
 
+def peel_dim(n: int, r: int) -> int:
+    """dim D(r) for p | n by Peel's recursion dim D(r) = C(n-1, r) - dim D(r-1), dim D(0) = 1."""
+    return 1 if r == 0 else math.comb(n - 1, r) - peel_dim(n, r - 1)
+
+
 @_timed
 def suite_indec_21(p: int = 3, k: int = 3, trials: int = 60, seed: int = 7) -> SuiteReport:
     rep = SuiteReport("indec-21", {"p": p, "k": k, "trials": trials, "seed": seed})
@@ -310,7 +313,7 @@ def suite_indec_21(p: int = 3, k: int = 3, trials: int = 60, seed: int = 7) -> S
         "indec-21/dim",
         "dimension of the wedge module",
         "Introduction (dimension 21)",
-        21 if (p, k) == (3, 3) else math.comb(k * p - 2, p - 1),
+        peel_dim(k * p, p - 1),
         module.n,
     )
     result = mr.fitting_decompose(module, trials=trials, seed=seed)
@@ -455,8 +458,8 @@ def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
     reports = [vy.variety_points(mod, field2) for mod in (d1_f2, line, sum_mod, tensor_mod)]
     v_a, v_b, v_sum, v_tensor = (r.variety_codes() for r in reports)
     off_sum, off_tensor = v_sum ^ (v_a | v_b), v_tensor ^ (v_a & v_b)
-    bad_sum = [str(r.point) for r in reports[0].points if r.point.codes() in off_sum]
-    bad_tensor = [str(r.point) for r in reports[0].points if r.point.codes() in off_tensor]
+    bad_sum = [str(pt) for pt in vy.code_points(field2, sorted(off_sum))]
+    bad_tensor = [str(pt) for pt in vy.code_points(field2, sorted(off_tensor))]
     rep.add(
         "axioms/sum-law",
         f"variety of a direct sum is the union, over F_{field2.q}",

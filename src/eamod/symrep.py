@@ -263,7 +263,7 @@ def rank_lemma_check(ctx: SymContext, field: FieldCtx) -> dict:
         raise ValueError("rank sweep requires k >= 2")
     p, k = ctx.p, ctx.k
     report = variety_points(block_model_d1(ctx, field), field)
-    pk_zeros = {pt.codes() for pt in zero_points(PkPoly(p, k), field)}
+    pk_zeros = set(map(tuple, zero_points(PkPoly(p, k), field).tolist()))
 
     clause_one = (
         "rank(S) = (k-1)(p-1)+p-3 iff all coords nonzero"
@@ -281,8 +281,8 @@ def rank_lemma_check(ctx: SymContext, field: FieldCtx) -> dict:
     failures = [[], [], [], []]
     rank_full = (k - 1) * (p - 1) + p - 3
     multiples = field.q - 1
-    for rec in report.points:
-        jt, codes = rec.jordan_type, rec.point.codes()
+    for codes, orbit in zip(map(tuple, report.codes.tolist()), report.orbit.tolist()):
+        jt = report.types[orbit]
         zeros = codes.count(0)
         held = [(jt.rank(1) == rank_full) == (zeros == 0 if p >= 5 else zeros <= 1)]
         if zeros == 0:
@@ -294,7 +294,7 @@ def rank_lemma_check(ctx: SymContext, field: FieldCtx) -> dict:
         for i, ok in enumerate(held):
             checked[i] += multiples
             if not ok:
-                failures[i].append(rec.point)
+                failures[i].append(codes)
     return {
         "p": p,
         "k": k,
@@ -305,7 +305,7 @@ def rank_lemma_check(ctx: SymContext, field: FieldCtx) -> dict:
                 "number": i + 1,
                 "clause": clause_names[i],
                 "points_checked": checked[i],
-                "failures": [[list(c.coeffs) for c in f.coords] for f in failures[i]],
+                "failures": [[list(field.from_code(c)) for c in f] for f in failures[i]],
             }
             for i in range(4)
             if i + 1 in numbers

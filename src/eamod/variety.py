@@ -5,12 +5,16 @@ orbit of the symmetries a module declares), zero sets of the p_k form,
 generic Jordan type estimation by seeded sampling, maximal-set
 membership, wreath-product orbits, point-count dimension estimates and
 the Green-vertex witness search.
+
+A swept point is one row of normalized codes (projective_codes); Points
+of Fels are built only to name points in output.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional
@@ -22,6 +26,7 @@ from .linalg import (
     Dominance,
     JordanType,
     MatF,
+    _check_inner,
     arr_mul,
     arr_pow,
     dominance_compare,
@@ -59,29 +64,43 @@ class DuplicateDirection(ValueError):
     """Raised when rank-2 builder directions coincide projectively."""
 
 
-@dataclass
-class PointRecord:
-    point: Point
-    jordan_type: JordanType
+PointRecord = namedtuple("PointRecord", "point jordan_type")
 
 
 @dataclass
 class PointSetReport:
-    """Classified projective points plus an optional target comparison."""
+    """A projective sweep: point codes, one Jordan type per orbit, an optional comparison.
+
+    codes is the (N, k) array of normalized point codes in
+    projective_codes order, orbit[i] the index in types of point i's
+    orbit, and types holds one JordanType per orbit.  points builds a
+    PointRecord per point on each call, for output only.
+    """
 
     field: FieldCtx
     k: int
-    points: list
+    codes: np.ndarray
+    orbit: np.ndarray
+    types: list
     target: Optional[str] = None
     verdict: Optional[str] = None
     witnesses: Optional[dict] = None
 
+    def variety_mask(self) -> np.ndarray:
+        """(N,) booleans: whether each point's Jordan type is not free."""
+        return np.array([not t.is_free() for t in self.types], dtype=bool)[self.orbit]
+
     def variety_codes(self) -> set:
-        return {r.point.codes() for r in self.points if not r.jordan_type.is_free()}
+        return set(map(tuple, self.codes[self.variety_mask()].tolist()))
 
     def counts(self) -> dict:
-        nv = sum(1 for r in self.points if not r.jordan_type.is_free())
-        return {"points": len(self.points), "variety": nv, "free": len(self.points) - nv}
+        nv = int(self.variety_mask().sum())
+        return {"points": len(self.codes), "variety": nv, "free": len(self.codes) - nv}
+
+    @property
+    def points(self) -> list:
+        points = code_points(self.field, self.codes.tolist())
+        return [PointRecord(pt, self.types[i]) for pt, i in zip(points, self.orbit.tolist())]
 
     def to_dict(self) -> dict:
         out = {
@@ -134,9 +153,10 @@ def projective_codes(field: FieldCtx, k: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _points(field: FieldCtx, codes: np.ndarray) -> list:
-    els = [field.el(field.from_code(c)) for c in range(field.q)]
-    return [Point(tuple(els[c] for c in row)) for row in codes.tolist()]
+def code_points(field: FieldCtx, rows) -> list:
+    """The Points of a list of code rows, one Fel made per distinct code."""
+    els = {c: field.el(field.from_code(c)) for c in set().union(*rows)}
+    return [Point(tuple(els[c] for c in row)) for row in rows]
 
 
 def enumerate_projective(field: FieldCtx, k: int):
@@ -145,7 +165,7 @@ def enumerate_projective(field: FieldCtx, k: int):
     There are (q^k - 1)/(q - 1) of them; raises TooLarge past the
     10^7 affine cap.
     """
-    return _points(field, projective_codes(field, k))
+    return code_points(field, projective_codes(field, k).tolist())
 
 
 def _elements(field: FieldCtx) -> np.ndarray:
@@ -191,36 +211,36 @@ def orbit_representatives(field: FieldCtx, codes: np.ndarray, symmetry: Symmetry
             return rep
 
 
-def _sweep_types(module: EAModule, codes: np.ndarray) -> list:
-    """Jordan types of X_alpha at the points of an (N, k) code array, a stack at a time.
+def _sweep_types(module: EAModule, coords: np.ndarray) -> list:
+    """Jordan types of X_alpha at the points of an (N, k, m) coefficient array, a stack at a time.
 
     The F_p expansion of a*X_i is expand(X_i)(I (x) C(a)), C(a) the
     multiplication matrix of a, so a stack of X_alpha is built straight
-    from the codes as sum_i expand(X_i)(I (x) C(alpha_i)): one batched
-    product with inner dimension km, whose entries reach k m (p-1)^2.
-    projective_codes keeps q^k <= 10^7, so that is far below 2^53.
-    Stacks hold max(1, STACK_BYTES // (8 (nm)^2)) points, a number
-    fixed by nm.
+    from the coefficients as sum_i expand(X_i)(I (x) C(alpha_i)): one
+    batched product with inner dimension km, whose entries reach
+    k m (p-1)^2, exact while k <= max_inner.  Stacks hold
+    max(1, STACK_BYTES // (8 (nm)^2)) points, a number fixed by nm.
     """
     field, n, k = module.field, module.n, module.k
     m, p = field.m, field.p
     size = n * m
-    if not len(codes):
+    if not len(coords):
         return []
+    _check_inner(field, k)
     exact = product_dtype(field, k)
     # the m columns of every block column of expand(X_1), ..., expand(X_k)
     # side by side, to be multiplied by C(alpha_1), ..., C(alpha_k) stacked
     gens = [expand(field, g.data, exact).reshape(size * n, m) for g in module.gens]
     gens = np.concatenate(gens, axis=1)
-    mult = expand(field, _elements(field)[:, None], exact).reshape(field.q, m, m)
+    blocks = field.regular().reshape(m, m * m)
     # holds the unreduced sums as well as the elimination's reach
     stage = elim_dtype(p, max(size, k * m))
-    step = max(1, STACK_BYTES // (8 * size * size)) if size else len(codes)
+    step = max(1, STACK_BYTES // (8 * size * size)) if size else len(coords)
     types = []
-    for start in range(0, len(codes), step):
-        chunk = codes[start : start + step]
-        stack = np.matmul(gens, mult[chunk].reshape(len(chunk), k * m, m))
-        stack = stack.reshape(len(chunk), size, size).astype(stage)
+    for start in range(0, len(coords), step):
+        chunk = coords[start : start + step]
+        mult = (chunk @ blocks % p).astype(exact).reshape(len(chunk), k * m, m)
+        stack = np.matmul(gens, mult).reshape(len(chunk), size, size).astype(stage)
         stack %= p
         types += jordan_types(field, stack, p)
     return types
@@ -230,16 +250,14 @@ def variety_points(module: EAModule, field: FieldCtx) -> PointSetReport:
     """Jordan type at every projective point; freeness is read from the type.
 
     The type is computed once per orbit of the symmetries the module
-    declares (module.symmetry), at the orbit's first point, and copied
-    to the others.  lift_to_extension declares Frobenius and d_r adds
-    coordinate permutations; loaded files, bare EAModule(...) and
-    modules derived by direct_sum, tensor, wedge and the like declare
-    none and get one type per point.
+    declares (module.symmetry), at the orbit's first point, and the
+    report keeps it once for all the orbit's points.  lift_to_extension
+    declares Frobenius and d_r adds coordinate permutations; loaded
+    files, bare EAModule(...) and modules derived by direct_sum, tensor,
+    wedge and the like declare none and get one type per point.
 
-    The orbit representatives go through jordan_types in stacks whose
-    X_alpha are built from the point codes (_sweep_types); a stack
-    holds as many as fit in STACK_BYTES of float64 expansions, at least
-    one, so its size follows from the module's dimension and field.
+    The orbit representatives are typed a stack at a time, their
+    X_alpha built from their coefficients (_sweep_types).
 
     The module must already live over the sweep field; subfield modules
     are re-built over the larger field rather than embedded.
@@ -249,17 +267,16 @@ def variety_points(module: EAModule, field: FieldCtx) -> PointSetReport:
     codes = projective_codes(field, module.k)
     reps = orbit_representatives(field, codes, module.symmetry)
     firsts = np.flatnonzero(reps == np.arange(len(reps)))
-    type_of = dict(zip(firsts.tolist(), _sweep_types(module, codes[firsts])))
-    points = _points(field, codes)
-    records = [PointRecord(pt, type_of[rep]) for pt, rep in zip(points, reps.tolist())]
-    return PointSetReport(field, module.k, records)
+    orbit = np.searchsorted(firsts, reps)  # firsts ascend and hold every rep
+    types = _sweep_types(module, _elements(field)[codes[firsts]])
+    return PointSetReport(field, module.k, codes, orbit, types)
 
 
-def zero_points(poly: PkPoly, field: FieldCtx):
-    """Projective points where p_k vanishes."""
+def zero_points(poly: PkPoly, field: FieldCtx) -> np.ndarray:
+    """Normalized codes of the projective points where p_k vanishes, in sweep order."""
     codes = projective_codes(field, poly.k)
     values = pk_eval_batch(poly, field, _elements(field)[codes])
-    return _points(field, codes[~values.any(axis=1)])
+    return codes[~values.any(axis=1)]
 
 
 def count_affine_zeros(poly: PkPoly, field: FieldCtx) -> int:
@@ -273,16 +290,18 @@ def count_affine_zeros(poly: PkPoly, field: FieldCtx) -> int:
     return origin + (field.q - 1) * len(zero_points(poly, field))
 
 
-def compare_sets(report: PointSetReport, target_points, target_tag: str = "target") -> str:
-    """Compare the report's variety set against a target point set.
+def compare_sets(report: PointSetReport, target_codes, target_tag: str = "target") -> str:
+    """Compare the report's variety set against a target set of projective points.
 
-    Sets the verdict (Equal / ProperSubset / Superset / Incomparable) and
-    witness lists on the report, and returns the verdict.
+    The target is given as rows of normalized codes, as zero_points
+    returns them.  Sets the verdict (Equal / ProperSubset / Superset /
+    Incomparable) and the witness lists on the report, points named by
+    str(Point) in code order, and returns the verdict.
     """
-    mine = {r.point.codes(): r.point for r in report.points if not r.jordan_type.is_free()}
-    target_pts = {q.codes(): q for q in map(Point.normalize, target_points)}
-    only_mine = sorted(mine.keys() - target_pts.keys())
-    only_theirs = sorted(target_pts.keys() - mine.keys())
+    mine = report.variety_codes()
+    theirs = set(map(tuple, np.asarray(target_codes).tolist()))
+    only_mine = sorted(mine - theirs)
+    only_theirs = sorted(theirs - mine)
     if not only_mine and not only_theirs:
         verdict = "Equal"
     elif not only_mine:
@@ -294,8 +313,8 @@ def compare_sets(report: PointSetReport, target_points, target_tag: str = "targe
     report.target = target_tag
     report.verdict = verdict
     report.witnesses = {
-        "variety_not_target": [str(mine[c]) for c in only_mine],
-        "target_not_variety": [str(target_pts[c]) for c in only_theirs],
+        "variety_not_target": [str(pt) for pt in code_points(report.field, only_mine)],
+        "target_not_variety": [str(pt) for pt in code_points(report.field, only_theirs)],
     }
     return verdict
 
@@ -309,59 +328,31 @@ class GenericEvidence:
     inconclusive: bool = False
 
 
-def _sample_types(module, ext, trials, seed, key):
-    q = ext.q
-    lifted = lift_to_extension(module, ext)
-    types = []
-    for j in range(trials):
-        stream = CounterStream(seed, key + j)
-        coords = tuple(
-            ext.el(ext.from_code(1 + stream.below(q - 1))) for _ in range(module.k)
-        )
-        types.append(point_jordan_type(lifted, Point(coords)))
-    return types
-
-
-def _dominance_maxima(types):
-    distinct = []
-    for t in types:
-        if t not in distinct:
-            distinct.append(t)
-    maxima = []
-    for t in distinct:
-        dominated = any(
-            dominance_compare(o, t) is Dominance.GREATER for o in distinct if o != t
-        )
-        if not dominated:
-            maxima.append(t)
-    return maxima
-
-
 def generic_type(module: EAModule, ext_degree: int = 4, trials: int = 24, seed: int = 7):
     """Estimate the generic Jordan type by sampling all-nonzero points.
 
     Draws `trials` points with coordinates uniform in F_{p^m} minus 0
-    (streams keyed by (seed, sample index)), and returns the dominance
-    maximum of the observed types with attainment evidence.  If the top
-    types are incomparable the sweep retries once over F_{p^{m+2}} and
-    reports inconclusive if still unordered.
+    (streams keyed by (seed, sample index)), types them all in one
+    _sweep_types call on their (trials, k, m) coefficients (codes can
+    pass int64 here, unlike in a capped sweep), and returns the
+    dominance maximum of the observed types with attainment evidence.
+    If the top types are incomparable the sweep retries once over
+    F_{p^{m+2}} and reports inconclusive if still unordered.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    ext = field_create(module.p, ext_degree) if module.field.m != ext_degree else module.field
-    types = _sample_types(module, ext, trials, seed, key=0)
-    maxima = _dominance_maxima(types)
-    if len(maxima) == 1:
-        top = maxima[0]
-        return top, GenericEvidence(trials, ext_degree, types.count(top))
-    retry_degree = ext_degree + 2
-    ext2 = field_create(module.p, retry_degree)
-    types2 = _sample_types(module, ext2, trials, seed, key=trials)
-    maxima2 = _dominance_maxima(types2)
-    if len(maxima2) == 1:
-        top = maxima2[0]
-        return top, GenericEvidence(trials, retry_degree, types2.count(top), retried=True)
-    return None, GenericEvidence(trials, retry_degree, 0, retried=True, inconclusive=True)
+    for degree, key in ((ext_degree, 0), (ext_degree + 2, trials)):
+        ext = module.field if (degree, key) == (module.field.m, 0) else field_create(module.p, degree)
+        streams = [CounterStream(seed, j) for j in range(key, key + trials)]
+        draws = [[ext.from_code(1 + s.below(ext.q - 1)) for _ in range(module.k)] for s in streams]
+        coords = np.array(draws, dtype=np.int64).reshape(trials, module.k, ext.m)
+        types = _sweep_types(lift_to_extension(module, ext), coords)
+        distinct = list(dict.fromkeys(types))
+        maxima = [t for t in distinct
+                  if not any(dominance_compare(o, t) is Dominance.GREATER for o in distinct)]
+        if len(maxima) == 1:
+            return maxima[0], GenericEvidence(trials, degree, types.count(maxima[0]), retried=bool(key))
+    return None, GenericEvidence(trials, degree, 0, retried=True, inconclusive=True)
 
 
 def in_max_jordan_set(module: EAModule, alpha, generic: JordanType) -> bool:
@@ -437,12 +428,11 @@ def green_witness(module: EAModule, field: FieldCtx) -> Optional[Point]:
     is not covered by proper base subspaces.
     """
     prime = field_create(field.p, 1)
-    for rec in variety_points(module, field).points:
-        if rec.jordan_type.is_free():
-            continue
-        coeffs = np.array([c.coeffs for c in rec.point.coords], dtype=np.int64)
-        if MatF(prime, coeffs[:, :, None]).rank() == module.k:
-            return rec.point
+    report = variety_points(module, field)
+    els = _elements(field)
+    for row in report.codes[report.variety_mask()].tolist():
+        if MatF(prime, els[row][:, :, None]).rank() == module.k:
+            return code_points(field, [row])[0]
     return None
 
 

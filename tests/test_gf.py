@@ -1,13 +1,17 @@
+import math
 from itertools import product
 
 import numpy as np
 import pytest
 
+from eamod import gf
 from eamod.gf import (
+    BadParams,
     DegreeOutOfRange,
     FieldCtx,
     NonPrime,
     field_create,
+    is_prime,
     poly_is_irreducible,
 )
 from eamod.linalg import arr_mul
@@ -132,3 +136,22 @@ def test_field_refuses_int64_overflow():
         FieldCtx(2**26 - 5, 3, (1, 1, 0, 1))
     assert FieldCtx(2**26 - 5, 1, (0, 1)).max_inner == 2
     assert FieldCtx(2**26 - 5, 2, (1, 0, 1)).max_inner == 1
+
+
+def test_field_create_refuses_past_the_float64_bound_before_searching(monkeypatch):
+    def searched(p, coeffs):
+        raise AssertionError("searched for an irreducible")
+
+    monkeypatch.setattr(gf, "poly_is_irreducible", searched)
+    with pytest.raises(BadParams):
+        field_create(2 ** 26 - 5, 3)
+    # m = 1: the largest prime with (p-1)^2 <= 2^53 is accepted, the next refused
+    below = math.isqrt(2 ** 53) + 1
+    while not is_prime(below):
+        below -= 1
+    above = below + 1
+    while not is_prime(above):
+        above += 1
+    assert field_create(below, 1).max_inner == 2 ** 53 // (below - 1) ** 2 >= 1
+    with pytest.raises(BadParams):
+        field_create(above, 1)

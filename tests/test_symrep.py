@@ -265,3 +265,13 @@ def test_d_r_permutation_invariance_property(case):
     assert slow_jordan_mult(slow_combination(moved, gens), mod.p) == expect
     assert mr.point_jordan_type(mod, alpha).mult == expect
     assert mr.point_jordan_type(mod, moved).mult == expect
+
+
+def test_peel_dim_matches_the_modules():
+    from eamod.suites import peel_dim
+
+    assert [peel_dim(9, r) for r in range(3)] == [1, 7, 21]
+    for p, k in ((3, 2), (3, 3), (5, 2)):
+        ctx = sr.SymContext(p, k)
+        field = field_create(p, 1)
+        assert [peel_dim(k * p, r) for r in range(p)] == [sr.d_r(ctx, field, r).n for r in range(p)]

@@ -1,7 +1,9 @@
+import csv
 import json
 
 import pytest
 
+from eamod import gf
 from eamod.gf import field_create
 from eamod.linalg import JordanType, jordan_types
 from eamod import modrep as mr
@@ -37,19 +39,24 @@ def test_enumerate_projective_too_large():
         vy.enumerate_projective(field_create(3, 8), 3)
 
 
+def code_set(rows):
+    return set(map(tuple, rows.tolist()))
+
+
 def test_zero_points_p2():
     w = F9.gen()
     zp = vy.zero_points(sr.PkPoly(3, 2), F9)
-    assert {p.codes() for p in zp} == {codes(F9, [w, 1]), codes(F9, [2 * w, 1])}
-    assert vy.zero_points(sr.PkPoly(3, 2), F3) == []
+    assert zp.shape == (2, 2)
+    assert zp.tolist() == sorted(zp.tolist())
+    assert code_set(zp) == {codes(F9, [w, 1]), codes(F9, [2 * w, 1])}
+    assert vy.zero_points(sr.PkPoly(3, 2), F3).shape == (0, 2)
 
 
 def test_zero_points_p3_over_f3():
     zp = vy.zero_points(sr.PkPoly(3, 3), F3)
     assert len(zp) == 7
-    axes = [p for p in zp if sum(1 for c in p.coords if c) == 1]
-    dense = [p for p in zp if all(p.coords)]
-    assert len(axes) == 3 and len(dense) == 4
+    nonzero = (zp != 0).sum(axis=1)
+    assert (nonzero == 1).sum() == 3 and (nonzero == 3).sum() == 4
 
 
 def test_variety_points_d2_e2():
@@ -65,7 +72,7 @@ def test_variety_points_d2_e3_over_prime_field():
     module = sr.d_r(sr.SymContext(3, 3), F3, 2)
     report = vy.variety_points(module, F3)
     zeros = vy.zero_points(sr.PkPoly(3, 3), F3)
-    assert report.variety_codes() == {pt.codes() for pt in zeros}
+    assert report.variety_codes() == code_set(zeros)
     assert len(zeros) == 7
 
 
@@ -133,9 +140,9 @@ def test_compare_sets_normalizes_targets():
     assert pt.normalize() is pt
     scaled = Point.of(F9, [2 * w, 2 * w * w])
     assert scaled.normalize() == pt and scaled.normalize() is not scaled
-    # both stand for one projective point, named by its normalized form
+    # a target is given by normalized codes and named by its Point
     empty = vy.variety_points(mr.regular_module(3, 2, F9), F9)
-    assert vy.compare_sets(empty, [scaled, pt], "t") == "ProperSubset"
+    assert vy.compare_sets(empty, [pt.codes()], "t") == "ProperSubset"
     assert empty.witnesses == {"variety_not_target": [], "target_not_variety": ["(1,w)"]}
 
 
@@ -334,19 +341,62 @@ def test_dv_rank2_with_extension_direction():
 
 
 def test_point_set_report_serialization(tmp_path):
-    module = sr.d_r(sr.SymContext(3, 2), F9, 2)
-    report = vy.variety_points(module, F9)
-    vy.compare_sets(report, vy.zero_points(sr.PkPoly(3, 2), F9), "pk")
-    payload = report.to_dict()
-    assert payload["verdict"] == "Equal"
-    assert payload["k"] == 2
-    assert len(payload["points"]) == 10
-    assert {"coords", "type", "free"} <= set(payload["points"][0])
-    csv_path = tmp_path / "points.csv"
-    report.write_csv(csv_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "point,jordan_type,free"
-    assert len(lines) == 11
+    """JSON and CSV bytes against rows typed point by point, outside the sweep."""
+    ctx = sr.SymContext(3, 2)
+    cases = [(sr.d_r(ctx, F9, 2), "Equal", 0), (sr.block_model_d1(ctx, F9), "Superset", 8)]
+    points = vy.enumerate_projective(F9, 2)
+    # V(p_2) = V(x^2 + y^2) by Fel arithmetic
+    on_pk = {pt.codes() for pt in points if pt.coords[0] ** 2 + pt.coords[1] ** 2 == 0}
+    for module, verdict, extra in cases:
+        report = vy.variety_points(module, F9)
+        assert vy.compare_sets(report, vy.zero_points(sr.PkPoly(3, 2), F9), "pk") == verdict
+        types = [mr.point_jordan_type(module, pt) for pt in points]
+        witnesses = {
+            "variety_not_target": [
+                str(pt) for pt, jt in zip(points, types) if not jt.is_free() and pt.codes() not in on_pk
+            ],
+            "target_not_variety": [
+                str(pt) for pt, jt in zip(points, types) if jt.is_free() and pt.codes() in on_pk
+            ],
+        }
+        assert report.witnesses == witnesses
+        assert len(witnesses["variety_not_target"]) == extra
+        expected = {
+            "field": F9.to_dict(),
+            "k": 2,
+            "points": [
+                {"coords": [list(c.coeffs) for c in pt.coords], "type": list(jt.mult), "free": jt.is_free()}
+                for pt, jt in zip(points, types)
+            ],
+            "verdict": verdict,
+            "target": "pk",
+            "witnesses": witnesses,
+        }
+        assert json.dumps(report.to_dict()).encode() == json.dumps(expected).encode()
+        report.write_csv(tmp_path / "points.csv")
+        with open(tmp_path / "oracle.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["point", "jordan_type", "free"])
+            for pt, jt in zip(points, types):
+                writer.writerow([str(pt), str(jt), jt.is_free()])
+        assert (tmp_path / "points.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_sweep_path_makes_no_fel(monkeypatch):
+    # built first: lift_to_extension makes one Fel
+    module = sr.d_r(sr.SymContext(3, 3), F27, 2)
+
+    def refuse(self, ctx, coeffs):
+        raise AssertionError("a Fel was built")
+
+    monkeypatch.setattr(gf.Fel, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        vy.enumerate_projective(F27, 1)
+    report = vy.variety_points(module, F27)
+    zeros = vy.zero_points(sr.PkPoly(3, 3), F27)
+    assert vy.compare_sets(report, zeros, "pk") == "Equal"
+    assert report.variety_codes() == code_set(zeros)
+    assert report.counts() == {"points": 757, "variety": len(zeros), "free": 757 - len(zeros)}
 
 
 BOTH = mr.Symmetry.FROBENIUS | mr.Symmetry.PERMUTATIONS
