@@ -32,13 +32,16 @@ Jordan types of nilpotent matrices are extracted from rank sequences
 only; no similarity transform is computed.  A stack of matrices takes
 its powers as one batched product each and the ranks of all of them in
 one elimination.
+
+combine() makes every linear combination sum_t c_t M_t one product;
+compound_matrix() builds each level of minors from the last (Laplace).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -175,11 +178,6 @@ class MatF:
     def __neg__(self) -> "MatF":
         return MatF(self.ctx, (-self.data) % self.ctx.p)
 
-    def scale(self, s) -> "MatF":
-        s = self.ctx.el(s)
-        coeff = np.array(s.coeffs, dtype=np.int64)
-        return MatF(self.ctx, arr_mul(self.ctx, coeff[None, None, :], self.data))
-
     def __matmul__(self, other: "MatF") -> "MatF":
         """expand(A) times B with its coefficient vectors stacked as columns."""
         self._check_mul(other)
@@ -270,6 +268,25 @@ class MatF:
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
         _check_inner(self.ctx, self.cols)
+
+
+def combine(ctx: FieldCtx, coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_t coeffs[b, t] mats[t] for each b: (B, K, m) coefficients, (K, r, c, m) matrices.
+
+    Entries in 0..p-1, in and out.  Coefficient x acts through its
+    multiplication block sum_s x_s C^s, so the B sums are one F_p
+    product of the (B m, K m) blocks with the (K m, r c) coefficient
+    planes, exact while K <= max_inner (product_dtype(ctx, K)).
+    """
+    (count, terms, m), (_, r, c, _) = coeffs.shape, mats.shape
+    _check_inner(ctx, terms)
+    dtype = product_dtype(ctx, terms)
+    # blocks[b, s, t, u] = entry (s, u) of the multiplication block of coeffs[b, t]
+    blocks = (coeffs @ ctx.regular().reshape(m, m * m) % ctx.p).reshape(count, terms, m, m)
+    blocks = blocks.transpose(0, 2, 1, 3).reshape(count * m, terms * m).astype(dtype)
+    planes = mats.transpose(0, 3, 1, 2).reshape(terms * m, r * c).astype(dtype)
+    out = (blocks @ planes).astype(np.int64) % ctx.p
+    return out.reshape(count, m, r, c).transpose(0, 2, 3, 1)
 
 
 def product_dtype(ctx: FieldCtx, n: int):
@@ -624,8 +641,10 @@ def dominance_compare(t1: JordanType, t2: JordanType) -> Dominance:
 def compound_matrix(a_mat: MatF, r: int) -> MatF:
     """r-th compound: minors on lexicographic r-subsets of rows/columns.
 
-    Uses a vectorized Leibniz sum over S_r, so it is intended for the
-    small r (r < p) arising from exterior powers.
+    Level l is built from level l-1 by Laplace expansion along the
+    first column: with T_j the j-th row of T and S_0 the first column
+    of S, the minor on (T, S) is sum_j (-1)^j A[T_j, S_0] times the
+    minor on (T minus T_j, S minus S_0), l elementwise products.
     """
     if a_mat.rows != a_mat.cols:
         raise ValueError("compound of a non-square matrix")
@@ -635,16 +654,16 @@ def compound_matrix(a_mat: MatF, r: int) -> MatF:
         return MatF.identity(ctx, 1)
     if r > n:
         return MatF.zeros(ctx, 0, 0)
-    subs = np.array(list(combinations(range(n), r)), dtype=np.intp)
-    count = subs.shape[0]
-    # gathered[i, j, s, t] = A[subs[s, i], subs[t, j]], contiguous in (s, t)
-    gathered = a_mat.data[subs.T[:, None, :, None], subs.T[None, :, None, :]]
-    out = np.zeros((count, count, ctx.m), dtype=np.int64)
-    for perm in permutations(range(r)):
-        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))  # inversion parity
-        term = gathered[0, perm[0]]
-        for i in range(1, r):
-            term = arr_mul(ctx, term, gathered[i, perm[i]])
-        out = (out + sign * term) % ctx.p
-    return MatF(ctx, out)
-
+    a = level = a_mat.data
+    index = {(i,): i for i in range(n)}
+    for size in range(2, r + 1):
+        subs = list(combinations(range(n), size))
+        sub = np.array(subs)
+        # drop[s, j]: the index one level down of subs[s] without its j-th element
+        drop = np.array([[index[s[:j] + s[j + 1:]] for j in range(size)] for s in subs])
+        out = np.zeros((len(subs), len(subs), ctx.m), dtype=np.int64)
+        for j in range(size):
+            term = arr_mul(ctx, a[sub[:, j, None], sub[:, 0]], level[drop[:, j, None], drop[:, 0]])
+            out += term if j % 2 == 0 else ctx.p - term
+        level, index = out % ctx.p, {s: i for i, s in enumerate(subs)}
+    return MatF(ctx, level)

@@ -6,6 +6,9 @@ This module hosts all module-level constructions: sums, tensors,
 duals, exterior powers, restriction, induction, linear-variety
 modules, the exact projectivity test, endomorphism (commutant) bases
 and the randomized Fitting decomposition.
+
+Jordan types at points all come from jordan_types_at; x_alpha, which
+is_free_at takes, is one linalg.combine.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
 
 import numpy as np
 
@@ -23,11 +26,22 @@ from .linalg import (
     JordanType,
     MatF,
     NotNilpotent,
+    _check_inner,
     canonical_nilpotent,
+    combine,
+    compound_matrix,
+    elim_dtype,
+    expand,
     jordan_type_nilpotent,
+    jordan_types,
     null_space,
+    product_dtype,
 )
 from .stream import CounterStream
+
+# bytes of float64 X_alpha expansions in one jordan_types_at stack, which
+# bounds the float and integer copies that jordan_types makes
+STACK_BYTES = 1 << 18
 
 
 class NonCommuting(ValueError):
@@ -229,31 +243,68 @@ def validate(module: EAModule) -> EAModule:
     return module
 
 
-def _as_point(module: EAModule, alpha) -> Point:
+def _nonzero_point(module: EAModule, alpha) -> Point:
+    """alpha as a Point of the module's k-space; raises ZeroPoint at the origin."""
     pt = alpha if isinstance(alpha, Point) else Point.of(module.field, alpha)
     if pt.k != module.k:
         raise ValueError(f"point has {pt.k} coordinates, module rank is {module.k}")
     for c in pt.coords:
         if c.ctx != module.field:
             raise MismatchedContext("point coordinates over a different field")
+    if pt.is_zero():
+        raise ZeroPoint("x_alpha requires a nonzero point")
     return pt
 
 
+def coefficients(points) -> np.ndarray:
+    """The (N, k, m) coefficient array of N Points over one field, as jordan_types_at takes it."""
+    return np.array([[c.coeffs for c in pt.coords] for pt in points], dtype=np.int64)
+
+
 def x_alpha(module: EAModule, alpha) -> MatF:
-    """The matrix of alpha_1 X_1 + ... + alpha_k X_k."""
-    pt = _as_point(module, alpha)
-    if pt.is_zero():
-        raise ZeroPoint("x_alpha requires a nonzero point")
-    acc = MatF.zeros(module.field, module.n, module.n)
-    for c, g in zip(pt.coords, module.gens):
-        if c:
-            acc = acc + g.scale(c)
-    return acc
+    """The matrix of alpha_1 X_1 + ... + alpha_k X_k, by linalg.combine."""
+    pt = _nonzero_point(module, alpha)
+    gens = np.array([g.data for g in module.gens])
+    return MatF(module.field, combine(module.field, coefficients([pt]), gens)[0])
+
+
+def jordan_types_at(module: EAModule, coords: np.ndarray) -> list:
+    """Jordan types of X_alpha at the points of an (N, k, m) coefficient array, a stack at a time.
+
+    The one Jordan-type path for points: sweeps, samples and single
+    points.  The F_p expansion of a*X_i is expand(X_i)(I (x) C(a)), C(a)
+    the multiplication matrix of a, so a stack of X_alpha is built
+    straight from the coefficients as sum_i expand(X_i)(I (x) C(alpha_i)):
+    one batched product with inner dimension km, whose entries reach
+    k m (p-1)^2, exact while k <= max_inner.  Stacks hold
+    max(1, STACK_BYTES // (8 (nm)^2)) points, a number fixed by nm.
+    """
+    field, n, k = module.field, module.n, module.k
+    m, p = field.m, field.p
+    size = n * m
+    _check_inner(field, k)
+    exact = product_dtype(field, k)
+    # the m columns of every block column of expand(X_1), ..., expand(X_k)
+    # side by side, to be multiplied by C(alpha_1), ..., C(alpha_k) stacked
+    gens = [expand(field, g.data, exact).reshape(size * n, m) for g in module.gens]
+    gens = np.concatenate(gens, axis=1)
+    blocks = field.regular().reshape(m, m * m)
+    # holds the unreduced sums as well as the elimination's reach
+    stage = elim_dtype(p, max(size, k * m))
+    step = max(1, STACK_BYTES // (8 * size * size or 1))
+    types = []
+    for start in range(0, len(coords), step):
+        chunk = coords[start : start + step]
+        mult = (chunk @ blocks % p).astype(exact).reshape(len(chunk), k * m, m)
+        stack = np.matmul(gens, mult).reshape(len(chunk), size, size).astype(stage)
+        stack %= p
+        types += jordan_types(field, stack, p)
+    return types
 
 
 def point_jordan_type(module: EAModule, alpha) -> JordanType:
-    """Jordan type of the nilpotent x_alpha action at a nonzero point."""
-    return jordan_type_nilpotent(x_alpha(module, alpha), module.p)
+    """Jordan type of the nilpotent x_alpha action at a nonzero point: jordan_types_at on one row."""
+    return jordan_types_at(module, coefficients([_nonzero_point(module, alpha)]))[0]
 
 
 def is_free_at(module: EAModule, alpha) -> bool:
@@ -262,23 +313,16 @@ def is_free_at(module: EAModule, alpha) -> bool:
     Exact criterion: rank(X_alpha^{p-1}) = dim/p, equivalently the Jordan
     type is [p]^{dim/p}; always false when p does not divide dim.
     """
-    pt = _as_point(module, alpha)
-    if pt.is_zero():
-        raise ZeroPoint("freeness is tested at nonzero points")
+    pt = _nonzero_point(module, alpha)
     if module.n % module.p != 0:
         return False
-    if module.n == 0:
-        return True
-    xa = x_alpha(module, pt)
-    return xa.mat_pow(module.p - 1).rank() == module.n // module.p
+    return module.n == 0 or x_alpha(module, pt).mat_pow(module.p - 1).rank() == module.n // module.p
 
 
 def variety_contains(module: EAModule, alpha) -> bool:
     """Rank-variety membership; the zero point always belongs."""
     pt = alpha if isinstance(alpha, Point) else Point.of(module.field, alpha)
-    if pt.is_zero():
-        return True
-    return not is_free_at(module, pt)
+    return pt.is_zero() or not is_free_at(module, pt)
 
 
 # -- constructions --
@@ -359,8 +403,6 @@ def wedge(module: EAModule, r: int) -> EAModule:
     The basis is the lexicographic list of r-subsets; generators are the
     r-th compound of u_i minus the identity.
     """
-    from .linalg import compound_matrix
-
     if not 0 <= r <= module.n:
         raise ValueError(f"wedge degree {r} outside 0..{module.n}")
     if r == 0:
@@ -374,20 +416,16 @@ def wedge(module: EAModule, r: int) -> EAModule:
 def wedge_jordan(jt: JordanType, r: int, p: int) -> JordanType:
     """Exterior power of a Jordan type, computed by the matrix oracle.
 
-    Builds the canonical nilpotent of the given type over F_p, wedges the
-    corresponding one-generator module and reads off the type.
+    Takes the r-th compound of u = 1 + N, N the canonical nilpotent of
+    the given type over F_p, and reads off the type of its difference
+    with the identity.
     """
     if r > jt.total:
         raise ValueError("wedge degree exceeds total dimension")
-    from .gf import field_create
-
-    ctx = field_create(p, 1)
-    nil = canonical_nilpotent(ctx, jt)
-    mod = EAModule(p, 1, ctx, [nil])
-    wedged = wedge(mod, r)
-    if wedged.n == 0:
-        return JordanType(p, (0,) * p)
-    return point_jordan_type(wedged, [1])
+    ctx = FieldCtx(p, 1, (0, 1))
+    u = MatF.identity(ctx, jt.total) + canonical_nilpotent(ctx, jt)
+    wedged = compound_matrix(u, r) - MatF.identity(ctx, math.comb(jt.total, r))
+    return jordan_type_nilpotent(wedged, p)
 
 
 def _check_pair(m1: EAModule, m2: EAModule) -> None:
@@ -469,23 +507,20 @@ def induce(module: EAModule, embed, ambient_rank: int = None) -> EAModule:
     binv = basis_mat.inv().data[:, :, 0]
     decomp = [(binv[:s, i].tolist(), binv[s:, i].tolist()) for i in range(k)]
 
-    grid = list(product(range(p), repeat=t))
-    index = {v: i for i, v in enumerate(grid)}
     us = module.group_matrices()
     eye_big = MatF.identity(module.field, (p ** t) * module.n)
+    eye = np.eye(p, dtype=np.int64)
     gens = []
     for i in range(k):
         a_vec, b_vec = decomp[i]
-        perm = np.zeros((p ** t, p ** t, module.field.m), dtype=np.int64)
-        for v in grid:
-            target = tuple((v[j] + b_vec[j]) % p for j in range(t))
-            perm[index[target], index[v], 0] = 1
-        perm_mat = MatF(module.field, perm)
+        # translation by b_vec on the base-p digits of an index: P^(b_j) on digit j, P the cyclic shift
+        perm = reduce(np.kron, [np.roll(eye, b, axis=0) for b in b_vec], np.eye(1, dtype=np.int64))
         f_part = MatF.identity(module.field, module.n)
         for j, e in enumerate(a_vec):
             if e:
                 f_part = f_part @ us[j].mat_pow(e)
-        gens.append(perm_mat.kron(f_part) - eye_big)
+        # perm has F_p entries, so its Kronecker product acts plane by plane
+        gens.append(MatF(module.field, np.kron(perm[:, :, None], f_part.data)) - eye_big)
     return EAModule(p, k, module.field, gens)
 
 
@@ -518,26 +553,13 @@ def linear_variety_module(p: int, k: int, field: FieldCtx, span_vectors) -> EAMo
     c_inv = c_mat.inv()
 
     t = k - r
-    dim = p ** t
-    grid = list(product(range(p), repeat=t))
-    index = {v: i for i, v in enumerate(grid)}
-    mults = []
-    for ell in range(t):
-        d = np.zeros((dim, dim, field.m), dtype=np.int64)
-        for v in grid:
-            if v[ell] < p - 1:
-                target = tuple(v[j] + (1 if j == ell else 0) for j in range(t))
-                d[index[target], index[v], 0] = 1
-        mults.append(MatF(field, d))
-    gens = []
-    for i in range(k):
-        acc = MatF.zeros(field, dim, dim)
-        for ell in range(r, k):
-            coeff = c_inv.get(i, ell)
-            if coeff:
-                acc = acc + mults[ell - r].scale(coeff)
-        gens.append(acc)
-    return EAModule(p, k, field, gens)
+    # multiplication by variable ell: the subdiagonal shift S on digit ell of
+    # an index, kept in coefficient plane 0
+    eye = [np.eye(p ** e, dtype=np.int64) for e in range(t)]
+    shift = np.eye(p, k=-1, dtype=np.int64)
+    mults = np.array([reduce(np.kron, [eye[ell], shift, eye[t - ell - 1]]) for ell in range(t)])
+    mults = mults.reshape(t, p ** t, p ** t, 1) * np.eye(1, field.m, dtype=np.int64)
+    return EAModule(p, k, field, [MatF(field, g) for g in combine(field, c_inv.data[:, r:], mults)])
 
 
 def regular_module(p: int, k: int, field: FieldCtx) -> EAModule:
@@ -772,13 +794,10 @@ def _try_split(module: EAModule, trials: int, stream: CounterStream):
     if len(basis) <= 1:
         return None
     field = module.field
-    q = field.q
+    stack = np.array([b.data for b in basis])
     for _ in range(trials):
-        theta = MatF.zeros(field, module.n, module.n)
-        for b in basis:
-            c = field.el(field.from_code(stream.below(q)))
-            if c:
-                theta = theta + b.scale(c)
+        draws = np.array([field.from_code(stream.below(field.q)) for _ in basis], dtype=np.int64)
+        theta = MatF(field, combine(field, draws[None], stack)[0])
         split = _fitting_split(theta)
         if split is None:
             continue

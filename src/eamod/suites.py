@@ -499,10 +499,11 @@ def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
         if not any(coords):
             coords[0] = field2.one()
         dual_mod = mr.dual(base)
-        tag = f"trial {trial} at {Point(tuple(coords))}"
+        pt = Point(tuple(coords))
+        tag = f"trial {trial} at {pt}"
         gt, _ = vy.generic_type(base, 2, 8, seed=trial)
-        t_base = mr.point_jordan_type(base, coords)
-        t_dual = mr.point_jordan_type(dual_mod, coords)
+        row = mr.coefficients([pt])
+        (t_base,), (t_dual,) = mr.jordan_types_at(base, row), mr.jordan_types_at(dual_mod, row)
         if t_dual.is_free() != t_base.is_free():
             bad_dual_free.append(tag)
         if t_base == gt and t_dual != t_base:
@@ -538,7 +539,8 @@ def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
         mod1 = sr.block_model_d1(ctx, field1)
         mod2 = sr.block_model_d1(ctx, field2)
         generic = _jt(p, [p] * (ctx.k - 1) + [p - 2])
-        base_records = vy.variety_points(mod1, field1).points
+        base_points, base_types = zip(*vy.variety_points(mod1, field1).points)
+        at_base = mr.coefficients(base_points)
         for r in rr:
             w1, w2 = mr.wedge(mod1, r), mr.wedge(mod2, r)
             sampled = []
@@ -551,10 +553,11 @@ def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
                 pt = Point(coords)
                 if not pt.is_zero():
                     sampled.append(pt)
-            typed = [(w1, rec.point, rec.jordan_type) for rec in base_records]
-            typed += [(w2, pt, mr.point_jordan_type(mod2, pt)) for pt in sampled]
-            for wedge_mod, pt, t_base in typed:
-                lhs = mr.point_jordan_type(wedge_mod, pt)
+            at_sampled = mr.coefficients(sampled)
+            typed = list(zip(base_points, base_types, mr.jordan_types_at(w1, at_base)))
+            typed += zip(sampled, mr.jordan_types_at(mod2, at_sampled),
+                         mr.jordan_types_at(w2, at_sampled))
+            for pt, t_base, lhs in typed:
                 rhs = mr.wedge_jordan(t_base, r, p)
                 agree = lhs == rhs
                 maximal = t_base == generic
@@ -579,9 +582,9 @@ def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
 
     # freeness criterion matches the full Jordan type
     bad_free = []
+    points = vy.enumerate_projective(field2, 2)
     for module in (d1_f2, line, sr.d_r(ctx2, field2, p - 1)):
-        for pt in vy.enumerate_projective(field2, 2):
-            jt = mr.point_jordan_type(module, pt)
+        for pt, jt in zip(points, mr.jordan_types_at(module, mr.coefficients(points))):
             free_jt = module.n % p == 0 and jt == _jt(p, [p] * (module.n // p))
             if mr.is_free_at(module, pt) != free_jt:
                 bad_free.append(f"{module} {pt}")

@@ -7,7 +7,8 @@ membership, wreath-product orbits, point-count dimension estimates and
 the Green-vertex witness search.
 
 A swept point is one row of normalized codes (projective_codes); Points
-of Fels are built only to name points in output.
+of Fels are built only to name points in output.  Jordan types come
+from modrep.jordan_types_at on the coefficient rows of the codes.
 """
 
 from __future__ import annotations
@@ -25,15 +26,11 @@ from .gf import FieldCtx, field_create
 from .linalg import (
     Dominance,
     JordanType,
-    MatF,
-    _check_inner,
+    _ranks,
     arr_mul,
     arr_pow,
     dominance_compare,
     elim_dtype,
-    expand,
-    jordan_types,
-    product_dtype,
 )
 from .modrep import (
     EAModule,
@@ -42,6 +39,7 @@ from .modrep import (
     Symmetry,
     ZeroPoint,
     direct_sum,
+    jordan_types_at,
     lift_to_extension,
     linear_variety_module,
     point_jordan_type,
@@ -50,10 +48,6 @@ from .stream import CounterStream
 from .symrep import PkPoly, pk_eval_batch
 
 POINT_SWEEP_CAP = 10 ** 7
-# variety_points sends the X_alpha of max(1, STACK_BYTES // (8 (nm)^2))
-# points through jordan_types at once: 256 KB if they were float64,
-# which bounds the float and integer copies that jordan_types makes
-STACK_BYTES = 1 << 18
 
 
 class TooLarge(ValueError):
@@ -211,41 +205,6 @@ def orbit_representatives(field: FieldCtx, codes: np.ndarray, symmetry: Symmetry
             return rep
 
 
-def _sweep_types(module: EAModule, coords: np.ndarray) -> list:
-    """Jordan types of X_alpha at the points of an (N, k, m) coefficient array, a stack at a time.
-
-    The F_p expansion of a*X_i is expand(X_i)(I (x) C(a)), C(a) the
-    multiplication matrix of a, so a stack of X_alpha is built straight
-    from the coefficients as sum_i expand(X_i)(I (x) C(alpha_i)): one
-    batched product with inner dimension km, whose entries reach
-    k m (p-1)^2, exact while k <= max_inner.  Stacks hold
-    max(1, STACK_BYTES // (8 (nm)^2)) points, a number fixed by nm.
-    """
-    field, n, k = module.field, module.n, module.k
-    m, p = field.m, field.p
-    size = n * m
-    if not len(coords):
-        return []
-    _check_inner(field, k)
-    exact = product_dtype(field, k)
-    # the m columns of every block column of expand(X_1), ..., expand(X_k)
-    # side by side, to be multiplied by C(alpha_1), ..., C(alpha_k) stacked
-    gens = [expand(field, g.data, exact).reshape(size * n, m) for g in module.gens]
-    gens = np.concatenate(gens, axis=1)
-    blocks = field.regular().reshape(m, m * m)
-    # holds the unreduced sums as well as the elimination's reach
-    stage = elim_dtype(p, max(size, k * m))
-    step = max(1, STACK_BYTES // (8 * size * size)) if size else len(coords)
-    types = []
-    for start in range(0, len(coords), step):
-        chunk = coords[start : start + step]
-        mult = (chunk @ blocks % p).astype(exact).reshape(len(chunk), k * m, m)
-        stack = np.matmul(gens, mult).reshape(len(chunk), size, size).astype(stage)
-        stack %= p
-        types += jordan_types(field, stack, p)
-    return types
-
-
 def variety_points(module: EAModule, field: FieldCtx) -> PointSetReport:
     """Jordan type at every projective point; freeness is read from the type.
 
@@ -256,8 +215,8 @@ def variety_points(module: EAModule, field: FieldCtx) -> PointSetReport:
     files, bare EAModule(...) and modules derived by direct_sum, tensor,
     wedge and the like declare none and get one type per point.
 
-    The orbit representatives are typed a stack at a time, their
-    X_alpha built from their coefficients (_sweep_types).
+    The orbit representatives are typed in one jordan_types_at call on
+    their coefficients.
 
     The module must already live over the sweep field; subfield modules
     are re-built over the larger field rather than embedded.
@@ -268,7 +227,7 @@ def variety_points(module: EAModule, field: FieldCtx) -> PointSetReport:
     reps = orbit_representatives(field, codes, module.symmetry)
     firsts = np.flatnonzero(reps == np.arange(len(reps)))
     orbit = np.searchsorted(firsts, reps)  # firsts ascend and hold every rep
-    types = _sweep_types(module, _elements(field)[codes[firsts]])
+    types = jordan_types_at(module, _elements(field)[codes[firsts]])
     return PointSetReport(field, module.k, codes, orbit, types)
 
 
@@ -333,7 +292,7 @@ def generic_type(module: EAModule, ext_degree: int = 4, trials: int = 24, seed: 
 
     Draws `trials` points with coordinates uniform in F_{p^m} minus 0
     (streams keyed by (seed, sample index)), types them all in one
-    _sweep_types call on their (trials, k, m) coefficients (codes can
+    jordan_types_at call on their (trials, k, m) coefficients (codes can
     pass int64 here, unlike in a capped sweep), and returns the
     dominance maximum of the observed types with attainment evidence.
     If the top types are incomparable the sweep retries once over
@@ -346,7 +305,7 @@ def generic_type(module: EAModule, ext_degree: int = 4, trials: int = 24, seed: 
         streams = [CounterStream(seed, j) for j in range(key, key + trials)]
         draws = [[ext.from_code(1 + s.below(ext.q - 1)) for _ in range(module.k)] for s in streams]
         coords = np.array(draws, dtype=np.int64).reshape(trials, module.k, ext.m)
-        types = _sweep_types(lift_to_extension(module, ext), coords)
+        types = jordan_types_at(lift_to_extension(module, ext), coords)
         distinct = list(dict.fromkeys(types))
         maxima = [t for t in distinct
                   if not any(dominance_compare(o, t) is Dominance.GREATER for o in distinct)]
@@ -356,11 +315,8 @@ def generic_type(module: EAModule, ext_degree: int = 4, trials: int = 24, seed: 
 
 
 def in_max_jordan_set(module: EAModule, alpha, generic: JordanType) -> bool:
-    """Whether the point attains the (given) generic Jordan type."""
-    pt = alpha if isinstance(alpha, Point) else Point.of(module.field, alpha)
-    if pt.is_zero():
-        raise ZeroPoint("maximal-set membership is tested at nonzero points")
-    return point_jordan_type(module, pt) == generic
+    """Whether the nonzero point attains the (given) generic Jordan type."""
+    return point_jordan_type(module, alpha) == generic
 
 
 def wreath_act(gamma, sigma, alpha: Point) -> Point:
@@ -424,16 +380,17 @@ def green_witness(module: EAModule, field: FieldCtx) -> Optional[Point]:
     Base subspaces are spanned by vectors with prime-field coordinates.
     Each proper one lies in a base hyperplane sum c_i x_i = 0 with c in
     F_p^k, so a point avoids them all exactly when its coordinates are
-    linearly independent over F_p.  A witness certifies that the variety
-    is not covered by proper base subspaces.
+    linearly independent over F_p, that is when the k x m F_p matrix of
+    their coefficients has rank k: one batched rank over all the
+    variety points.  A witness certifies that the variety is not
+    covered by proper base subspaces.
     """
-    prime = field_create(field.p, 1)
     report = variety_points(module, field)
-    els = _elements(field)
-    for row in report.codes[report.variety_mask()].tolist():
-        if MatF(prime, els[row][:, :, None]).rank() == module.k:
-            return code_points(field, [row])[0]
-    return None
+    rows = report.codes[report.variety_mask()]
+    # (N, k, 1, m) elimination stack: N matrices of k rows and m columns over F_p
+    work = _elements(field)[rows][:, :, None, :].astype(elim_dtype(field.p, field.m), order="C")
+    hits = np.flatnonzero(_ranks(field_create(field.p, 1), work) == module.k)
+    return code_points(field, [rows[hits[0]].tolist()])[0] if hits.size else None
 
 
 def dv_rank2_builder(p: int, field: FieldCtx, directions) -> EAModule:

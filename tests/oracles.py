@@ -1,12 +1,18 @@
 """Independent slow oracles used to cross-check the production paths.
 
-Everything here uses plain Python loops and stays deliberately naive:
-echelon forms, ranks, inverses, products and Jordan types by textbook
-arithmetic on lists of Fel, and irreducibility over F_p by trial
-division over all monic divisors, written out on integer lists.
+Everything here stays deliberately naive.  Echelon forms, ranks,
+inverses, products and Jordan types are textbook arithmetic on lists
+of Fel in plain Python loops, and irreducibility over F_p is trial
+division over all monic divisors, written out on integer lists.  The
+compound is the Leibniz sum over S_r of products of r entries, on
+coefficient arrays, one elementwise product per factor.
 """
 
-from itertools import product
+from itertools import combinations, permutations, product
+
+import numpy as np
+
+from eamod.linalg import MatF, arr_mul
 
 
 def slow_rref(rows):
@@ -139,3 +145,24 @@ def slow_commutant_rref(gens):
             vec[c] = -reduced[r][free]
         kernel.append(vec)
     return slow_rref(kernel)[0]
+
+
+def leibniz_compound(a_mat, r):
+    """r-th compound of a square MatF: each r x r minor on lexicographic subsets, by Leibniz."""
+    n, ctx = a_mat.rows, a_mat.ctx
+    if r == 0:
+        return MatF.identity(ctx, 1)
+    if r > n:
+        return MatF.zeros(ctx, 0, 0)
+    subs = np.array(list(combinations(range(n), r)), dtype=np.intp)
+    count = subs.shape[0]
+    # gathered[i, j, s, t] = A[subs[s, i], subs[t, j]], contiguous in (s, t)
+    gathered = a_mat.data[subs.T[:, None, :, None], subs.T[None, :, None, :]]
+    out = np.zeros((count, count, ctx.m), dtype=np.int64)
+    for perm in permutations(range(r)):
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))  # inversion parity
+        term = gathered[0, perm[0]]
+        for i in range(1, r):
+            term = arr_mul(ctx, term, gathered[i, perm[i]])
+        out = (out + sign * term) % ctx.p
+    return MatF(ctx, out)

@@ -15,6 +15,7 @@ from eamod.linalg import (
     _ranks,
     arr_mul,
     canonical_nilpotent,
+    combine,
     compound_matrix,
     dominance_compare,
     elim_dtype,
@@ -24,9 +25,18 @@ from eamod.linalg import (
 )
 from eamod.stream import CounterStream
 
-from oracles import slow_inverse, slow_jordan_mult, slow_matmul, slow_rank, slow_rref
+from oracles import (
+    leibniz_compound,
+    slow_combination,
+    slow_inverse,
+    slow_jordan_mult,
+    slow_matmul,
+    slow_rank,
+    slow_rref,
+)
 
 F3 = field_create(3, 1)
+F8 = field_create(2, 3)
 F9 = field_create(3, 2)
 F5 = field_create(5, 1)
 F25 = field_create(5, 2)
@@ -268,6 +278,36 @@ def test_compound_identity_and_multiplicativity():
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("ctx", [F3, F8, F9, F25])
+def test_compound_matches_leibniz_on_dense_matrices(ctx):
+    stream = CounterStream(31, ctx.q)
+    for n in (1, 4, 7):
+        a = random_mat(ctx, n, n, stream)
+        for r in range(0, n + 2):
+            assert compound_matrix(a, r) == leibniz_compound(a, r)
+
+
+@pytest.mark.parametrize("ctx", [F3, F8, F9, F25])
+def test_combine_matches_slow_combination(ctx):
+    """Stacks of B coefficient rows, some all zero, against the Fel sum row by row."""
+    stream = CounterStream(37, ctx.q)
+    for count, terms, rows, cols in [(1, 1, 1, 1), (4, 3, 2, 5), (3, 7, 4, 4)]:
+        coeffs = np.array([[ctx.from_code(stream.below(ctx.q)) for _ in range(terms)]
+                           for _ in range(count)])
+        coeffs[count // 2] = 0
+        mats = [random_mat(ctx, rows, cols, stream) for _ in range(terms)]
+        got = combine(ctx, coeffs, np.array([g.data for g in mats]))
+        assert got.shape == (count, rows, cols, ctx.m)
+        for row, out in zip(coeffs, got):
+            draws = [ctx.el(tuple(c)) for c in row.tolist()]
+            want = slow_combination(draws, [as_fel_rows(g) for g in mats])
+            assert as_fel_rows(MatF(ctx, out)) == want
+    # K = 2 terms of 2 (p-1)^2 each pass 2^53 at p = 2^26 - 5, m = 2
+    big = FieldCtx(2**26 - 5, 2, (1, 0, 1))
+    with pytest.raises(BadParams, match=r"p=67108859, m=2 .*n=2"):
+        combine(big, np.ones((1, 2, 2), dtype=np.int64), np.ones((2, 1, 1, 2), dtype=np.int64))
+
+
 def test_jordan_type_free_flag():
     assert JordanType.from_blocks(3, [3, 3]).is_free()
     assert not JordanType.from_blocks(3, [3, 1]).is_free()
@@ -291,8 +331,11 @@ def test_matmul_refuses_int64_overflow():
     x = ext.el((big.p - 1, big.p - 1))
     one = MatF.from_rows(ext, [[x]])
     assert (one @ one).get(0, 0) == x * x
-    # elementwise products sum m terms of at most (p-1)^2 twice, reducing between
-    assert one.kron(one).get(0, 0) == x * x == one.scale(x).get(0, 0)
+    # elementwise products sum m terms of at most (p-1)^2 twice, reducing between;
+    # a combination of K = 1 matrix sums K m of them in one float64 product
+    assert one.kron(one).get(0, 0) == x * x
+    combined = combine(ext, np.array([[x.coeffs]]), one.data[None])
+    assert MatF(ext, combined[0]).get(0, 0) == x * x
     with pytest.raises(ValueError, match=r"p=67108859, m=2 .*n=2"):
         MatF.from_rows(ext, [[x, x]]) @ MatF.from_rows(ext, [[x], [x]])
 

@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -289,6 +290,55 @@ def test_linear_variety_module_examples():
         mr.linear_variety_module(3, 2, F3, [[1, 1], [2, 2]])
 
 
+def _digits(p, t, index):
+    """The t base-p digits of a basis index, most significant first."""
+    return tuple(index // p ** (t - 1 - j) % p for j in range(t))
+
+
+def _moves(p, t, target):
+    """The 0/1 matrix sending basis vector v to target(v), or to 0 where target(v) is None."""
+    out = np.zeros((p ** t, p ** t), dtype=np.int64)
+    for col in range(p ** t):
+        moved = target(_digits(p, t, col))
+        if moved is not None:
+            out[sum(d * p ** (t - 1 - j) for j, d in enumerate(moved)), col] = 1
+    return out
+
+
+def _complement_coords(p, embed, complement, i):
+    """The b with e_i = sum a_j w_j + sum b_j e_(c_j) for some a, by search over F_p."""
+    k, s = len(embed) + len(complement), len(embed)
+    for ab in product(range(p), repeat=k):
+        vec = [sum(a * w[r] for a, w in zip(ab, embed)) for r in range(k)]
+        for c, b in zip(complement, ab[s:]):
+            vec[c] += b
+        if [x % p for x in vec] == [int(r == i) for r in range(k)]:
+            return ab[s:]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_shift_and_translation_matrices_act_on_digits(p):
+    """X_ell of the regular module moves digits v to v + e_ell (0 past p - 1); u_i of an
+    induced trivial module moves them to v + b_i, with b_i from _complement_coords."""
+    field = field_create(p, 1)
+    for t in range(4):
+        for ell, x in enumerate(mr.regular_module(p, t, field).gens):
+            def step(v):
+                return None if v[ell] == p - 1 else v[:ell] + (v[ell] + 1,) + v[ell + 1:]
+
+            assert np.array_equal(x.data[:, :, 0], _moves(p, t, step))
+    for k, embed in [(2, [[1, 1]]), (2, [[0, 1]]), (3, [[1, 2, 0]]), (3, [[1, 1, 1], [0, 1, 2]]), (3, [])]:
+        embed = [[c % p for c in w] for w in embed]
+        ind = mr.induce(mr.trivial_module(p, len(embed), field), embed, ambient_rank=k)
+        pivots = slow_rref([[field.el(c) for c in w] for w in embed])[1]
+        complement = [j for j in range(k) if j not in pivots]
+        eye = MatF.identity(field, ind.n)
+        for i, x in enumerate(ind.gens):
+            b = _complement_coords(p, embed, complement, i)
+            moved = _moves(p, len(complement), lambda v: tuple((d + e) % p for d, e in zip(v, b)))
+            assert np.array_equal((x + eye).data[:, :, 0], moved)
+
+
 def test_projective_test_examples():
     reg = mr.regular_module(3, 2, F3)
     assert mr.projective_test(reg) == (True, 1)
@@ -544,6 +594,38 @@ def test_restricted_line_goes_through_trials(monkeypatch, p):
     assert calls == [mod] and stream.draws == 5 * len(basis_of(mod)) > 0
 
 
+THETA_MODULES = {
+    "restricted-line": lambda: restricted_line(3, 0),
+    "two-lines-f9": lambda: vy.dv_rank2_builder(3, F9, [[1, 0], [1, F9.gen()]]),
+    "two-lines-f8": lambda: vy.dv_rank2_builder(2, field_create(2, 3), [[1, 0], [0, 1]]),
+}
+
+
+@pytest.mark.parametrize("name", list(THETA_MODULES))
+def test_theta_is_the_combination_of_its_draws(monkeypatch, name):
+    """Each theta is sum_b c_b B_b, one stream.below(q) per basis element in order."""
+    mod = THETA_MODULES[name]()
+    basis = mr.endomorphism_basis(mod)
+    assert len(basis) > 1
+    thetas = []
+
+    def recording(theta):
+        thetas.append(theta)
+        return None
+
+    monkeypatch.setattr(mr, "_fitting_split", recording)
+    assert mr._try_split(mod, 4, CounterStream(5)) is None
+    field, stream = mod.field, CounterStream(5)
+
+    def fel_rows(mat):
+        return [[mat.get(i, j) for j in range(mod.n)] for i in range(mod.n)]
+
+    assert len(thetas) == 4
+    for theta in thetas:
+        draws = [field.el(field.from_code(stream.below(field.q))) for _ in basis]
+        assert fel_rows(theta) == slow_combination(draws, [fel_rows(b) for b in basis])
+
+
 def test_fitting_decompose_dense_ten_line_sum():
     # the ten lines of P^1(F_9) summed in a dense basis (a random change of
     # basis, numpy seed 1) split into the same lines as in the block basis
@@ -680,7 +762,7 @@ def lifted_prime_field_modules(draw):
     direction = draw(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)).filter(any))
     # D(p-1) over F_3 and D(1) have variety points off F_p, which Frobenius moves
     pieces = [
-        EAModule(p, 2, base, [j3, j3.scale(lam) + (j3 @ j3).scale(mu)]),
+        EAModule(p, 2, base, [j3, MatF(base, lam * j3.data + mu * (j3 @ j3).data)]),
         mr.linear_variety_module(p, 2, base, [list(direction)]),
         sr.d_r(sr.SymContext(p, 2), base, 2 if p == 3 else 1),
     ]

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eamod.gf import NonPrime, field_create
-from eamod.linalg import JordanType, MatF
+from eamod.linalg import JordanType, MatF, canonical_nilpotent, compound_matrix
 from eamod import modrep as mr
 from eamod import symrep as sr
 from eamod.modrep import Point
 
-from oracles import slow_combination, slow_jordan_mult
+from oracles import leibniz_compound, slow_combination, slow_jordan_mult
 
 F3 = field_create(3, 1)
 F9 = field_create(3, 2)
@@ -114,6 +114,40 @@ def test_rank_power_sequence_5_2():
         ranks.append(power.rank())
         power = power @ s_mat
     assert ranks == [6, 4, 2, 1]
+
+
+def _jordan_types(p, total):
+    """Every Jordan type of the given total dimension with blocks of size at most p."""
+    if total == 0:
+        return [[]]
+    return [[size] + rest for size in range(1, min(p, total) + 1)
+            for rest in _jordan_types(size, total - size)]
+
+
+# every compound the suites take at their defaults: d_r of D(1) over F_p at
+# r = p - 1 (main-thm, jtdp1, indec-21, green, dimension, explore-k1modp),
+# the axioms wedges of D(1) over F_3 and F_9, and wedge_jordan's 1 + N for
+# every type of D(1) at p = 3, k = 2, 3
+def _d1_group_matrices(p, k, field):
+    return sr.block_model_d1(sr.SymContext(p, k), field).group_matrices()
+
+
+SUITE_COMPOUNDS = (
+    [(f"d_r-{p}-{k}", _d1_group_matrices(p, k, field_create(p, 1)), p - 1)
+     for p, k in [(3, 2), (3, 3), (5, 2), (3, 4)]]
+    + [(f"axioms-{k}-{field.q}-r{r}", _d1_group_matrices(3, k, field), r)
+       for k, rr in [(2, (1, 2)), (3, (2,))] for field in (F3, F9) for r in rr]
+    + [(f"wedge-jordan-{total}-r{r}",
+        [MatF.identity(F3, total) + canonical_nilpotent(F3, JordanType.from_blocks(3, blocks))
+         for blocks in _jordan_types(3, total)], r)
+       for total in (4, 7) for r in (1, 2)]
+)
+
+
+@pytest.mark.parametrize("name,mats,r", SUITE_COMPOUNDS, ids=[case[0] for case in SUITE_COMPOUNDS])
+def test_compound_matches_leibniz_on_suite_matrices(name, mats, r):
+    for u in mats:
+        assert compound_matrix(u, r) == leibniz_compound(u, r)
 
 
 def test_pk_eval_examples():

@@ -12,6 +12,8 @@ from eamod import variety as vy
 from eamod.modrep import Point, ZeroPoint
 from eamod.variety import DuplicateDirection, TooLarge
 
+from oracles import slow_combination, slow_jordan_mult
+
 F3 = field_create(3, 1)
 F9 = field_create(3, 2)
 F27 = field_create(3, 3)
@@ -341,7 +343,7 @@ def test_dv_rank2_with_extension_direction():
 
 
 def test_point_set_report_serialization(tmp_path):
-    """JSON and CSV bytes against rows typed point by point, outside the sweep."""
+    """JSON and CSV bytes against rows typed point by point by the Fel oracles."""
     ctx = sr.SymContext(3, 2)
     cases = [(sr.d_r(ctx, F9, 2), "Equal", 0), (sr.block_model_d1(ctx, F9), "Superset", 8)]
     points = vy.enumerate_projective(F9, 2)
@@ -350,7 +352,8 @@ def test_point_set_report_serialization(tmp_path):
     for module, verdict, extra in cases:
         report = vy.variety_points(module, F9)
         assert vy.compare_sets(report, vy.zero_points(sr.PkPoly(3, 2), F9), "pk") == verdict
-        types = [mr.point_jordan_type(module, pt) for pt in points]
+        gens = [[[g.get(i, j) for j in range(module.n)] for i in range(module.n)] for g in module.gens]
+        types = [JordanType(3, slow_jordan_mult(slow_combination(pt.coords, gens), 3)) for pt in points]
         witnesses = {
             "variety_not_target": [
                 str(pt) for pt, jt in zip(points, types) if not jt.is_free() and pt.codes() not in on_pk
@@ -477,7 +480,7 @@ def test_orbit_sweep_matches_full_sweep(tmp_path, monkeypatch, p, k, m):
         evaluated.extend(stack)
         return jordan_types(ctx, stack, prime)
 
-    monkeypatch.setattr(vy, "jordan_types", counted)
+    monkeypatch.setattr(mr, "jordan_types", counted)
     swept = vy.variety_points(module, field)
     reps = vy.orbit_representatives(field, vy.projective_codes(field, k), module.symmetry)
     assert len(evaluated) == len(set(reps.tolist())) < len(full.points)
