@@ -68,7 +68,7 @@ class FieldCtx:
     reduces mod p only.  Instances are immutable and safe to share.
     """
 
-    __slots__ = ("p", "m", "irr", "max_inner", "_red", "_regular")
+    __slots__ = ("p", "m", "irr", "max_inner", "_red", "_regular", "_logs")
 
     def __init__(self, p: int, m: int, irr: Sequence[int]):
         self.p = int(p)
@@ -100,6 +100,7 @@ class FieldCtx:
         self._regular = np.array([[red[t + b] for b in range(self.m)] for t in range(self.m)],
                                  dtype=np.int64).transpose(0, 2, 1)
         self._regular.flags.writeable = False
+        self._logs = None
 
     @property
     def q(self) -> int:
@@ -206,6 +207,40 @@ class FieldCtx:
         """(m, m, m) array: entry t is C^t, multiplication by w^t (C the companion matrix of irr)."""
         return self._regular
 
+    # -- code tables: sweeps hold at most 10^7 points, so q stays below it --
+
+    def from_codes(self, codes) -> np.ndarray:
+        """The (..., m) int64 coefficient vectors of an integer array of codes (from_code on arrays)."""
+        return np.asarray(codes, dtype=np.int64)[..., None] // self.p ** np.arange(self.m) % self.p
+
+    def code_logs(self):
+        """(exp, log): index tables on codes for a primitive element g, built once per field.
+
+        exp[i] is the code of g^i for i < q - 1 and log[exp[i]] = i, so
+        the product of nonzero codes a and b is exp[(log a + log b) %
+        (q - 1)].  log[0] is 0, a placeholder: callers mask zero codes.
+        g is the least code with g^((q-1)/r) != 1 for every prime r
+        dividing q - 1, and exp is built by doubling: g^s, ..., g^(2s-1)
+        are g^s times g^0, ..., g^(s-1), one arr_mul per step.  Both
+        tables hold q entries, so only sweeps build them.
+        """
+        if self._logs is None:
+            order = self.q - 1
+            one = self.cone()
+            g = next(c for c in range(1, self.q)
+                     if all(self.cpow(self.from_code(c), order // r) != one for r in _prime_factors(order)))
+            powers = np.array([self.cone()], dtype=np.int64)
+            step = np.array(self.from_code(g), dtype=np.int64)
+            while len(powers) < order:
+                powers = np.concatenate([powers, arr_mul(self, step, powers)])
+                step = arr_mul(self, step, step)
+            exp = powers[:order] @ self.p ** np.arange(self.m)
+            log = np.zeros(self.q, dtype=np.int64)
+            log[exp] = np.arange(order)
+            exp.flags.writeable = log.flags.writeable = False
+            self._logs = exp, log
+        return self._logs
+
     def to_dict(self) -> dict:
         return {"p": self.p, "m": self.m, "irr": list(self.irr)}
 
@@ -232,6 +267,29 @@ class FieldCtx:
         if self.m == 1:
             return f"F_{self.p}"
         return f"F_{self.p}^{self.m}(irr={list(self.irr)})"
+
+
+def arr_mul(ctx: FieldCtx, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise field product of two broadcastable (..., m) coefficient arrays.
+
+    Entries of x become multiplication matrices sum_t x_t C^t applied to
+    the entries of y; both steps sum m terms of at most (p-1)^2.
+    """
+    m, p = ctx.m, ctx.p
+    lx = (x @ ctx.regular().reshape(m, m * m)) % p
+    return np.einsum("...ab,...b->...a", lx.reshape(x.shape[:-1] + (m, m)), y) % p
+
+
+def _prime_factors(n: int) -> list:
+    """The distinct prime factors of n >= 1, ascending."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] if n > 1 else out
 
 
 class Fel:

@@ -45,7 +45,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .gf import BadParams, Fel, FieldCtx
+from .gf import BadParams, Fel, FieldCtx, arr_mul
 
 
 class NotNilpotent(ValueError):
@@ -75,29 +75,6 @@ def expand(ctx: FieldCtx, a: np.ndarray, dtype) -> np.ndarray:
         out[:, :, :, b] = col.transpose(0, 2, 1)
         del col
     return out.reshape(r * m, c * m)
-
-
-def arr_mul(ctx: FieldCtx, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise field product of two broadcastable (..., m) coefficient arrays.
-
-    Entries of x become multiplication matrices sum_t x_t C^t applied to
-    the entries of y; both steps sum m terms of at most (p-1)^2.
-    """
-    m, p = ctx.m, ctx.p
-    lx = (x @ ctx.regular().reshape(m, m * m)) % p
-    return np.einsum("...ab,...b->...a", lx.reshape(x.shape[:-1] + (m, m)), y) % p
-
-
-def arr_pow(ctx: FieldCtx, x: np.ndarray, e: int) -> np.ndarray:
-    out = np.zeros_like(x)
-    out[..., 0] = 1
-    base = x % ctx.p
-    while e:
-        if e & 1:
-            out = arr_mul(ctx, out, base)
-        base = arr_mul(ctx, base, base)
-        e >>= 1
-    return out
 
 
 class MatF:
@@ -297,6 +274,22 @@ def product_dtype(ctx: FieldCtx, n: int):
     n m (p-1)^2 <= 2^24, whatever order BLAS sums in.
     """
     return np.dtype(np.float32 if n * ctx.m * (ctx.p - 1) ** 2 <= 2 ** 24 else np.float64)
+
+
+def float_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for a float array of integers in 0..2^24 (float32) or 0..2^53 (float64).
+
+    Those are the products that product_dtype keeps exact.  x / p is
+    rounded by less than x / p times the unit roundoff (2^-24, 2^-53),
+    so by less than 1/p, and its floor is the exact quotient; a subtract
+    of p times it is exact.  np.fmod is exact too but about thirty
+    times slower.
+    """
+    quotient = x / p
+    np.floor(quotient, out=quotient)
+    quotient *= p
+    x -= quotient
+    return x
 
 
 def _check_inner(ctx: FieldCtx, n: int) -> None:
@@ -549,7 +542,7 @@ def jordan_type_nilpotent(n_mat: MatF, p: int) -> JordanType:
     if n_mat.rows != n_mat.cols:
         raise ValueError("matrix must be square")
     ctx = n_mat.ctx
-    expanded = expand(ctx, n_mat.data, elim_dtype(ctx.p, n_mat.cols * ctx.m))
+    expanded = expand(ctx, n_mat.data, product_dtype(ctx, n_mat.cols))
     return jordan_types(ctx, expanded[None], p)[0]
 
 
@@ -560,8 +553,10 @@ def jordan_types(ctx: FieldCtx, stack: np.ndarray, p: int) -> list:
     blocks is b_r - b_{r+1}.  Block column 0 of an expansion holds the
     coefficient vectors of the entries, and block column 0 of N^e is
     expand(N) times that of N^(e-1): each power is one batched product
-    of the stack with the (B, nm, n) columns of the last
-    (product_dtype, exact while n <= ctx.max_inner).  The ranks of N,
+    of the stack with the (B, nm, n) columns of the last, reduced in
+    place by float_mod (product_dtype, exact while n <= ctx.max_inner).
+    A stack already in product_dtype(ctx, n), as jordan_types_at makes
+    it, is multiplied as it is; any other is cast once.  The ranks of N,
     ..., N^(p-1) for every matrix are one elimination of their B(p-1)
     coefficient planes, (B(p-1), n, m, n).  Raises NotNilpotent when
     some N^p is nonzero.
@@ -571,23 +566,20 @@ def jordan_types(ctx: FieldCtx, stack: np.ndarray, p: int) -> list:
     n = size // m
     _check_inner(ctx, n)
     dtype = elim_dtype(ctx.p, size)
-    base = stack.astype(product_dtype(ctx, n))
+    base = stack.astype(product_dtype(ctx, n), copy=False)
     # powers[:, e - 1] holds the planes of N^e for e = 1..p-1, left zero once every N^e is
     powers = np.zeros((count, p - 1, n, m, n), dtype=dtype)
     powers[:, 0] = stack[..., ::m].reshape(count, n, m, n)
     power = base[..., ::m]
     for e in range(2, p + 1):
-        power = np.matmul(base, power)
-        work = power.astype(dtype)
-        work %= ctx.p
+        power = float_mod(np.matmul(base, power), ctx.p)
         if e == p:
-            if work.any():
+            if power.any():
                 raise NotNilpotent(f"matrix is not nilpotent of order <= {p}")
             break
-        if not work.any():
+        if not power.any():
             break
-        powers[:, e - 1] = work.reshape(count, n, m, n)
-        power[...] = work
+        powers[:, e - 1] = power.reshape(count, n, m, n)
     ranks = np.zeros((count, p + 1), dtype=np.int64)
     ranks[:, 0] = n
     every_power = powers.reshape(count * (p - 1), n, m, n)

@@ -32,6 +32,7 @@ from .linalg import (
     compound_matrix,
     elim_dtype,
     expand,
+    float_mod,
     jordan_type_nilpotent,
     jordan_types,
     null_space,
@@ -39,9 +40,8 @@ from .linalg import (
 )
 from .stream import CounterStream
 
-# bytes of float64 X_alpha expansions in one jordan_types_at stack, which
-# bounds the float and integer copies that jordan_types makes
-STACK_BYTES = 1 << 18
+# peak bytes of one jordan_types_at stack, at _point_bytes a point
+STACK_BYTES = 1 << 20
 
 
 class NonCommuting(ValueError):
@@ -181,10 +181,7 @@ class EAModule:
             "k": self.k,
             "dim": self.n,
             "field": self.field.to_dict(),
-            "generators": [
-                [[list(map(int, g.data[i, j])) for j in range(self.n)] for i in range(self.n)]
-                for g in self.gens
-            ],
+            "generators": [g.data.tolist() for g in self.gens],
         }
 
     @classmethod
@@ -221,9 +218,10 @@ class EAModule:
         return mod
 
     def save(self, path) -> None:
+        # json.dumps encodes in C in one call; json.dump streams through the Python encoder
+        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+            fh.write(text + "\n")
 
     @classmethod
     def load(cls, path) -> "EAModule":
@@ -268,6 +266,21 @@ def x_alpha(module: EAModule, alpha) -> MatF:
     return MatF(module.field, combine(module.field, coefficients([pt]), gens)[0])
 
 
+def _point_bytes(field: FieldCtx, n: int) -> int:
+    """Bytes that one point of a dim-n module adds to a jordan_types_at stack.
+
+    Its nm x nm expansion in the product dtype, and four times the p-1
+    (n, m, n) planes of its powers in the elimination dtype: the planes
+    and the elimination's temporaries over them (gathered pivot
+    multiples, updates).  Measured per-point tracemalloc peaks of
+    one-stack calls are 0.56 to 1.22 times it, from D(1) at (3, 3) over
+    F_27 to D(6) at (7, 2) over F_7, and 1.00 times it for D(2) at p = 3.
+    """
+    size = n * field.m
+    planes = (field.p - 1) * n * size * elim_dtype(field.p, size).itemsize
+    return size * size * product_dtype(field, n).itemsize + 4 * planes
+
+
 def jordan_types_at(module: EAModule, coords: np.ndarray) -> list:
     """Jordan types of X_alpha at the points of an (N, k, m) coefficient array, a stack at a time.
 
@@ -276,28 +289,29 @@ def jordan_types_at(module: EAModule, coords: np.ndarray) -> list:
     the multiplication matrix of a, so a stack of X_alpha is built
     straight from the coefficients as sum_i expand(X_i)(I (x) C(alpha_i)):
     one batched product with inner dimension km, whose entries reach
-    k m (p-1)^2, exact while k <= max_inner.  Stacks hold
-    max(1, STACK_BYTES // (8 (nm)^2)) points, a number fixed by nm.
+    k m (p-1)^2, exact while k <= max_inner.  The stack is made once,
+    in the product dtype that jordan_types multiplies in, and reduced
+    there in place (linalg.float_mod), so jordan_types takes it as it
+    is.  Stacks hold max(1, STACK_BYTES // _point_bytes(field, n))
+    points, a number fixed by the module's dimension and field.
     """
     field, n, k = module.field, module.n, module.k
     m, p = field.m, field.p
     size = n * m
     _check_inner(field, k)
-    exact = product_dtype(field, k)
+    dtype = product_dtype(field, max(n, k))
     # the m columns of every block column of expand(X_1), ..., expand(X_k)
     # side by side, to be multiplied by C(alpha_1), ..., C(alpha_k) stacked
-    gens = [expand(field, g.data, exact).reshape(size * n, m) for g in module.gens]
+    gens = [expand(field, g.data, dtype).reshape(size * n, m) for g in module.gens]
     gens = np.concatenate(gens, axis=1)
     blocks = field.regular().reshape(m, m * m)
-    # holds the unreduced sums as well as the elimination's reach
-    stage = elim_dtype(p, max(size, k * m))
-    step = max(1, STACK_BYTES // (8 * size * size or 1))
+    step = max(1, STACK_BYTES // (_point_bytes(field, n) or 1))
     types = []
     for start in range(0, len(coords), step):
         chunk = coords[start : start + step]
-        mult = (chunk @ blocks % p).astype(exact).reshape(len(chunk), k * m, m)
-        stack = np.matmul(gens, mult).reshape(len(chunk), size, size).astype(stage)
-        stack %= p
+        mult = (chunk @ blocks % p).astype(dtype).reshape(len(chunk), k * m, m)
+        stack = np.matmul(gens, mult).reshape(len(chunk), size, size)
+        float_mod(stack, p)
         types += jordan_types(field, stack, p)
     return types
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import BadParams, Fel, FieldCtx, is_prime, NonPrime
-from .linalg import MatF, arr_mul, arr_pow
+from .linalg import MatF
 from .modrep import EAModule, Point, Symmetry, lift_to_extension, wedge
 
 
@@ -215,24 +215,26 @@ def pk_eval(poly: PkPoly, alpha) -> Fel:
     return total
 
 
-def pk_eval_batch(poly: PkPoly, field: FieldCtx, coords: np.ndarray) -> np.ndarray:
-    """Vectorized p_k on an (N, k, m) coefficient array; returns (N, m)."""
-    n_pts, k, m = coords.shape
+def pk_eval_batch(poly: PkPoly, field: FieldCtx, codes: np.ndarray) -> np.ndarray:
+    """p_k at the rows of an (N, k) array of codes; returns (N, m) coefficient vectors.
+
+    On the field's log tables (FieldCtx.code_logs), term i, the product
+    of the coordinates but x_i to the power p-1, is exp[(p-1) sum_{j != i}
+    log x_j], masked to 0 where one of those coordinates is 0.  The terms
+    are summed as coefficient vectors.
+    """
+    n_pts, k = codes.shape
     if k != poly.k:
         raise ValueError(f"expected {poly.k} coordinates")
     if poly.k == 1:
-        out = np.zeros((n_pts, m), dtype=np.int64)
-        out[:, 0] = 1
-        return out
-    total = np.zeros((n_pts, m), dtype=np.int64)
-    for i in range(k):
-        prod = None
-        for j in range(k):
-            if j == i:
-                continue
-            prod = coords[:, j] if prod is None else arr_mul(field, prod, coords[:, j])
-        total = (total + arr_pow(field, prod, poly.p - 1)) % field.p
-    return total
+        return field.from_codes(np.ones(n_pts, dtype=np.int64))
+    exp, log = field.code_logs()
+    logs = log[codes]
+    zeros = codes == 0
+    others = logs.sum(axis=1, keepdims=True) - logs
+    masked = zeros.sum(axis=1, keepdims=True) > zeros
+    terms = np.where(masked, 0, exp[(poly.p - 1) * others % (field.q - 1)])
+    return field.from_codes(terms).sum(axis=1) % field.p
 
 
 def rank_lemma_check(ctx: SymContext, field: FieldCtx) -> dict:

@@ -27,8 +27,6 @@ from .linalg import (
     Dominance,
     JordanType,
     _ranks,
-    arr_mul,
-    arr_pow,
     dominance_compare,
     elim_dtype,
 )
@@ -162,39 +160,40 @@ def enumerate_projective(field: FieldCtx, k: int):
     return code_points(field, projective_codes(field, k).tolist())
 
 
-def _elements(field: FieldCtx) -> np.ndarray:
-    """(q, m) coefficient vectors of the field elements, indexed by code."""
-    return np.array([field.from_code(c) for c in range(field.q)], dtype=np.int64)
-
-
 def orbit_representatives(field: FieldCtx, codes: np.ndarray, symmetry: Symmetry) -> np.ndarray:
     """For each point of projective_codes, the index of the first point of its orbit.
 
     The group is generated by the declared symmetries: Frobenius
     x -> x^p on every coordinate, and S_k by a transposition and a
-    k-cycle of the coordinates.  Images are taken on codes (a table of
-    p-th powers, permuted columns) and renormalized by multiplying with
-    the inverse of the leading coordinate, read from a table.  Labels
+    k-cycle of the coordinates.  Images are taken on codes with the
+    field's log tables (FieldCtx.code_logs).  The Frobenius image of x
+    is exp[p log x]; it fixes 0 and 1, so a normalized point stays
+    normalized.  A permuted point is renormalized by its leading
+    coordinate a: x becomes exp[log x - log a], and 0 stays 0.  Labels
     then fall to the least index reachable along the generators.
     """
     n, k = codes.shape
-    els = _elements(field)
-    weights = field.p ** np.arange(field.m)
-    images = []
-    if Symmetry.FROBENIUS in symmetry and field.m > 1:
-        images.append((arr_pow(field, els, field.p) @ weights)[codes])
+    perms = []
     if Symmetry.PERMUTATIONS in symmetry and k > 1:
-        images.append(codes[:, [1, 0] + list(range(2, k))])
+        perms.append([1, 0] + list(range(2, k)))
         if k > 2:
-            images.append(np.roll(codes, 1, axis=1))
-    inverse = arr_pow(field, els, field.q - 2) @ weights
+            perms.append([k - 1] + list(range(k - 1)))
+    frobenius = Symmetry.FROBENIUS in symmetry and field.m > 1
+    images = []
+    if frobenius or perms:
+        exp, log = field.code_logs()
+        order = field.q - 1
+    if frobenius:
+        power = exp[field.p * log % order]  # x^p by code, but for the placeholder log[0]
+        power[0] = 0
+        images.append(power[codes])
+    for perm in perms:
+        image = codes[:, perm]
+        lead = image[np.arange(n), (image != 0).argmax(axis=1)]
+        images.append(np.where(image > 0, exp[(log[image] - log[lead, None]) % order], 0))
     place = field.q ** np.arange(k - 1, -1, -1)
     keys = codes @ place
-    moves = []
-    for image in images:
-        lead = image[np.arange(n), (image != 0).argmax(axis=1)]
-        normalized = arr_mul(field, els[inverse[lead]][:, None], els[image]) @ weights
-        moves.append(np.searchsorted(keys, normalized @ place))
+    moves = [np.searchsorted(keys, image @ place) for image in images]
     rep = np.arange(n)
     while True:
         prev = rep
@@ -227,14 +226,18 @@ def variety_points(module: EAModule, field: FieldCtx) -> PointSetReport:
     reps = orbit_representatives(field, codes, module.symmetry)
     firsts = np.flatnonzero(reps == np.arange(len(reps)))
     orbit = np.searchsorted(firsts, reps)  # firsts ascend and hold every rep
-    types = jordan_types_at(module, _elements(field)[codes[firsts]])
+    types = jordan_types_at(module, field.from_codes(codes[firsts]))
     return PointSetReport(field, module.k, codes, orbit, types)
 
 
 def zero_points(poly: PkPoly, field: FieldCtx) -> np.ndarray:
-    """Normalized codes of the projective points where p_k vanishes, in sweep order."""
+    """Normalized codes of the projective points where p_k vanishes, in sweep order.
+
+    The values come from one pk_eval_batch call on the rows of
+    projective_codes, on code log tables; no Fel is made.
+    """
     codes = projective_codes(field, poly.k)
-    values = pk_eval_batch(poly, field, _elements(field)[codes])
+    values = pk_eval_batch(poly, field, codes)
     return codes[~values.any(axis=1)]
 
 
@@ -388,7 +391,7 @@ def green_witness(module: EAModule, field: FieldCtx) -> Optional[Point]:
     report = variety_points(module, field)
     rows = report.codes[report.variety_mask()]
     # (N, k, 1, m) elimination stack: N matrices of k rows and m columns over F_p
-    work = _elements(field)[rows][:, :, None, :].astype(elim_dtype(field.p, field.m), order="C")
+    work = field.from_codes(rows)[:, :, None, :].astype(elim_dtype(field.p, field.m), order="C")
     hits = np.flatnonzero(_ranks(field_create(field.p, 1), work) == module.k)
     return code_points(field, [rows[hits[0]].tolist()])[0] if hits.size else None
 

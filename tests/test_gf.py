@@ -14,7 +14,7 @@ from eamod.gf import (
     is_prime,
     poly_is_irreducible,
 )
-from eamod.linalg import arr_mul
+from eamod.gf import arr_mul
 
 from oracles import brute_irreducible
 
@@ -89,6 +89,46 @@ def test_inverse_and_frobenius(p, m):
         if x:
             assert x * x.inverse() == one
         assert x + (-x) == ctx.zero()
+
+
+def _monic_irreducibles(p, m):
+    return [low + (1,) for low in product(range(p), repeat=m) if poly_is_irreducible(p, low + (1,))]
+
+
+# every monic irreducible of F_4, F_8, F_9, F_25 and F_27 (x^2 + 1 over
+# F_3, for one, has a root of order 4, not 8), and the prime fields F_2, F_3
+TABLE_FIELDS = [FieldCtx(p, 1, (0, 1)) for p in (2, 3)] + [
+    FieldCtx(p, m, irr) for p, m in ((2, 2), (2, 3), (3, 2), (5, 2), (3, 3)) for irr in _monic_irreducibles(p, m)
+]
+
+
+@pytest.mark.parametrize("ctx", TABLE_FIELDS, ids=repr)
+def test_code_logs_against_fel(ctx):
+    exp, log = ctx.code_logs()
+    q, order = ctx.q, ctx.q - 1
+    nonzero = np.arange(1, q)
+    # inverse bijections between 0..q-2 and the nonzero codes
+    assert sorted(exp.tolist()) == nonzero.tolist()
+    assert np.array_equal(log[exp], np.arange(order))
+    assert np.array_equal(exp[log[nonzero]], nonzero)
+    assert exp[0] == ctx.code(ctx.cone())
+    els = [ctx.el(ctx.from_code(c)) for c in range(q)]
+    g = els[exp[1 % order]]
+    assert all(g ** (order // r) != 1 for r in range(2, order + 1) if order % r == 0 and is_prime(r))
+    a, b = (x.ravel() for x in np.meshgrid(nonzero, nonzero))
+    products = exp[(log[a] + log[b]) % order]
+    assert all(els[c] == els[x] * els[y] for c, x, y in zip(products.tolist(), a.tolist(), b.tolist()))
+    inverses = exp[-log[nonzero] % order]
+    powers = exp[ctx.p * log[nonzero] % order]
+    for x, inv, power in zip(nonzero.tolist(), inverses.tolist(), powers.tolist()):
+        assert els[inv] == els[x].inverse() and els[power] == els[x] ** ctx.p
+    assert ctx.code_logs() is ctx.code_logs()
+
+
+def test_from_codes_is_from_code_on_arrays():
+    ctx = field_create(5, 2)
+    codes = np.arange(25).reshape(5, 5)
+    assert ctx.from_codes(codes).tolist() == [[list(ctx.from_code(c)) for c in row] for row in codes.tolist()]
 
 
 def test_irreducibility_examples():

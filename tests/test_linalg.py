@@ -20,6 +20,7 @@ from eamod.linalg import (
     dominance_compare,
     elim_dtype,
     expand,
+    float_mod,
     jordan_type_nilpotent,
     jordan_types,
 )
@@ -445,6 +446,21 @@ def test_pivot_blocks_scale_every_lead_to_powers_of_w(p, m, monkeypatch):
                 assert tuple(scaled[s][:, 0]) == ctx.cmul(powers[s], inverse)
     # the capped call found q - 1 > 2 leads in the memo and started over
     assert len(linalg._PIVOTS[ctx]) == 1
+
+
+@pytest.mark.parametrize("dtype,bits", [(np.float32, 24), (np.float64, 53)])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 251, 8191])
+def test_float_mod_is_exact_up_to_the_mantissa(dtype, bits, p):
+    top = 2 ** bits
+    near = top // p * p - 1 - p * np.arange(50)  # remainder p - 1, just under the top
+    ints = np.concatenate([
+        np.arange(4 * p), near, near + 1, top - np.arange(50),
+        np.random.default_rng(p).integers(0, top, 2000),
+    ])
+    x = ints.astype(dtype)
+    assert np.array_equal(x.astype(np.int64), ints)
+    assert float_mod(x, p) is x
+    assert np.array_equal(x.astype(np.int64), ints % p)
 
 
 def test_jordan_types_of_a_stack():

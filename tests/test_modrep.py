@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from eamod.gf import field_create
-from eamod.linalg import JordanType, MatF, NotNilpotent, canonical_nilpotent
+from eamod.linalg import JordanType, MatF, NotNilpotent, canonical_nilpotent, jordan_types
 from eamod import modrep as mr
 from eamod import symrep as sr
 from eamod.modrep import (
@@ -79,6 +79,38 @@ def test_rank_zero_module_file_keeps_dimension(field):
     loaded = EAModule.from_dict(json.loads(json.dumps(mod.to_dict())))
     assert loaded.n == 2
     assert loaded.to_dict() == mod.to_dict()
+
+
+@pytest.mark.parametrize("p,k,m,r", [(3, 3, 3, 2), (5, 2, 2, 4)], ids=["d2-f27", "d4-f25"])
+def test_jordan_types_at_ignores_the_stack_split(monkeypatch, p, k, m, r):
+    field = field_create(p, m)
+    module = sr.d_r(sr.SymContext(p, k), field, r)
+    coords = field.from_codes(vy.projective_codes(field, k))
+    count = len(coords)
+    expected = mr.jordan_types_at(module, coords)
+    sizes = []
+
+    def recorded(ctx, stack, prime):
+        sizes.append(len(stack))
+        return jordan_types(ctx, stack, prime)
+
+    monkeypatch.setattr(mr, "jordan_types", recorded)
+    assert count % 5  # five points a stack leave a short last one
+    for budget, step in ((1, 1), (5 * mr._point_bytes(field, module.n), 5)):
+        monkeypatch.setattr(mr, "STACK_BYTES", budget)
+        sizes.clear()
+        assert mr.jordan_types_at(module, coords) == expected
+        assert sizes == [step] * (count // step) + [count % step] * (count % step > 0)
+
+
+def test_stack_budget():
+    # the 53 orbit representatives of D(2) at (3, 3) over F_27 take at
+    # most two stacks; a point of D(4) at (5, 3) over F_25 (dim 715) or
+    # of D(6) at (7, 2) over F_49 (dim 924) takes a stack alone
+    step = mr.STACK_BYTES // mr._point_bytes(field_create(3, 3), 21)
+    assert -(-53 // step) <= 2
+    assert mr._point_bytes(field_create(5, 2), 715) > mr.STACK_BYTES
+    assert mr._point_bytes(field_create(7, 2), 924) > mr.STACK_BYTES
 
 
 def test_x_alpha_unit_vector_and_shape():
@@ -711,6 +743,37 @@ def test_module_file_roundtrip(tmp_path):
     raw = json.loads(path.read_text())
     assert raw["format"] == "eamod-v1"
     assert raw["field"] == {"p": 3, "m": 2, "irr": [1, 0, 1]}
+
+
+def _per_entry_dict(mod):
+    """The eamod-v1 dict with one list built per matrix entry."""
+    return {
+        "format": "eamod-v1",
+        "p": mod.p,
+        "k": mod.k,
+        "dim": mod.n,
+        "field": mod.field.to_dict(),
+        "generators": [
+            [[list(map(int, g.data[i, j])) for j in range(mod.n)] for i in range(mod.n)] for g in mod.gens
+        ],
+    }
+
+
+@pytest.mark.parametrize("name", ["benson-f9", "d2-f9", "d2-f25", "zero-f25", "rank-zero-f9"])
+def test_to_dict_bytes_match_per_entry_lists(tmp_path, name):
+    f25 = field_create(5, 2)
+    mod = {
+        "benson-f9": lambda: benson(F9, F9.gen(), 1),
+        "d2-f9": lambda: sr.d_r(sr.SymContext(3, 3), F9, 2),
+        "d2-f25": lambda: sr.d_r(sr.SymContext(5, 2), f25, 2),
+        "zero-f25": lambda: mr.zero_module(5, 2, f25),
+        "rank-zero-f9": lambda: EAModule(3, 0, F9, [], dim=2),
+    }[name]()
+    dump = {"sort_keys": True, "separators": (",", ":")}
+    expected = json.dumps(_per_entry_dict(mod), **dump)
+    assert json.dumps(mod.to_dict(), **dump) == expected
+    mod.save(tmp_path / "mod.json")
+    assert (tmp_path / "mod.json").read_text() == expected + "\n"
 
 
 def test_module_file_rejects_bad_data(tmp_path):

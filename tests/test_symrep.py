@@ -1,5 +1,7 @@
 import math
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -158,6 +160,17 @@ def test_pk_eval_examples():
     p32 = sr.PkPoly(3, 2)
     assert not sr.pk_eval(p32, Point.of(F9, [w, 1]))
     assert sr.pk_eval(sr.PkPoly(3, 1), Point.of(F3, [2])) == F3.one()
+
+
+@pytest.mark.parametrize("p,k,m", [(3, 3, 2), (3, 2, 3), (5, 3, 2), (2, 4, 2), (3, 1, 2)])
+def test_pk_eval_batch_matches_pk_eval(p, k, m):
+    # every affine point, zero coordinates and the origin included
+    field = field_create(p, m)
+    codes = np.array(list(product(range(field.q), repeat=k)), dtype=np.int64)
+    values = sr.pk_eval_batch(sr.PkPoly(p, k), field, codes)
+    assert values.shape == (len(codes), m)
+    points = [Point(tuple(field.el(field.from_code(c)) for c in row)) for row in codes.tolist()]
+    assert values.tolist() == [list(sr.pk_eval(sr.PkPoly(p, k), pt).coeffs) for pt in points]
 
 
 def test_pk_vanishes_with_two_zero_coordinates():
