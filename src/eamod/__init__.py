@@ -34,7 +34,6 @@ from .modrep import (
     tensor,
     trivial_module,
     validate,
-    variety_contains,
     wedge,
     wedge_jordan,
     x_alpha,
@@ -46,7 +45,6 @@ from .symrep import (
     block_model_d1,
     d_r,
     perm_model_d1,
-    pk_eval,
     rank_lemma_check,
 )
 from .variety import (
@@ -55,12 +53,9 @@ from .variety import (
     count_affine_zeros,
     dimension_estimate,
     dv_rank2_builder,
-    enumerate_projective,
     generic_type,
     green_witness,
-    in_max_jordan_set,
     variety_points,
-    wreath_act,
     zero_points,
 )
 

@@ -210,15 +210,6 @@ class MatF:
         reduced, pivots = _rref(self.ctx, self.data)
         return MatF(self.ctx, reduced), pivots
 
-    def kernel_basis(self):
-        """Basis of the right null space, vectors scaled to leading 1.
-
-        Returns a list of tuples of Fel, one per free column, in
-        ascending free-column order.
-        """
-        arr = self.kernel_array()
-        return [tuple(Fel(self.ctx, tuple(int(c) for c in coeffs)) for coeffs in vec) for vec in arr]
-
     def kernel_array(self) -> np.ndarray:
         """Null-space basis as an (nullity, cols, m) array."""
         return null_space(self.ctx, *_rref(self.ctx, self.data))

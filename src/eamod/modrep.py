@@ -103,10 +103,11 @@ class Point:
 
 
 class Symmetry(enum.Flag):
-    """Maps of the points that keep a module's Jordan type, declared by constructors.
+    """Maps of the points that keep a module's Jordan type.
 
     FROBENIUS: alpha and its coordinatewise p-th power have one type; it
-    holds when every generator entry lies in F_p (lift_to_extension).
+    holds when every generator entry lies in F_p, and no constructor
+    declares it: variety_points reads it off the entries.
     PERMUTATIONS: alpha and each permutation of its coordinates have one
     type; it holds for D(r), where they relabel the p-cycles (d_r).
     F_p^x scalings of one coordinate keep freeness only and are no
@@ -241,8 +242,8 @@ def validate(module: EAModule) -> EAModule:
     return module
 
 
-def _nonzero_point(module: EAModule, alpha) -> Point:
-    """alpha as a Point of the module's k-space; raises ZeroPoint at the origin."""
+def _nonzero_point(module: EAModule, alpha) -> np.ndarray:
+    """The (1, k, m) coefficient row of alpha, as jordan_types_at takes it; raises ZeroPoint at the origin."""
     pt = alpha if isinstance(alpha, Point) else Point.of(module.field, alpha)
     if pt.k != module.k:
         raise ValueError(f"point has {pt.k} coordinates, module rank is {module.k}")
@@ -251,19 +252,13 @@ def _nonzero_point(module: EAModule, alpha) -> Point:
             raise MismatchedContext("point coordinates over a different field")
     if pt.is_zero():
         raise ZeroPoint("x_alpha requires a nonzero point")
-    return pt
-
-
-def coefficients(points) -> np.ndarray:
-    """The (N, k, m) coefficient array of N Points over one field, as jordan_types_at takes it."""
-    return np.array([[c.coeffs for c in pt.coords] for pt in points], dtype=np.int64)
+    return np.array([[c.coeffs for c in pt.coords]], dtype=np.int64)
 
 
 def x_alpha(module: EAModule, alpha) -> MatF:
     """The matrix of alpha_1 X_1 + ... + alpha_k X_k, by linalg.combine."""
-    pt = _nonzero_point(module, alpha)
     gens = np.array([g.data for g in module.gens])
-    return MatF(module.field, combine(module.field, coefficients([pt]), gens)[0])
+    return MatF(module.field, combine(module.field, _nonzero_point(module, alpha), gens)[0])
 
 
 def _point_bytes(field: FieldCtx, n: int) -> int:
@@ -318,7 +313,7 @@ def jordan_types_at(module: EAModule, coords: np.ndarray) -> list:
 
 def point_jordan_type(module: EAModule, alpha) -> JordanType:
     """Jordan type of the nilpotent x_alpha action at a nonzero point: jordan_types_at on one row."""
-    return jordan_types_at(module, coefficients([_nonzero_point(module, alpha)]))[0]
+    return jordan_types_at(module, _nonzero_point(module, alpha))[0]
 
 
 def is_free_at(module: EAModule, alpha) -> bool:
@@ -327,16 +322,10 @@ def is_free_at(module: EAModule, alpha) -> bool:
     Exact criterion: rank(X_alpha^{p-1}) = dim/p, equivalently the Jordan
     type is [p]^{dim/p}; always false when p does not divide dim.
     """
-    pt = _nonzero_point(module, alpha)
+    _nonzero_point(module, alpha)
     if module.n % module.p != 0:
         return False
-    return module.n == 0 or x_alpha(module, pt).mat_pow(module.p - 1).rank() == module.n // module.p
-
-
-def variety_contains(module: EAModule, alpha) -> bool:
-    """Rank-variety membership; the zero point always belongs."""
-    pt = alpha if isinstance(alpha, Point) else Point.of(module.field, alpha)
-    return pt.is_zero() or not is_free_at(module, pt)
+    return module.n == 0 or x_alpha(module, alpha).mat_pow(module.p - 1).rank() == module.n // module.p
 
 
 # -- constructions --
@@ -353,19 +342,16 @@ def lift_to_extension(module: EAModule, ext: FieldCtx) -> EAModule:
 
     The generator w of the source maps to the least-code root r of its
     irr in ext, so an entry sum_i a_i w^i becomes sum_i a_i r^i; F_p
-    entries embed as constant coefficients.  A lift from F_p declares
-    Symmetry.FROBENIUS: with every entry in F_p, X at the p-th power of
-    alpha is the entrywise p-th power of X_alpha, a field automorphism
-    that keeps every rank.  Other lifts keep the module's symmetry.
+    entries embed as constant coefficients.  The lift keeps the module's
+    declared symmetry and adds none: a lift from F_p has every entry in
+    F_p, and variety_points reads Frobenius off the entries.
     """
     src = module.field
     if src == ext:
         return module
     if ext.p != src.p or ext.m % src.m:
         raise MismatchedContext(f"cannot lift a module over {src!r} into {ext!r}")
-    symmetry = module.symmetry
     if src.m == 1:
-        symmetry |= Symmetry.FROBENIUS
         powers = [ext.one()]
     else:
         r = next(x for x in ext.elements()
@@ -373,7 +359,7 @@ def lift_to_extension(module: EAModule, ext: FieldCtx) -> EAModule:
         powers = [r ** i for i in range(src.m)]
     embed = np.array([x.coeffs for x in powers], dtype=np.int64)
     gens = [MatF(ext, g.data @ embed) for g in module.gens]
-    return EAModule(module.p, module.k, ext, gens, symmetry=symmetry)
+    return EAModule(module.p, module.k, ext, gens, symmetry=module.symmetry)
 
 
 def zero_module(p: int, k: int, field: FieldCtx) -> EAModule:

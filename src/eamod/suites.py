@@ -15,12 +15,13 @@ import time
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
+import numpy as np
+
 from .gf import BadParams, FieldCtx, field_create
-from .linalg import JordanType
+from .linalg import JordanType, MatF
 from . import modrep as mr
 from . import symrep as sr
 from . import variety as vy
-from .modrep import Point
 from .stream import CounterStream
 
 DEFAULT_PAIRS = {
@@ -102,9 +103,11 @@ def _jt(p, blocks) -> JordanType:
 
 
 def _span_points(field: FieldCtx, basis_rows, k: int):
-    """Normalized projective points of the field-span of F_p rows."""
-    if not basis_rows:
-        return set()
+    """Codes of the normalized projective points of the field-span of F_p rows.
+
+    The span is closed under scaling, so its normalized points are the
+    span vectors whose first nonzero coordinate is 1.
+    """
     els = list(field.elements())
     pts = set()
     for coeffs in product(els, repeat=len(basis_rows)):
@@ -112,9 +115,8 @@ def _span_points(field: FieldCtx, basis_rows, k: int):
         for c, row in zip(coeffs, basis_rows):
             for j, entry in enumerate(row):
                 vec[j] = vec[j] + c * int(entry)
-        pt = Point(tuple(vec))
-        if not pt.is_zero():
-            pts.add(pt.normalize().codes())
+        if next((x for x in vec if x), None) == 1:
+            pts.add(tuple(field.code(x.coeffs) for x in vec))
     return pts
 
 
@@ -442,6 +444,22 @@ def suite_green(p: int = 3) -> SuiteReport:
     return rep
 
 
+def _wreath_images(p: int, codes: np.ndarray, gamma, sigma):
+    """Images of (N, k) F_p code rows under the wreath generator (gamma, sigma).
+
+    Over F_p a code is the residue itself.  Coordinate i is multiplied
+    by the unit gamma_i mod p and placed at sigma[i], so beta_sigma(i) =
+    gamma_i x_i.  Returns the moved rows and their normalizations, each
+    scaled by the inverse of its leading coordinate.  The images are
+    taken here, apart from the orbit sweep (orbit_representatives).
+    """
+    moved = np.empty_like(codes)
+    moved[:, list(sigma)] = codes * np.asarray(gamma) % p
+    lead = moved[np.arange(len(moved)), (moved != 0).argmax(axis=1)]
+    inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)])
+    return moved, moved * inverse[lead][:, None] % p
+
+
 @_timed
 def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
     rep = SuiteReport("axioms", {"p": p, "seed": seed})
@@ -449,6 +467,10 @@ def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
     field1 = field_create(p, 1)
     ctx2 = sr.SymContext(p, 2)
     ctx3 = sr.SymContext(p, 3)
+    if p > 5:
+        dim = math.comb(3 * p - 2, p - 1)
+        raise BadParams(f"axioms takes p <= 5: its wreath check builds D(p-1) at k = 3, "
+                        f"of dim C({3 * p - 2}, {p - 1}) = {dim} at p = {p}")
     d1_f2 = sr.block_model_d1(ctx2, field2)
     line = mr.linear_variety_module(p, 2, field2, [[1, 1]])
 
@@ -483,27 +505,23 @@ def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
     bad_dual_free = []
     bad_dual_maximal = []
     dual_observed = []
-    from .linalg import MatF
-
+    x1 = MatF.from_rows(field2, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     for trial in range(50):
-        lam = field2.el(field2.from_code(stream.below(field2.q)))
-        mu = field2.el(field2.from_code(stream.below(field2.q)))
-        x1 = MatF.from_rows(field2, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        lam, mu = (field2.from_code(stream.below(field2.q)) for _ in range(2))
         x2 = MatF.from_rows(field2, [[0, 0, 0], [lam, 0, 0], [mu, lam, 0]])
         base = mr.EAModule(p, 2, field2, [x1, x2])
         if trial % 3 == 1:
             base = mr.tensor(base, base)
         elif trial % 3 == 2:
             base = mr.direct_sum(base, d1_f2)
-        coords = [field2.el(field2.from_code(stream.below(field2.q))) for _ in range(2)]
-        if not any(coords):
-            coords[0] = field2.one()
+        row = [stream.below(field2.q) for _ in range(2)]
+        if not any(row):
+            row[0] = 1
         dual_mod = mr.dual(base)
-        pt = Point(tuple(coords))
-        tag = f"trial {trial} at {pt}"
+        tag = f"trial {trial} at {vy.code_points(field2, [row])[0]}"
         gt, _ = vy.generic_type(base, 2, 8, seed=trial)
-        row = mr.coefficients([pt])
-        (t_base,), (t_dual,) = mr.jordan_types_at(base, row), mr.jordan_types_at(dual_mod, row)
+        at = field2.from_codes([row])
+        (t_base,), (t_dual,) = mr.jordan_types_at(base, at), mr.jordan_types_at(dual_mod, at)
         if t_dual.is_free() != t_base.is_free():
             bad_dual_free.append(tag)
         if t_base == gt and t_dual != t_base:
@@ -539,25 +557,22 @@ def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
         mod1 = sr.block_model_d1(ctx, field1)
         mod2 = sr.block_model_d1(ctx, field2)
         generic = _jt(p, [p] * (ctx.k - 1) + [p - 2])
-        base_points, base_types = zip(*vy.variety_points(mod1, field1).points)
-        at_base = mr.coefficients(base_points)
+        swept = vy.variety_points(mod1, field1)
+        swept_types = [swept.types[i] for i in swept.orbit.tolist()]
+        at_swept = field1.from_codes(swept.codes)
         for r in rr:
             w1, w2 = mr.wedge(mod1, r), mr.wedge(mod2, r)
             sampled = []
             for j in range(30):
                 stream_j = CounterStream(seed, ctx.k, r, j)
-                coords = tuple(
-                    field2.el(field2.from_code(stream_j.below(field2.q)))
-                    for _ in range(ctx.k)
-                )
-                pt = Point(coords)
-                if not pt.is_zero():
-                    sampled.append(pt)
-            at_sampled = mr.coefficients(sampled)
-            typed = list(zip(base_points, base_types, mr.jordan_types_at(w1, at_base)))
-            typed += zip(sampled, mr.jordan_types_at(mod2, at_sampled),
-                         mr.jordan_types_at(w2, at_sampled))
-            for pt, t_base, lhs in typed:
+                row = [stream_j.below(field2.q) for _ in range(ctx.k)]
+                if any(row):
+                    sampled.append(row)
+            at_sampled = field2.from_codes(sampled)
+            names = vy.code_points(field1, swept.codes.tolist()) + vy.code_points(field2, sampled)
+            t_bases = swept_types + mr.jordan_types_at(mod2, at_sampled)
+            lhss = mr.jordan_types_at(w1, at_swept) + mr.jordan_types_at(w2, at_sampled)
+            for pt, t_base, lhs in zip(names, t_bases, lhss):
                 rhs = mr.wedge_jordan(t_base, r, p)
                 agree = lhs == rhs
                 maximal = t_base == generic
@@ -582,12 +597,13 @@ def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
 
     # freeness criterion matches the full Jordan type
     bad_free = []
-    points = vy.enumerate_projective(field2, 2)
+    codes = vy.projective_codes(field2, 2)
+    at_codes = field2.from_codes(codes)
     for module in (d1_f2, line, sr.d_r(ctx2, field2, p - 1)):
-        for pt, jt in zip(points, mr.jordan_types_at(module, mr.coefficients(points))):
+        for row, alpha, jt in zip(codes.tolist(), at_codes, mr.jordan_types_at(module, at_codes)):
             free_jt = module.n % p == 0 and jt == _jt(p, [p] * (module.n // p))
-            if mr.is_free_at(module, pt) != free_jt:
-                bad_free.append(f"{module} {pt}")
+            if mr.is_free_at(module, alpha) != free_jt:
+                bad_free.append(f"{module} {vy.code_points(field2, [row])[0]}")
     rep.add(
         "axioms/free-iff-full-type",
         "is_free_at agrees with the Jordan type being [p]^(n/p)",
@@ -609,11 +625,13 @@ def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
         gens.append((tuple([1] * k), tuple([1, 0] + list(range(2, k)))))
         gens.append((tuple([1] * k), tuple(list(range(1, k)) + [0])))
         var = vy.variety_points(module, field1).variety_codes()
-        for pt in vy.enumerate_projective(field1, k):
-            for gamma, sigma in gens:
-                moved = vy.wreath_act(gamma, sigma, pt)
-                if (pt.codes() in var) != (moved.normalize().codes() in var):
-                    bad_wreath.append(f"k={k} {pt} -> {moved}")
+        codes = vy.projective_codes(field1, k)
+        for gamma, sigma in gens:
+            moved, images = _wreath_images(p, codes, gamma, sigma)
+            for row, to, image in zip(codes.tolist(), moved.tolist(), images.tolist()):
+                if (tuple(row) in var) != (tuple(image) in var):
+                    pt, dest = vy.code_points(field1, [row, to])
+                    bad_wreath.append(f"k={k} {pt} -> {dest}")
     rep.add(
         "axioms/wreath-invariance",
         "varieties of D(p-1) are invariant under the wreath generators over F_p",

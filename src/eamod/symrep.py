@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import BadParams, Fel, FieldCtx, is_prime, NonPrime
+from .gf import BadParams, FieldCtx, is_prime, NonPrime
 from .linalg import MatF
-from .modrep import EAModule, Point, Symmetry, lift_to_extension, wedge
+from .modrep import EAModule, Symmetry, lift_to_extension, wedge
 
 
 class SingularBasis(ValueError):
@@ -177,17 +177,17 @@ def basis_change_check(ctx: SymContext, field: FieldCtx) -> bool:
 def d_r(ctx: SymContext, field: FieldCtx, r: int) -> EAModule:
     """D(r) as the r-th exterior power of the block model of D(1).
 
-    Every entry lies in F_p, so the power is taken over F_p and lifted.
-    The module declares Symmetry.PERMUTATIONS: a permutation of the
-    coordinates relabels the p-cycles, which S_kp does by conjugation,
-    so it keeps D(r) up to isomorphism and every Jordan type.
+    Every entry lies in F_p, so the power is taken over F_p and lifted,
+    and a sweep reads Frobenius off the entries.  The module declares
+    Symmetry.PERMUTATIONS: a permutation of the coordinates relabels the
+    p-cycles, which S_kp does by conjugation, so it keeps D(r) up to
+    isomorphism and every Jordan type.
     """
     if not 0 <= r <= ctx.n - 2:
         raise ValueError(f"r must lie in 0..{ctx.n - 2}")
     prime = FieldCtx(field.p, 1, (0, 1))
     lifted = lift_to_extension(wedge(block_model_d1(ctx, prime), r), field)
-    return EAModule(lifted.p, lifted.k, field, lifted.gens,
-                    symmetry=lifted.symmetry | Symmetry.PERMUTATIONS)
+    return EAModule(lifted.p, lifted.k, field, lifted.gens, symmetry=Symmetry.PERMUTATIONS)
 
 
 @dataclass(frozen=True)
@@ -196,23 +196,6 @@ class PkPoly:
 
     p: int
     k: int
-
-
-def pk_eval(poly: PkPoly, alpha) -> Fel:
-    coords = alpha.coords if isinstance(alpha, Point) else tuple(alpha)
-    if len(coords) != poly.k:
-        raise ValueError(f"expected {poly.k} coordinates")
-    field = coords[0].ctx
-    if poly.k == 1:
-        return field.one()
-    total = field.zero()
-    for i in range(poly.k):
-        prod = field.one()
-        for j, c in enumerate(coords):
-            if j != i:
-                prod = prod * c
-        total = total + prod ** (poly.p - 1)
-    return total
 
 
 def pk_eval_batch(poly: PkPoly, field: FieldCtx, codes: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Point-set machinery over finite extensions.
 
 Projective enumeration, rank-variety point sets (one Jordan type per
-orbit of the symmetries a module declares), zero sets of the p_k form,
-generic Jordan type estimation by seeded sampling, maximal-set
-membership, wreath-product orbits, point-count dimension estimates and
-the Green-vertex witness search.
+orbit of the symmetries a module declares or its entries prove), zero
+sets of the p_k form, generic Jordan type estimation by seeded
+sampling, point-count dimension estimates and the Green-vertex witness
+search.
 
 A swept point is one row of normalized codes (projective_codes); Points
 of Fels are built only to name points in output.  Jordan types come
@@ -23,24 +23,16 @@ from typing import Optional
 import numpy as np
 
 from .gf import FieldCtx, field_create
-from .linalg import (
-    Dominance,
-    JordanType,
-    _ranks,
-    dominance_compare,
-    elim_dtype,
-)
+from .linalg import Dominance, _ranks, dominance_compare, elim_dtype
 from .modrep import (
     EAModule,
     MismatchedContext,
     Point,
     Symmetry,
-    ZeroPoint,
     direct_sum,
     jordan_types_at,
     lift_to_extension,
     linear_variety_module,
-    point_jordan_type,
 )
 from .stream import CounterStream
 from .symrep import PkPoly, pk_eval_batch
@@ -95,16 +87,14 @@ class PointSetReport:
         return [PointRecord(pt, self.types[i]) for pt, i in zip(points, self.orbit.tolist())]
 
     def to_dict(self) -> dict:
+        coords = self.field.from_codes(self.codes).tolist()
+        types = [self.types[i] for i in self.orbit.tolist()]
         out = {
             "field": self.field.to_dict(),
             "k": self.k,
             "points": [
-                {
-                    "coords": [list(c.coeffs) for c in r.point.coords],
-                    "type": list(r.jordan_type.mult),
-                    "free": r.jordan_type.is_free(),
-                }
-                for r in self.points
+                {"coords": c, "type": list(t.mult), "free": t.is_free()}
+                for c, t in zip(coords, types)
             ],
             "verdict": self.verdict,
         }
@@ -125,9 +115,9 @@ class PointSetReport:
 def projective_codes(field: FieldCtx, k: int) -> np.ndarray:
     """Coordinate codes of all normalized projective points, an (N, k) array.
 
-    Rows are in ascending lexicographic order, the order of
-    enumerate_projective; there are (q^k - 1)/(q - 1) of them.  Raises
-    TooLarge past the 10^7 affine cap.
+    Each row's first nonzero code is 1 (the code of 1), and rows are in
+    ascending lexicographic order; there are (q^k - 1)/(q - 1) of them.
+    Raises TooLarge past the 10^7 affine cap.
     """
     q = field.q
     if q ** k > POINT_SWEEP_CAP:
@@ -149,15 +139,6 @@ def code_points(field: FieldCtx, rows) -> list:
     """The Points of a list of code rows, one Fel made per distinct code."""
     els = {c: field.el(field.from_code(c)) for c in set().union(*rows)}
     return [Point(tuple(els[c] for c in row)) for row in rows]
-
-
-def enumerate_projective(field: FieldCtx, k: int):
-    """All normalized projective points, sorted by coordinate codes.
-
-    There are (q^k - 1)/(q - 1) of them; raises TooLarge past the
-    10^7 affine cap.
-    """
-    return code_points(field, projective_codes(field, k).tolist())
 
 
 def orbit_representatives(field: FieldCtx, codes: np.ndarray, symmetry: Symmetry) -> np.ndarray:
@@ -207,12 +188,15 @@ def orbit_representatives(field: FieldCtx, codes: np.ndarray, symmetry: Symmetry
 def variety_points(module: EAModule, field: FieldCtx) -> PointSetReport:
     """Jordan type at every projective point; freeness is read from the type.
 
-    The type is computed once per orbit of the symmetries the module
-    declares (module.symmetry), at the orbit's first point, and the
-    report keeps it once for all the orbit's points.  lift_to_extension
-    declares Frobenius and d_r adds coordinate permutations; loaded
-    files, bare EAModule(...) and modules derived by direct_sum, tensor,
-    wedge and the like declare none and get one type per point.
+    The type is computed once per orbit of the module's symmetries, at
+    the orbit's first point, and the report keeps it once for all the
+    orbit's points.  Frobenius is read off the entries: when planes
+    1..m-1 of every generator are zero, every entry lies in F_p, so X at
+    alpha^p is X_alpha with every entry raised to the p, and every rank
+    is the same.  Coordinate permutations are taken as declared
+    (module.symmetry), which d_r does; loaded files, bare EAModule(...)
+    and modules derived by direct_sum, tensor, wedge and the like
+    declare none.
 
     The orbit representatives are typed in one jordan_types_at call on
     their coefficients.
@@ -223,7 +207,10 @@ def variety_points(module: EAModule, field: FieldCtx) -> PointSetReport:
     if field != module.field:
         raise MismatchedContext("module must be constructed over the sweep field")
     codes = projective_codes(field, module.k)
-    reps = orbit_representatives(field, codes, module.symmetry)
+    symmetry = module.symmetry
+    if not any(g.data[:, :, 1:].any() for g in module.gens):
+        symmetry |= Symmetry.FROBENIUS
+    reps = orbit_representatives(field, codes, symmetry)
     firsts = np.flatnonzero(reps == np.arange(len(reps)))
     orbit = np.searchsorted(firsts, reps)  # firsts ascend and hold every rep
     types = jordan_types_at(module, field.from_codes(codes[firsts]))
@@ -315,35 +302,6 @@ def generic_type(module: EAModule, ext_degree: int = 4, trials: int = 24, seed: 
         if len(maxima) == 1:
             return maxima[0], GenericEvidence(trials, degree, types.count(maxima[0]), retried=bool(key))
     return None, GenericEvidence(trials, degree, 0, retried=True, inconclusive=True)
-
-
-def in_max_jordan_set(module: EAModule, alpha, generic: JordanType) -> bool:
-    """Whether the nonzero point attains the (given) generic Jordan type."""
-    return point_jordan_type(module, alpha) == generic
-
-
-def wreath_act(gamma, sigma, alpha: Point) -> Point:
-    """Coordinate scaling by gamma in (F_p^x)^k, then permutation by sigma.
-
-    sigma maps position i to sigma[i] (0-based); the result has
-    beta_i = (gamma . alpha)_{sigma^{-1}(i)}.
-    """
-    pt = alpha
-    if pt.is_zero():
-        raise ZeroPoint("the wreath product acts on nonzero points")
-    k = pt.k
-    field = pt.coords[0].ctx
-    if len(gamma) != k or sorted(sigma) != list(range(k)):
-        raise ValueError("gamma needs k units and sigma must be a permutation of 0..k-1")
-    scaled = []
-    for g, c in zip(gamma, pt.coords):
-        if int(g) % field.p == 0:
-            raise ValueError("gamma entries must be units mod p")
-        scaled.append(c * int(g))
-    inv = [0] * k
-    for i, s in enumerate(sigma):
-        inv[s] = i
-    return Point(tuple(scaled[inv[i]] for i in range(k)))
 
 
 def dimension_estimate(count_m: int, count_2m: int, q_m: int) -> int:

@@ -1,11 +1,12 @@
 """Independent slow oracles used to cross-check the production paths.
 
 Everything here stays deliberately naive.  Echelon forms, ranks,
-inverses, products and Jordan types are textbook arithmetic on lists
-of Fel in plain Python loops, and irreducibility over F_p is trial
-division over all monic divisors, written out on integer lists.  The
-compound is the Leibniz sum over S_r of products of r entries, on
-coefficient arrays, one elementwise product per factor.
+inverses, products, Jordan types, projective points and the p_k form
+are textbook arithmetic on lists of Fel in plain Python loops, and
+irreducibility over F_p is trial division over all monic divisors,
+written out on integer lists.  The compound is the Leibniz sum over S_r
+of products of r entries, on coefficient arrays, one elementwise
+product per factor.
 """
 
 from itertools import combinations, permutations, product
@@ -13,6 +14,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from eamod.linalg import MatF, arr_mul
+from eamod.modrep import Point
 
 
 def slow_rref(rows):
@@ -166,3 +168,28 @@ def leibniz_compound(a_mat, r):
             term = arr_mul(ctx, term, gathered[i, perm[i]])
         out = (out + sign * term) % ctx.p
     return MatF(ctx, out)
+
+
+def slow_projective_points(field, k):
+    """Every nonzero Point of k Fels whose first nonzero coordinate is 1, sorted by codes."""
+    points = [Point(coords) for coords in product(list(field.elements()), repeat=k)
+              if next((c for c in coords if c), None) == field.one()]
+    return sorted(points, key=Point.codes)
+
+
+def pk_eval(poly, alpha):
+    """p_k at a Point (or a sequence of Fel): sum_i (prod_{j != i} x_j)^(p-1), and 1 for k = 1."""
+    coords = alpha.coords if isinstance(alpha, Point) else tuple(alpha)
+    if len(coords) != poly.k:
+        raise ValueError(f"expected {poly.k} coordinates")
+    field = coords[0].ctx
+    if poly.k == 1:
+        return field.one()
+    total = field.zero()
+    for i in range(poly.k):
+        prod = field.one()
+        for j, c in enumerate(coords):
+            if j != i:
+                prod = prod * c
+        total = total + prod ** (poly.p - 1)
+    return total

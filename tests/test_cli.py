@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 
@@ -248,6 +249,7 @@ INVALID_INPUTS = {
     "rank-lemma-k1": ["verify", "--suite", "rank-lemma", "--p", "3", "--k", "1"],
     "rank-lemma-past-cap": ["verify", "--suite", "rank-lemma", "--p", "3", "--k", "15"],
     "decomp-k2-p5": ["verify", "--suite", "decomp-k2", "--p", "5"],
+    "axioms-p7": ["verify", "--suite", "axioms", "--p", "7"],
     "file-wrong-format": ["query", "projective", "--module", "{tmp}/format.json"],
     "file-entry-out-of-range": ["query", "projective", "--module", "{tmp}/entry.json"],
     "file-entry-not-int": ["query", "projective", "--module", "{tmp}/entryfloat.json"],
@@ -284,6 +286,7 @@ INVALID_INPUTS = {
 # what the message of each refused option or value names
 NAMED_IN_ERROR = {
     "green-p0": "0 is not prime",
+    "axioms-p7": "dim C(19, 6) = 27132",
     "dv-rank2-ext0": "extension degree 0",
     "dv-linear-k0": "k must be >= 1, got 0",
     "all-with-options": "--p",
@@ -332,3 +335,14 @@ def test_refusal_names_the_option(tmp_path, capsys, case):
     run(capsys, "build", "d1", "--p", "3", "--k", "2", "--out", str(d1))
     code, _, err = run(capsys, *[a.format(tmp=tmp_path, d1=d1) for a in INVALID_INPUTS[case]])
     assert code == 2 and NAMED_IN_ERROR[case] in err
+
+
+# sha256 of the `verify --suite all` report; it changes only with an entry in CHANGES.md
+ALL_REPORT_SHA256 = "47b22db5c73fa91c22b919da951728f9bbd4a6b8e4fb6216fce01173370f24c3"
+
+
+def test_verify_all_report_digest(tmp_path, capsys):
+    out = tmp_path / "all.json"
+    code, _, _ = run(capsys, "verify", "--suite", "all", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ALL_REPORT_SHA256

@@ -1,9 +1,12 @@
 import csv
 import json
+from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from eamod import gf
+from eamod import suites
 from eamod.gf import field_create
 from eamod.linalg import JordanType, jordan_types
 from eamod import modrep as mr
@@ -12,7 +15,7 @@ from eamod import variety as vy
 from eamod.modrep import Point, ZeroPoint
 from eamod.variety import DuplicateDirection, TooLarge
 
-from oracles import slow_combination, slow_jordan_mult
+from oracles import pk_eval, slow_combination, slow_jordan_mult, slow_projective_points
 
 F3 = field_create(3, 1)
 F9 = field_create(3, 2)
@@ -24,21 +27,23 @@ def codes(field, coords):
 
 
 def test_enumerate_projective_counts():
-    assert len(vy.enumerate_projective(F9, 2)) == 10
-    assert len(vy.enumerate_projective(F3, 3)) == 13
-    assert len(vy.enumerate_projective(F27, 3)) == 757
+    assert len(vy.projective_codes(F9, 2)) == 10
+    assert len(vy.projective_codes(F3, 3)) == 13
+    assert len(vy.projective_codes(F27, 3)) == 757
 
 
 def test_enumerate_projective_normalized_unique():
-    pts = vy.enumerate_projective(F9, 2)
-    assert all(p.is_normalized() for p in pts)
-    assert len({p.codes() for p in pts}) == len(pts)
-    assert [p.codes() for p in pts] == sorted(p.codes() for p in pts)
+    """projective_codes against the Fel enumeration: the same rows, in the same order."""
+    for field, k in [(F9, 2), (F3, 3), (F27, 2), (field_create(2, 2), 3), (field_create(5, 1), 1)]:
+        pts = slow_projective_points(field, k)
+        assert all(p.is_normalized() for p in pts)
+        assert len({p.codes() for p in pts}) == len(pts) == (field.q ** k - 1) // (field.q - 1)
+        assert [p.codes() for p in pts] == [tuple(r) for r in vy.projective_codes(field, k).tolist()]
 
 
 def test_enumerate_projective_too_large():
     with pytest.raises(TooLarge):
-        vy.enumerate_projective(field_create(3, 8), 3)
+        vy.projective_codes(field_create(3, 8), 3)
 
 
 def code_set(rows):
@@ -174,13 +179,13 @@ def test_in_max_jordan_set():
     module = sr.block_model_d1(ctx, F9)
     generic = JordanType.from_blocks(3, [3, 3, 1])
     w = F9.gen()
-    assert vy.in_max_jordan_set(module, Point.of(F9, [1, 1, w]), generic)
-    assert not vy.in_max_jordan_set(module, Point.of(F9, [1, 1, 1]), generic)
+    assert mr.point_jordan_type(module, Point.of(F9, [1, 1, w])) == generic
+    assert mr.point_jordan_type(module, Point.of(F9, [1, 1, 1])) != generic
     # p = 3 keeps one-zero points maximal (a lone generator attains the
     # maximal type [3]^(k-1)[1] when p - 2 = 1)
-    assert vy.in_max_jordan_set(module, Point.of(F9, [1, 1, 0]), generic)
+    assert mr.point_jordan_type(module, Point.of(F9, [1, 1, 0])) == generic
     with pytest.raises(ZeroPoint):
-        vy.in_max_jordan_set(module, Point.of(F9, [0, 0, 0]), generic)
+        mr.point_jordan_type(module, Point.of(F9, [0, 0, 0]))
 
 
 def test_free_generic_complement():
@@ -189,8 +194,8 @@ def test_free_generic_complement():
     module = sr.d_r(sr.SymContext(3, 2), F9, 2)
     generic, _ = vy.generic_type(module, 2, 16, 3)
     assert generic.is_free()
-    for pt in vy.enumerate_projective(F9, 2):
-        assert vy.in_max_jordan_set(module, pt, generic) == mr.is_free_at(module, pt)
+    for pt in slow_projective_points(F9, 2):
+        assert (mr.point_jordan_type(module, pt) == generic) == mr.is_free_at(module, pt)
 
 
 def test_sampled_types_dominated_by_generic():
@@ -199,7 +204,7 @@ def test_sampled_types_dominated_by_generic():
     module = sr.block_model_d1(sr.SymContext(3, 3), F3)
     generic, _ = vy.generic_type(module, 4, 24, 7)
     lifted = mr.lift_to_extension(module, field_create(3, 4))
-    for pt in vy.enumerate_projective(F3, 3):
+    for pt in slow_projective_points(F3, 3):
         t = mr.point_jordan_type(module, pt)
         assert dominance_compare(generic, t) in (Dominance.GREATER, Dominance.EQUAL)
     f81 = field_create(3, 4)
@@ -219,19 +224,30 @@ def test_in_max_excludes_one_zero_points_for_p5():
     F5 = field_create(5, 1)
     module = sr.block_model_d1(sr.SymContext(5, 3), F5)
     generic = JordanType.from_blocks(5, [5, 5, 3])
-    assert vy.in_max_jordan_set(module, Point.of(F5, [1, 1, 1]), generic)
-    assert not vy.in_max_jordan_set(module, Point.of(F5, [1, 1, 0]), generic)
+    assert mr.point_jordan_type(module, Point.of(F5, [1, 1, 1])) == generic
+    assert mr.point_jordan_type(module, Point.of(F5, [1, 1, 0])) != generic
 
 
 def test_wreath_act_examples():
-    pt = Point.of(F3, [1, 2])
-    assert vy.wreath_act([1, 1], [1, 0], pt).codes() == Point.of(F3, [2, 1]).codes()
-    assert vy.wreath_act([2, 1], [0, 1], pt).codes() == Point.of(F3, [2, 2]).codes()
-    assert vy.wreath_act([1, 1], [0, 1], pt).codes() == pt.codes()
-    with pytest.raises(ValueError):
-        vy.wreath_act([3, 1], [0, 1], pt)  # 3 = 0 mod 3 is not a unit
-    with pytest.raises(ZeroPoint):
-        vy.wreath_act([1, 1], [0, 1], Point.of(F3, [0, 0]))
+    """The axioms suite's wreath images on F_p codes, against Fel arithmetic at every point."""
+    images = suites._wreath_images(3, np.array([[1, 2]]), [1, 1], [1, 0])
+    assert [a.tolist() for a in images] == [[[2, 1]], [[1, 2]]]
+    images = suites._wreath_images(3, np.array([[1, 2]]), [2, 1], [0, 1])
+    assert [a.tolist() for a in images] == [[[2, 2]], [[1, 1]]]
+    assert suites._wreath_images(3, np.array([[0, 1, 2]]), [1, 1, 1], [1, 2, 0])[0].tolist() == [[2, 0, 1]]
+    for p, k in [(3, 2), (3, 3), (5, 2), (5, 3)]:
+        field = field_create(p, 1)
+        points = slow_projective_points(field, k)
+        codes_ = np.array([pt.codes() for pt in points])
+        for gamma in product(range(1, p), repeat=k):
+            for sigma in permutations(range(k)):
+                moved, normal = suites._wreath_images(p, codes_, gamma, sigma)
+                for pt, to, image in zip(points, moved.tolist(), normal.tolist()):
+                    beta = [None] * k
+                    for i, (g, c) in enumerate(zip(gamma, pt.coords)):
+                        beta[sigma[i]] = c * g
+                    assert tuple(to) == Point(tuple(beta)).codes()
+                    assert tuple(image) == Point(tuple(beta)).normalize().codes()
 
 
 def test_dimension_estimate_examples():
@@ -262,7 +278,7 @@ def test_count_affine_zeros_matches_bruteforce():
     for a in els:
         for b in els:
             for c in els:
-                if not sr.pk_eval(poly, Point((a, b, c))):
+                if not pk_eval(poly, Point((a, b, c))):
                     slow += 1
     assert vy.count_affine_zeros(poly, F9) == slow == 57
 
@@ -346,7 +362,7 @@ def test_point_set_report_serialization(tmp_path):
     """JSON and CSV bytes against rows typed point by point by the Fel oracles."""
     ctx = sr.SymContext(3, 2)
     cases = [(sr.d_r(ctx, F9, 2), "Equal", 0), (sr.block_model_d1(ctx, F9), "Superset", 8)]
-    points = vy.enumerate_projective(F9, 2)
+    points = slow_projective_points(F9, 2)
     # V(p_2) = V(x^2 + y^2) by Fel arithmetic
     on_pk = {pt.codes() for pt in points if pt.coords[0] ** 2 + pt.coords[1] ** 2 == 0}
     for module, verdict, extra in cases:
@@ -394,7 +410,7 @@ def test_sweep_path_makes_no_fel(monkeypatch):
 
     monkeypatch.setattr(gf.Fel, "__init__", refuse)
     with pytest.raises(AssertionError):
-        vy.enumerate_projective(F27, 1)
+        vy.code_points(F27, [[1]])
     report = vy.variety_points(module, F27)
     zeros = vy.zero_points(sr.PkPoly(3, 3), F27)
     assert vy.compare_sets(report, zeros, "pk") == "Equal"
@@ -427,9 +443,7 @@ def test_orbit_counts(p, k, m, frobenius, both):
 @pytest.mark.parametrize("sym", [mr.Symmetry.FROBENIUS, mr.Symmetry.PERMUTATIONS, BOTH])
 def test_orbit_representatives_match_fel_orbits(field, k, sym):
     """Each point's representative is the least normalized image over the whole group."""
-    from itertools import permutations
-
-    pts = vy.enumerate_projective(field, k)
+    pts = slow_projective_points(field, k)
     assert [pt.codes() for pt in pts] == [tuple(r) for r in vy.projective_codes(field, k).tolist()]
     frob_powers = range(field.m) if mr.Symmetry.FROBENIUS in sym else [0]
     perms = list(permutations(range(k))) if mr.Symmetry.PERMUTATIONS in sym else [tuple(range(k))]
@@ -446,10 +460,12 @@ def test_orbit_representatives_match_fel_orbits(field, k, sym):
 def test_declared_symmetries():
     ctx = sr.SymContext(3, 2)
     d2 = sr.d_r(ctx, F9, 2)
-    assert d2.symmetry == BOTH
+    assert d2.symmetry == mr.Symmetry.PERMUTATIONS
     assert sr.d_r(ctx, F3, 2).symmetry == mr.Symmetry.PERMUTATIONS
     d1 = sr.block_model_d1(ctx, F3)
-    assert mr.lift_to_extension(d1, F9).symmetry == mr.Symmetry.FROBENIUS
+    # Frobenius is read off the entries by the sweep, never declared
+    assert mr.lift_to_extension(d1, F9).symmetry == mr.Symmetry.NONE
+    assert mr.lift_to_extension(sr.d_r(ctx, F3, 2), F9).symmetry == mr.Symmetry.PERMUTATIONS
     assert mr.lift_to_extension(d2, F9) is d2
     derived = [
         undeclared(d2),
@@ -464,16 +480,38 @@ def test_declared_symmetries():
     assert mr.EAModule.from_dict(d2.to_dict()) == d2
 
 
+F25 = field_create(5, 2)
+
+
+def d_p_minus_1(p, k, m):
+    return lambda: sr.d_r(sr.SymContext(p, k), field_create(p, m), p - 1)
+
+
 # every d_r sweep the suites make at their defaults (main-thm, green,
-# explore-k1modp), and the benchmark's D(2) over F_27
-SWEPT_D_R = [(3, 2, 2), (3, 3, 2), (5, 2, 2), (3, 4, 1), (3, 4, 2), (3, 3, 3)]
+# explore-k1modp), the benchmark's D(2) over F_27, and modules that
+# declare nothing, with the symmetry the sweep must find in their entries
+SWEPT = {
+    **{f"{p}-{k}-{m}": (d_p_minus_1(p, k, m), BOTH)
+       for p, k, m in [(3, 2, 2), (3, 3, 2), (5, 2, 2), (3, 4, 1), (3, 4, 2), (3, 3, 3)]},
+    # every entry in F_p: one type per Frobenius orbit
+    "d1-f9": (lambda: sr.block_model_d1(sr.SymContext(3, 3), F9), mr.Symmetry.FROBENIUS),
+    "linear-f25": (lambda: mr.linear_variety_module(5, 2, F25, [[1, 2]]), mr.Symmetry.FROBENIUS),
+    # entries off F_p: no Frobenius.  The generators of the line through
+    # (1, w^2) over F_27 are nonzero in planes 0 and 2 only.
+    "line-w-f9": (lambda: mr.linear_variety_module(3, 2, F9, [[F9.gen(), 1]]), mr.Symmetry.NONE),
+    "line-w2-f27": (lambda: mr.linear_variety_module(3, 2, F27, [[1, F27.gen() ** 2]]), mr.Symmetry.NONE),
+}
 
 
-@pytest.mark.parametrize("p,k,m", SWEPT_D_R)
-def test_orbit_sweep_matches_full_sweep(tmp_path, monkeypatch, p, k, m):
-    field = field_create(p, m)
-    module = sr.d_r(sr.SymContext(p, k), field, p - 1)
-    full = vy.variety_points(undeclared(module), field)
+@pytest.mark.parametrize("case", list(SWEPT))
+def test_orbit_sweep_matches_full_sweep(tmp_path, monkeypatch, case):
+    """The sweep types one point per orbit, and its report is that of typing every code."""
+    build, symmetry = SWEPT[case]
+    module = build()
+    field = module.field
+    codes_ = vy.projective_codes(field, module.k)
+    every = mr.jordan_types_at(module, field.from_codes(codes_))
+    full = vy.PointSetReport(field, module.k, codes_, np.arange(len(codes_)), every)
     evaluated = []
 
     def counted(ctx, stack, prime):
@@ -482,8 +520,9 @@ def test_orbit_sweep_matches_full_sweep(tmp_path, monkeypatch, p, k, m):
 
     monkeypatch.setattr(mr, "jordan_types", counted)
     swept = vy.variety_points(module, field)
-    reps = vy.orbit_representatives(field, vy.projective_codes(field, k), module.symmetry)
-    assert len(evaluated) == len(set(reps.tolist())) < len(full.points)
+    reps = vy.orbit_representatives(field, codes_, symmetry)
+    assert len(evaluated) == len(set(reps.tolist()))
+    assert (len(evaluated) < len(codes_)) == bool(symmetry)
     assert json.dumps(swept.to_dict()) == json.dumps(full.to_dict())
     swept.write_csv(tmp_path / "swept.csv")
     full.write_csv(tmp_path / "full.csv")
