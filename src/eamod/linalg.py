@@ -6,8 +6,8 @@ over F_p: expand() writes each entry sum_t x_t w^t as the m x m block
 sum_t x_t C^t (C the companion matrix of irr), a ring embedding, so a
 product over F_{p^m} is an F_p product of expansions.
 
-Products are float BLAS products of residues in 0..p-1, cast to
-integers and reduced mod p afterwards.  An inner dimension of n entries
+Products are float BLAS products of residues in 0..p-1, reduced mod p
+in place by float_mod (mul_planes).  An inner dimension of n entries
 is nm residues, each term is at most (p-1)^2, and every integer up to
 2^53 is a float64, so a product is exact while n m (p-1)^2 <= 2^53
 (FieldCtx.max_inner) and is refused beyond; below 2^24 it is exact in
@@ -144,26 +144,39 @@ class MatF:
 
     # -- arithmetic --
 
+    @classmethod
+    def _reduced(cls, ctx: FieldCtx, data: np.ndarray) -> "MatF":
+        """Wrap a fresh int64 (rows, cols, m) array already in 0..p-1, without another pass."""
+        out = cls.__new__(cls)
+        out.ctx = ctx
+        out.data = data
+        data.flags.writeable = False
+        return out
+
     def __add__(self, other: "MatF") -> "MatF":
         self._check(other)
-        return MatF(self.ctx, (self.data + other.data) % self.ctx.p)
+        out = self.data + other.data
+        out %= self.ctx.p
+        return MatF._reduced(self.ctx, out)
 
     def __sub__(self, other: "MatF") -> "MatF":
         self._check(other)
-        return MatF(self.ctx, (self.data - other.data) % self.ctx.p)
+        out = self.data - other.data
+        out %= self.ctx.p
+        return MatF._reduced(self.ctx, out)
 
     def __neg__(self) -> "MatF":
-        return MatF(self.ctx, (-self.data) % self.ctx.p)
+        out = -self.data
+        out %= self.ctx.p
+        return MatF._reduced(self.ctx, out)
 
     def __matmul__(self, other: "MatF") -> "MatF":
         """expand(A) times B with its coefficient vectors stacked as columns."""
         self._check_mul(other)
-        m, p = self.ctx.m, self.ctx.p
+        m = self.ctx.m
         stacked = other.data.transpose(0, 2, 1).reshape(other.rows * m, other.cols)
-        dtype = product_dtype(self.ctx, self.cols)
-        prod = (expand(self.ctx, self.data, dtype) @ stacked.astype(dtype)).astype(np.int64)
-        prod %= p
-        return MatF(self.ctx, prod.reshape(self.rows, m, other.cols).transpose(0, 2, 1))
+        prod = mul_planes(self.ctx, self.data, stacked).astype(np.int64)
+        return MatF._reduced(self.ctx, prod.reshape(self.rows, m, other.cols).transpose(0, 2, 1))
 
     def mat_pow(self, e: int) -> "MatF":
         if self.rows != self.cols:
@@ -235,7 +248,6 @@ class MatF:
             raise ValueError("mixed field contexts")
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
-        _check_inner(self.ctx, self.cols)
 
 
 def combine(ctx: FieldCtx, coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -255,6 +267,19 @@ def combine(ctx: FieldCtx, coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
     planes = mats.transpose(0, 3, 1, 2).reshape(terms * m, r * c).astype(dtype)
     out = (blocks @ planes).astype(np.int64) % ctx.p
     return out.reshape(count, m, r, c).transpose(0, 2, 3, 1)
+
+
+def mul_planes(ctx: FieldCtx, a: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """expand(a) @ planes reduced mod p, in product_dtype(ctx, c): one product over F_{p^m} on F_p.
+
+    a is an (r, c, m) array and planes a (c m, s) array whose row j m + t
+    holds coefficient t of row j of the right factor, both in 0..p-1.
+    Row i m + t of the result holds coefficient t of row i of the
+    product.  Products with c past ctx.max_inner are refused.
+    """
+    _check_inner(ctx, a.shape[1])
+    dtype = product_dtype(ctx, a.shape[1])
+    return float_mod(expand(ctx, a, dtype) @ planes.astype(dtype, copy=False), ctx.p)
 
 
 def product_dtype(ctx: FieldCtx, n: int):
@@ -307,18 +332,25 @@ def null_space(ctx: FieldCtx, reduced: np.ndarray, pivots) -> np.ndarray:
     out[:, pivots] = (-reduced[: len(pivots), free]).transpose(1, 0, 2) % ctx.p
     lead = out[np.arange(free.size), out.any(axis=2).argmax(axis=1)]
     inverse = _pivot_blocks(ctx, lead, np.int64)[:, 0]
-    return np.einsum("nab,ncb->nca", inverse, out) % ctx.p
+    out = np.matmul(out, inverse.transpose(0, 2, 1))
+    out %= ctx.p
+    return out
+
+
+def rref_planes(ctx: FieldCtx, work: np.ndarray):
+    """RREF over F_{p^m}, in place, of one (r, m, c) array of coefficient planes, and its pivot columns.
+
+    work is C-contiguous, in elim_dtype(p, c m), with entries in 0..p-1
+    (_eliminate).  The RREF is returned in the (r, c, m) layout, as a
+    view of work.
+    """
+    pivots = _eliminate(ctx, work[None], full=True)[0]
+    return work.transpose(0, 2, 1), pivots[pivots >= 0].tolist()
 
 
 def _rref(ctx: FieldCtx, data: np.ndarray):
-    """RREF over F_{p^m} of an (r, c, m) array and its pivot columns.
-
-    The RREF is returned in the same (r, c, m) layout, as a view of the
-    elimination's coefficient planes, in its dtype.
-    """
-    work = _planes(ctx, data)
-    pivots = _eliminate(ctx, work, full=True)[0]
-    return work[0].transpose(0, 2, 1), pivots[pivots >= 0].tolist()
+    """RREF over F_{p^m} of an (r, c, m) array and its pivot columns (rref_planes on a copy)."""
+    return rref_planes(ctx, _planes(ctx, data)[0])
 
 
 def _planes(ctx: FieldCtx, data: np.ndarray) -> np.ndarray:

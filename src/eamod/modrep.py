@@ -35,8 +35,10 @@ from .linalg import (
     float_mod,
     jordan_type_nilpotent,
     jordan_types,
+    mul_planes,
     null_space,
     product_dtype,
+    rref_planes,
 )
 from .stream import CounterStream
 
@@ -613,38 +615,136 @@ def _top_generators(module: EAModule) -> np.ndarray:
     return np.array([j - wide.cols for j in pivots if j >= wide.cols], dtype=np.intp)
 
 
-def _spin(module: EAModule, generators: np.ndarray):
+def _spin(module: EAModule, generators: np.ndarray, gens_exp: np.ndarray):
     """Spin the generators g_j = e_{generators[j]} to a basis S of M.
 
     Returns (S, words, owner, tree).  Column u of S is W_u g_owner[u] for
-    a word W_u in the X_i, and words[:, u] is W_u.  tree[i, v] says that
-    X_i S[:, v] was kept as a column of S.  Each level applies every X_i
-    to the words the last level kept and keeps the candidates that are
-    independent of the columns before them.
+    a word W_u in the X_i, and words[u] holds the (n, m, n) coefficient
+    planes of W_u (entry (r, s, c) is coefficient s of W_u[r, c]) in the
+    narrowest integer dtype.  tree[i, v] says that X_i S[:, v] was kept
+    as a column of S; its word is X_i W_v.  Each level applies every X_i
+    to the columns the last level kept and keeps the candidates that are
+    independent of the columns before them; only the kept words are
+    formed (_times_words, with gens_exp the expansions of the X_i).
     """
     field, n, m, k = module.field, module.n, module.field.m, module.k
     _, stacked = _wide_and_tall(module)
-    words = np.zeros((n, generators.size, n, m), dtype=np.int64)
-    words[:, :, :, 0] = np.eye(n, dtype=np.int64)[:, None]
-    owner = np.arange(generators.size)
-    basis = words[:, owner, generators]
+    t = generators.size
+    words = np.zeros((n, n, m, n), dtype=elim_dtype(field.p, 0))  # the narrowest holding 0..p
+    words[:t, :, 0] = np.eye(n, dtype=words.dtype)
+    owner = np.arange(t)
+    basis = np.zeros((n, t, m), dtype=np.int64)
+    basis[generators, owner, 0] = 1
     tree = np.zeros((k, n), dtype=bool)
     frontier = owner
     while frontier.size and owner.size < n:
         f, b = frontier.size, owner.size
-        # candidate i f + v is X_i times the word of frontier[v]
-        spun = stacked @ MatF(field, words[:, frontier].reshape(n, f * n, m))
-        spun = spun.data.reshape(k, n, f, n, m).transpose(1, 0, 2, 3, 4).reshape(n, k * f, n, m)
-        spun_owner = np.tile(owner[frontier], k)
-        candidates = spun[:, np.arange(k * f), generators[spun_owner]]
+        # candidate i f + v is X_i S[:, frontier[v]]
+        spun = (stacked @ MatF(field, basis[:, frontier])).data
+        candidates = spun.reshape(k, n, f, m).transpose(1, 0, 2, 3).reshape(n, k * f, m)
         _, pivots = MatF(field, np.concatenate([basis, candidates], axis=1)).rref()
         kept = np.array(pivots[b:], dtype=np.intp) - b
-        tree[kept // f, frontier[kept % f]] = True
-        words = np.concatenate([words, spun[:, kept]], axis=1)
-        owner = np.concatenate([owner, spun_owner[kept]])
+        gen, parent = kept // f, frontier[kept % f]
+        tree[gen, parent] = True
+        words[b : b + kept.size] = _times_words(field, gens_exp, gen, words[parent])
+        owner = np.concatenate([owner, owner[parent]])
         basis = np.concatenate([basis, candidates[:, kept]], axis=1)
         frontier = np.arange(b, owner.size)
     return MatF(field, basis), words, owner, tree
+
+
+def _times_words(field: FieldCtx, gens_exp: np.ndarray, gen: np.ndarray, planes: np.ndarray):
+    """X_gen[w] W_w for each w, as (w, n, m, n) planes in gens_exp's dtype, in 0..p-1.
+
+    gens_exp holds the (k, nm, nm) expansions of the X_i in
+    product_dtype(field, n) and planes the words' (w, n, m, n) planes;
+    the words of each generator are one batched product with it.
+    """
+    count, n, m, _ = planes.shape
+    out = np.empty((count, n * m, n), dtype=gens_exp.dtype)
+    for i in np.unique(gen).tolist():
+        mine = gen == i
+        out[mine] = np.matmul(gens_exp[i], planes[mine].reshape(-1, n * m, n).astype(out.dtype))
+    return float_mod(out, field.p).reshape(count, n, m, n)
+
+
+def _relation_rows(field: FieldCtx, a: np.ndarray, words: np.ndarray, owner: np.ndarray,
+                   tree: np.ndarray, gens_exp: np.ndarray):
+    """Yield the nonzero rows of each relation (i, v) off the tree, in order, as (rows, m, t n) planes.
+
+    Relation (i, v) is sum_u (A_i)_uv W_u y_o(u) - X_i W_v y_o(v) = 0,
+    with a = [A_1 | ... | A_k]; its row r has the coefficient of
+    y_j[c] in column j n + c.  The relations are built t at a time, so
+    no system of all of them exists.  The first term of t relations is
+    one product: the expansions of their columns of A, each entry (A_i)_uv
+    placed in block owner[u], times the words as (u, s) x (r, c) planes,
+    cast to the product dtype once for all relations; then each
+    relation's X_i W_v (_times_words) is taken off block owner[v].  The
+    rows are held in elim_dtype(p, t n m) with entries in 0..p-1.
+    """
+    n, m, p = words.shape[0], field.m, field.p
+    t = int(owner.max()) + 1  # generator j owns word j
+    rel_i, rel_v = np.divmod(np.flatnonzero(~tree.reshape(-1)), n)
+    planes = words.transpose(0, 2, 1, 3).reshape(n * m, n * n).astype(gens_exp.dtype)
+    dtype = elim_dtype(p, t * n * m)
+    for lo in range(0, rel_i.size, t):
+        gen, col = rel_i[lo : lo + t], rel_v[lo : lo + t]
+        count = gen.size
+        coeffs = np.zeros((count, t, n, m), dtype=np.int64)  # [relation, j, u]
+        coeffs[:, owner, np.arange(n)] = a[:, gen * n + col].transpose(1, 0, 2)
+        rel = mul_planes(field, coeffs.reshape(count * t, n, m), planes).reshape(count, t, m, n, n)
+        del coeffs
+        # rel[w, j, s] is coefficient s of the (r, c) block j of relation w
+        at = np.arange(count), owner[col]
+        term = rel[at]
+        term += p
+        term -= _times_words(field, gens_exp, gen, words[col]).transpose(0, 2, 1, 3)
+        rel[at] = float_mod(term, p)
+        del term
+        rows = rel.transpose(0, 3, 2, 1, 4).astype(dtype, order="C").reshape(count, n, m, t * n)
+        del rel
+        for relation in rows:
+            yield relation[relation.any(axis=(1, 2))]
+
+
+def _common_kernel(field: FieldCtx, relations, width: int) -> np.ndarray:
+    """The vectors y that every relation row kills: a (d, width, m) basis in 0..p-1.
+
+    relations yields (rows, m, width) planes in elim_dtype(p, width m),
+    at most width rows each.  The rows are cut into blocks of width in
+    order (rows past a block's end carry over to the next).  The first
+    block's kernel is the first set of solutions; each later block's
+    image on them is at most square, and its kernel cuts them down.
+    """
+    m = field.m
+    buffer = np.empty((2 * width, m, width), dtype=elim_dtype(field.p, width * m))
+    held = 0
+    solutions = None
+    for rows in relations:
+        buffer[held : held + len(rows)] = rows
+        held += len(rows)
+        if held >= width:
+            solutions = _cut(field, solutions, buffer[:width])
+            held -= width
+            buffer[:held] = buffer[width : width + held]
+    if held or solutions is None:
+        solutions = _cut(field, solutions, buffer[:held])
+    return solutions
+
+
+def _cut(field: FieldCtx, solutions, block: np.ndarray) -> np.ndarray:
+    """The solutions (None: every vector) that the (r, m, c) block of rows also kills (block destroyed)."""
+    if solutions is None:
+        return null_space(field, *rref_planes(field, block))
+    d, m = len(solutions), field.m
+    # image[x m + s, r]: coefficient s of row r of the block times solution x
+    image = mul_planes(field, solutions, block.transpose(2, 1, 0).reshape(-1, len(block)))
+    if not image.any():
+        return solutions
+    image = image.reshape(d, m, -1).transpose(2, 1, 0).astype(elim_dtype(field.p, d * m), order="C")
+    kernel = null_space(field, *rref_planes(field, image))
+    cut = mul_planes(field, kernel, solutions.transpose(0, 2, 1).reshape(d * m, -1))
+    return cut.reshape(len(kernel), m, -1).transpose(0, 2, 1).astype(np.int64)
 
 
 def endomorphism_basis(module: EAModule):
@@ -658,57 +758,54 @@ def endomorphism_basis(module: EAModule):
         sum_u (A_i)_uv W_u y_o(u) - X_i W_v y_o(v) = 0,
 
     n equations in the t n unknowns y.  The relations (i, v) of the
-    spanning tree hold by construction and are left out.  The others'
-    nonzero rows go tn at a time: each block's image on the solutions
-    found so far is at most square, and its kernel cuts them down.  Each
-    solution gives Y = [W_u y_o(u)]_u S^-1.  The basis is canonical, a
-    function of End(M) alone: the rows of the RREF of the flattened n^2
-    vectors, except row 0, whose pivot is entry (0, 0), which the
-    identity replaces.
+    spanning tree hold by construction and are left out.  The others are
+    built t at a time and their nonzero rows go t n at a time
+    (_relation_rows, _common_kernel), so memory stays near the (n, n, n,
+    m) word cube, held in the narrowest integer dtype.  Each solution
+    gives Y = [W_u y_o(u)]_u S^-1.  The basis is canonical, a function of
+    End(M) alone: the rows of the RREF of the flattened n^2 vectors,
+    except row 0, whose pivot is entry (0, 0), which the identity
+    replaces.
     """
     field, n, m, k = module.field, module.n, module.field.m, module.k
     if n == 0:
         return []
     generators = _top_generators(module)
     t = generators.size
-    s_mat, words, owner, tree = _spin(module, generators)
+    dtype = product_dtype(field, n)
+    gens_exp = np.array([expand(field, x.data, dtype) for x in module.gens],
+                        dtype=dtype).reshape(k, n * m, n * m)
+    s_mat, words, owner, tree = _spin(module, generators, gens_exp)
     s_inv = s_mat.inv()
     _, stacked = _wide_and_tall(module)
     # [A_1 | ... | A_k], A_i = S^-1 X_i S
     xs = (stacked @ s_mat).data.reshape(k, n, n, m).transpose(1, 0, 2, 3).reshape(n, k * n, m)
     a = (s_inv @ MatF(field, xs)).data
-    # relation q = (i, v) off the spanning tree, column i n + v of [A_1 | ... | A_k]
-    rel_i, rel_v = np.divmod(np.flatnonzero(~tree.reshape(-1)), n)
-    q = rel_i.size
-    # sum_u (A_i)_uv W_u, with W_u in block column owner[u]: row u of A moves there
-    a_owned = np.zeros((n, t, q, m), dtype=np.int64)
-    a_owned[np.arange(n), owner] = a[:, rel_i * n + rel_v]
-    words_rb = MatF(field, words.transpose(0, 2, 1, 3).reshape(n * n, n, m))
-    rel = (words_rb @ MatF(field, a_owned.reshape(n, t * q, m))).data
-    rel = rel.reshape(n, n, t, q, m).transpose(3, 0, 2, 1, 4).copy()  # [q, row, j, column]
-    # minus X_i W_v in block column owner[v]
-    xw = (stacked @ MatF(field, words.reshape(n, n * n, m))).data.reshape(k, n, n, n, m)
-    rel[np.arange(q), :, owner[rel_v]] -= xw[rel_i, :, rel_v]
-    rows = rel.reshape(q * n, t * n, m)
-    rows = rows[rows.any(axis=(1, 2))]
-    first, *rest = np.split(rows, range(t * n, len(rows), t * n))
-    solutions = MatF(field, MatF(field, first).kernel_array())  # rows: the y found so far
-    for block in rest:
-        image = MatF(field, block) @ solutions.transpose()
-        if not image.is_zero():
-            solutions = MatF(field, image.kernel_array()) @ solutions
-    d = solutions.rows
-    z = np.empty((n, n, d, m), dtype=np.int64)  # [row, u, solution]
+    solutions = _common_kernel(field, _relation_rows(field, a, words, owner, tree, gens_exp), t * n)
+    del gens_exp, a
+    d = len(solutions)
+    # z[x, s, u', r]: coefficient s of (W_u y_o(u))[r] for solution x, u = order[u'],
+    # from the words as (c, s) x (u', r) planes, u' grouped by owner
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(t + 1))
+    planes = words[order].transpose(3, 2, 0, 1).reshape(n * m, n * n).astype(dtype)
+    z = np.empty((d, m, n, n), dtype=dtype)
     for j in range(t):
-        u = np.flatnonzero(owner == j)
-        y = MatF(field, solutions.data[:, j * n : (j + 1) * n].transpose(1, 0, 2))
-        z[:, u] = (MatF(field, words[:, u].reshape(n * u.size, n, m)) @ y).data.reshape(
-            n, u.size, d, m)
-    flat = MatF(field, z.transpose(2, 0, 1, 3).reshape(d * n, n, m)) @ s_inv
-    reduced, pivots = MatF(field, flat.data.reshape(d, n * n, m)).rref()
+        lo, hi = bounds[j], bounds[j + 1]
+        z[:, :, lo:hi] = mul_planes(field, solutions[:, j * n : (j + 1) * n],
+                                    planes[:, lo * n : hi * n]).reshape(d, m, hi - lo, n)
+    del planes, solutions
+    # Y_x^T = S^-T Z_x^T, with the rows of S^-1 in the order of u'
+    flat = mul_planes(field, s_inv.data[order].transpose(1, 0, 2),
+                      z.transpose(2, 1, 0, 3).reshape(n * m, d * n))
+    del z
+    # flat[c m + s, x n + r] is coefficient s of Y_x[r, c]
+    work = flat.reshape(n, m, d, n).transpose(2, 1, 3, 0).astype(elim_dtype(field.p, n * n * m),
+                                                                  order="C")
+    del flat
+    reduced, pivots = rref_planes(field, work.reshape(d, m, n * n))
     assert pivots[0] == 0
-    return [MatF.identity(field, n)] + [MatF(field, row.reshape(n, n, m))
-                                        for row in reduced.data[1:]]
+    return [MatF.identity(field, n)] + [MatF(field, row.reshape(n, n, m)) for row in reduced[1:]]
 
 
 @dataclass
