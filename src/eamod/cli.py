@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .gf import BadParams, Fel, FieldCtx, field_create
 from .linalg import MatF
@@ -100,11 +101,8 @@ def parse_vectors(field: FieldCtx, text: str):
     return [list(parse_point(field, chunk).coords) for chunk in text.split(";") if chunk.strip()]
 
 
-def _emit(payload, out_path, fmt="json"):
-    if fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        raise BadParams(f"unsupported format {fmt!r} for this payload")
+def _emit(payload, out_path):
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out_path:
         try:
             with open(out_path, "w") as fh:
@@ -321,11 +319,12 @@ def cmd_query(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    start = time.perf_counter()
     reports = suites.run_suite(args.suite, p=args.p, k=args.k, ext=args.ext,
                                trials=args.trials, seed=args.seed)
+    total = time.perf_counter() - start
     payload = [r.to_dict() for r in reports]
     _emit(payload if len(payload) > 1 else payload[0], args.out)
-    total = sum(r.wall_time_s for r in reports)
     fails = sum(1 for r in reports for c in r.checks if not c.ok and not r.exploratory)
     print(f"suite {args.suite}: {sum(len(r.checks) for r in reports)} checks, "
           f"{fails} failures, {total:.1f}s", file=sys.stderr)

@@ -253,19 +253,13 @@ class MatF:
 def combine(ctx: FieldCtx, coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """sum_t coeffs[b, t] mats[t] for each b: (B, K, m) coefficients, (K, r, c, m) matrices.
 
-    Entries in 0..p-1, in and out.  Coefficient x acts through its
-    multiplication block sum_s x_s C^s, so the B sums are one F_p
-    product of the (B m, K m) blocks with the (K m, r c) coefficient
-    planes, exact while K <= max_inner (product_dtype(ctx, K)).
+    Entries in 0..p-1, in and out, the result in product_dtype(ctx, K).
+    It is one mul_planes product: the (B, K) coefficient matrix, whose
+    expansion holds the multiplication blocks of the coefficients,
+    times the K matrices as (K m, r c) coefficient planes.
     """
     (count, terms, m), (_, r, c, _) = coeffs.shape, mats.shape
-    _check_inner(ctx, terms)
-    dtype = product_dtype(ctx, terms)
-    # blocks[b, s, t, u] = entry (s, u) of the multiplication block of coeffs[b, t]
-    blocks = (coeffs @ ctx.regular().reshape(m, m * m) % ctx.p).reshape(count, terms, m, m)
-    blocks = blocks.transpose(0, 2, 1, 3).reshape(count * m, terms * m).astype(dtype)
-    planes = mats.transpose(0, 3, 1, 2).reshape(terms * m, r * c).astype(dtype)
-    out = (blocks @ planes).astype(np.int64) % ctx.p
+    out = mul_planes(ctx, coeffs, mats.transpose(0, 3, 1, 2).reshape(terms * m, r * c))
     return out.reshape(count, m, r, c).transpose(0, 2, 3, 1)
 
 

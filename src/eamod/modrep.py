@@ -435,8 +435,23 @@ def _check_pair(m1: EAModule, m2: EAModule) -> None:
         raise MismatchedContext("modules disagree in (p, k, field)")
 
 
-def _fp_matrix(field_p: FieldCtx, vectors) -> MatF:
-    return MatF.from_rows(field_p, [[int(c) % field_p.p for c in v] for v in vectors])
+def _completed_inverse(field: FieldCtx, rows, k: int, name: str) -> MatF:
+    """The inverse of C: the rows over the field, then e_j at each non-pivot column j.
+
+    The pivots are those of the RREF of the rows, so C is invertible
+    exactly when the rows are independent over the field; otherwise
+    DependentGenerators names the `name` vectors.
+    """
+    pivots = MatF.from_rows(field, rows).rref()[1] if rows else []
+    if len(pivots) != len(rows):
+        raise DependentGenerators(f"{name} vectors are dependent over F_{field.q}")
+    standard = [[int(i == j) for i in range(k)] for j in range(k) if j not in pivots]
+    return MatF.from_rows(field, [list(v) for v in rows] + standard).inv()
+
+
+def _group_word(us, exponents, eye: MatF) -> MatF:
+    """prod_i u_i^(e_i) for the group matrices us and F_p exponents e, eye the identity."""
+    return reduce(MatF.__matmul__, [u.mat_pow(e) for u, e in zip(us, exponents) if e], eye)
 
 
 def restrict_to_subgroup(module: EAModule, subgroup) -> EAModule:
@@ -447,22 +462,14 @@ def restrict_to_subgroup(module: EAModule, subgroup) -> EAModule:
     generators prod_i u_i^{w_ji} - 1.
     """
     rows = [tuple(int(c) % module.p for c in w) for w in subgroup]
-    s = len(rows)
     if any(len(w) != module.k for w in rows):
         raise ValueError("exponent vectors must have length k")
-    prime = FieldCtx(module.p, 1, (0, 1))
-    if s == 0 or _fp_matrix(prime, rows).rank() != s:
+    if not rows:
         raise DependentGenerators("subgroup exponent vectors are dependent")
+    _completed_inverse(FieldCtx(module.p, 1, (0, 1)), rows, module.k, "subgroup exponent")
     eye = MatF.identity(module.field, module.n)
     us = module.group_matrices()
-    gens = []
-    for w in rows:
-        acc = eye
-        for i, e in enumerate(w):
-            if e:
-                acc = acc @ us[i].mat_pow(e)
-        gens.append(acc - eye)
-    return EAModule(module.p, s, module.field, gens)
+    return EAModule(module.p, len(rows), module.field, [_group_word(us, w, eye) - eye for w in rows])
 
 
 def induce(module: EAModule, embed, ambient_rank: int = None) -> EAModule:
@@ -490,37 +497,19 @@ def induce(module: EAModule, embed, ambient_rank: int = None) -> EAModule:
     if any(len(w) != k for w in rows):
         raise ValueError("embed vectors must share one length")
     p = module.p
-    prime = FieldCtx(p, 1, (0, 1))
-    if s:
-        _, pivots = _fp_matrix(prime, rows).rref()
-        if len(pivots) != s:
-            raise DependentGenerators("embed vectors are dependent over F_p")
-    else:
-        pivots = []
-    complement = [j for j in range(k) if j not in set(pivots)]
-    t = len(complement)
-
-    # solve e_i = sum a_j w_j + sum b_j e_{c_j} over F_p for every i
-    cols = [list(w) for w in rows] + [
-        [1 if r == c else 0 for r in range(k)] for c in complement
-    ]
-    basis_mat = MatF.from_rows(prime, [[cols[j][r] for j in range(k)] for r in range(k)])
-    # the coordinates of e_i are column i of the inverse
-    binv = basis_mat.inv().data[:, :, 0]
-    decomp = [(binv[:s, i].tolist(), binv[s:, i].tolist()) for i in range(k)]
+    # e_i = sum_j a_j w_j + sum_j b_j e_(c_j) over F_p, (a, b) row i of the inverse
+    coords = _completed_inverse(FieldCtx(p, 1, (0, 1)), rows, k, "embed").data[:, :, 0].tolist()
 
     us = module.group_matrices()
-    eye_big = MatF.identity(module.field, (p ** t) * module.n)
+    eye_module = MatF.identity(module.field, module.n)
+    eye_big = MatF.identity(module.field, p ** (k - s) * module.n)
     eye = np.eye(p, dtype=np.int64)
     gens = []
-    for i in range(k):
-        a_vec, b_vec = decomp[i]
+    for row in coords:
+        a_vec, b_vec = row[:s], row[s:]
         # translation by b_vec on the base-p digits of an index: P^(b_j) on digit j, P the cyclic shift
         perm = reduce(np.kron, [np.roll(eye, b, axis=0) for b in b_vec], np.eye(1, dtype=np.int64))
-        f_part = MatF.identity(module.field, module.n)
-        for j, e in enumerate(a_vec):
-            if e:
-                f_part = f_part @ us[j].mat_pow(e)
+        f_part = _group_word(us, a_vec, eye_module)
         # perm has F_p entries, so its Kronecker product acts plane by plane
         gens.append(MatF(module.field, np.kron(perm[:, :, None], f_part.data)) - eye_big)
     return EAModule(p, k, module.field, gens)
@@ -540,19 +529,7 @@ def linear_variety_module(p: int, k: int, field: FieldCtx, span_vectors) -> EAMo
     r = len(rows)
     if any(len(v) != k for v in rows):
         raise ValueError("span vectors must have length k")
-    if r > 0:
-        wmat = MatF.from_rows(field, [list(v) for v in rows])
-        _, pivots = wmat.rref()
-        if len(pivots) != r:
-            raise DependentGenerators("span vectors are dependent over the field")
-    else:
-        pivots = []
-    complement = [j for j in range(k) if j not in set(pivots)]
-    c_rows = [list(v) for v in rows] + [
-        [1 if j == c else 0 for j in range(k)] for c in complement
-    ]
-    c_mat = MatF.from_rows(field, c_rows)
-    c_inv = c_mat.inv()
+    c_inv = _completed_inverse(field, rows, k, "span")
 
     t = k - r
     # multiplication by variable ell: the subdiagonal shift S on digit ell of
@@ -887,14 +864,14 @@ def _try_split(module: EAModule, trials: int, stream: CounterStream):
     """
     if min(_top_and_socle(module)) <= 1:
         return None
-    basis = endomorphism_basis(module)
-    if len(basis) <= 1:
+    # the basis is held once, as one (d, n, n, m) stack
+    stack = np.array([b.data for b in endomorphism_basis(module)])
+    if len(stack) <= 1:
         return None
     field = module.field
-    stack = np.array([b.data for b in basis])
     for _ in range(trials):
-        draws = np.array([field.from_code(stream.below(field.q)) for _ in basis], dtype=np.int64)
-        theta = MatF(field, combine(field, draws[None], stack)[0])
+        draws = [field.from_code(stream.below(field.q)) for _ in range(len(stack))]
+        theta = MatF(field, combine(field, np.array([draws], dtype=np.int64), stack)[0])
         split = _fitting_split(theta)
         if split is None:
             continue

@@ -1,17 +1,15 @@
 """Named verification suites reproducing the headline computations.
 
 Each suite returns a SuiteReport with one entry per check; reports are
-deterministic given identical arguments and seed (wall time is kept out
-of the serialized form for that reason).  Suite names and default
-parameter sets follow the acceptance checklist in the README.
+deterministic given identical arguments and seed, and carry no timing.
+Suite names and default parameter sets follow the acceptance checklist
+in the README.
 """
 
 from __future__ import annotations
 
-import functools
 import inspect
 import math
-import time
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
@@ -59,7 +57,6 @@ class SuiteReport:
     parameters: dict
     checks: list = dc_field(default_factory=list)
     exploratory: bool = False
-    wall_time_s: float = 0.0
 
     def add(self, id_, description, anchor, expected, actual) -> bool:
         ok = expected == actual
@@ -74,28 +71,14 @@ class SuiteReport:
     def passed(self) -> bool:
         return self.exploratory or all(c.ok for c in self.checks)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "suite": self.suite,
             "parameters": self.parameters,
             "exploratory": self.exploratory,
             "pass": self.passed,
             "checks": [c.to_dict() for c in self.checks],
         }
-        if include_timing:
-            out["wall_time_s"] = round(self.wall_time_s, 3)
-        return out
-
-
-def _timed(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        report = fn(*args, **kwargs)
-        report.wall_time_s = time.perf_counter() - t0
-        return report
-
-    return wrapper
 
 
 def _jt(p, blocks) -> JordanType:
@@ -120,7 +103,6 @@ def _span_points(field: FieldCtx, basis_rows, k: int):
     return pts
 
 
-@_timed
 def suite_rank_lemma(p: int, k: int) -> SuiteReport:
     ext_degrees = (1, 2)
     rep = SuiteReport("rank-lemma", {"p": p, "k": k, "ext_degrees": list(ext_degrees)})
@@ -139,7 +121,6 @@ def suite_rank_lemma(p: int, k: int) -> SuiteReport:
     return rep
 
 
-@_timed
 def suite_basis_change(p: int, k: int) -> SuiteReport:
     rep = SuiteReport("basis-change", {"p": p, "k": k})
     ctx = sr.SymContext(p, k)
@@ -154,19 +135,6 @@ def suite_basis_change(p: int, k: int) -> SuiteReport:
     return rep
 
 
-def _max_set_expected(p: int, pk_zero: bool, zeros: int) -> bool:
-    """Membership in the maximal Jordan set of D(1) restricted to E_k.
-
-    p >= 5: complement of V(p_k) union the coordinate hyperplanes.
-    p = 3: complement of V(p_k) alone (the hyperplane clause collapses
-    because a lone generator already attains the maximal type).
-    """
-    if p >= 5:
-        return not pk_zero and zeros == 0
-    return not pk_zero
-
-
-@_timed
 def suite_jtd1(p: int, k: int, ext: int = 4, trials: int = 24, seed: int = 7) -> SuiteReport:
     rep = SuiteReport(
         "jtd1", {"p": p, "k": k, "ext": ext, "trials": trials, "seed": seed}
@@ -184,12 +152,15 @@ def suite_jtd1(p: int, k: int, ext: int = 4, trials: int = 24, seed: int = 7) ->
     )
     field2 = field_create(p, 2)
     report = vy.variety_points(sr.block_model_d1(ctx, field2), field2)
-    pk_zeros = set(map(tuple, vy.zero_points(sr.PkPoly(p, k), field2).tolist()))
-    mismatches = []
-    for codes, orbit in zip(map(tuple, report.codes.tolist()), report.orbit.tolist()):
-        want = _max_set_expected(p, codes in pk_zeros, codes.count(0))
-        if want != (report.types[orbit] == expected):
-            mismatches.append(codes)
+    # the maximal Jordan set of D(1) restricted to E_k: for p >= 5 the
+    # complement of V(p_k) and the coordinate hyperplanes; at p = 3 the
+    # complement of V(p_k) alone (the hyperplane clause collapses because
+    # a lone generator already attains the maximal type)
+    want = sr.pk_eval_batch(sr.PkPoly(p, k), field2, report.codes).any(axis=1)
+    if p >= 5:
+        want &= report.codes.all(axis=1)
+    maximal = np.array([t == expected for t in report.types])[report.orbit]
+    mismatches = report.codes[want != maximal].tolist()
     target = (
         "V(p_k) + coordinate hyperplanes" if p >= 5 else "V(p_k) (p=3 amendment)"
     )
@@ -203,7 +174,6 @@ def suite_jtd1(p: int, k: int, ext: int = 4, trials: int = 24, seed: int = 7) ->
     return rep
 
 
-@_timed
 def suite_jtdp1(p: int, k: int, ext: int = 4, trials: int = 24, seed: int = 7) -> SuiteReport:
     rep = SuiteReport(
         "jtdp1", {"p": p, "k": k, "ext": ext, "trials": trials, "seed": seed}
@@ -225,27 +195,28 @@ def suite_jtdp1(p: int, k: int, ext: int = 4, trials: int = 24, seed: int = 7) -
     return rep
 
 
-@_timed
+def _variety_vs_pk(ctx: sr.SymContext, field: FieldCtx):
+    """V(D(p-1)) over the field compared with V(p_k): the report and "(v vs z points)"."""
+    report = vy.variety_points(sr.d_r(ctx, field, ctx.p - 1), field)
+    zeros = vy.zero_points(sr.PkPoly(ctx.p, ctx.k), field)
+    vy.compare_sets(report, zeros, target_tag="pk")
+    return report, f"({report.counts()['variety']} vs {len(zeros)} points)"
+
+
 def suite_main_thm(p: int, k: int, ext: int = 2) -> SuiteReport:
     rep = SuiteReport("main-thm", {"p": p, "k": k, "ext": ext})
-    ctx = sr.SymContext(p, k)
     field = field_create(p, ext)
-    module = sr.d_r(ctx, field, p - 1)
-    report = vy.variety_points(module, field)
-    zeros = vy.zero_points(sr.PkPoly(p, k), field)
-    verdict = vy.compare_sets(report, zeros, target_tag="pk")
+    report, sizes = _variety_vs_pk(sr.SymContext(p, k), field)
     rep.add(
         f"main-thm/{p}-{k}/ext{ext}",
-        f"variety of D(p-1) over F_{field.q} vs zero set of p_k "
-        f"({report.counts()['variety']} vs {len(zeros)} points)",
+        f"variety of D(p-1) over F_{field.q} vs zero set of p_k {sizes}",
         "Theorem main thm",
         "Equal",
-        verdict,
+        report.verdict,
     )
     return rep
 
 
-@_timed
 def suite_decomp_k2(p: int = 3, trials: int = 60, seed: int = None) -> SuiteReport:
     if p != 3:
         # for larger p the projective part of D(p-1) restricted to E_2 need
@@ -259,7 +230,7 @@ def suite_decomp_k2(p: int = 3, trials: int = 60, seed: int = None) -> SuiteRepo
     field = field_create(p, 2)
     module = sr.d_r(ctx, field, p - 1)
     # the p-1 lines through the (p-1)th roots of -1, i.e. the zero set of p_2
-    expected_lines = set(map(tuple, vy.zero_points(sr.PkPoly(p, 2), field).tolist()))
+    expected_lines = vy.zero_points(sr.PkPoly(p, 2), field).tolist()
     result = None
     used_seed = None
     for seed in seeds:
@@ -287,16 +258,13 @@ def suite_decomp_k2(p: int = 3, trials: int = 60, seed: int = None) -> SuiteRepo
         [False] * len(result.summands),
         [mr.projective_test(s)[0] for s in result.summands],
     )
-    lines = []
-    for s in result.summands:
-        pts = vy.variety_points(s, field)
-        lines.append(frozenset(pts.variety_codes()))
+    swept = [vy.variety_points(s, field) for s in result.summands]
     rep.add(
         "decomp-k2/lines",
         f"summand varieties over F_{field.q} are the p-1 distinct lines",
         "k=2 corollary; Theorem main thm",
-        sorted(sorted(c) for c in ({frozenset({c}) for c in expected_lines})),
-        sorted(sorted(c) for c in lines),
+        [[line] for line in expected_lines],
+        sorted(r.codes[r.variety_mask()].tolist() for r in swept),
     )
     return rep
 
@@ -306,7 +274,6 @@ def peel_dim(n: int, r: int) -> int:
     return 1 if r == 0 else math.comb(n - 1, r) - peel_dim(n, r - 1)
 
 
-@_timed
 def suite_indec_21(p: int = 3, k: int = 3, trials: int = 60, seed: int = 7) -> SuiteReport:
     rep = SuiteReport("indec-21", {"p": p, "k": k, "trials": trials, "seed": seed})
     ctx = sr.SymContext(p, k)
@@ -329,7 +296,6 @@ def suite_indec_21(p: int = 3, k: int = 3, trials: int = 60, seed: int = 7) -> S
     return rep
 
 
-@_timed
 def suite_dv_linear(p: int = 3, k: int = None, ext: int = 2) -> SuiteReport:
     ks = (2, 3) if k is None else (k,)  # None: E_2 and E_3
     if min(ks) < 1:
@@ -374,7 +340,6 @@ def suite_dv_linear(p: int = 3, k: int = None, ext: int = 2) -> SuiteReport:
     return rep
 
 
-@_timed
 def suite_dv_rank2(p: int = 3, ext: int = 2) -> SuiteReport:
     rep = SuiteReport("dv-rank2", {"p": p, "ext": ext})
     field = field_create(p, ext)
@@ -407,7 +372,6 @@ def suite_dv_rank2(p: int = 3, ext: int = 2) -> SuiteReport:
     return rep
 
 
-@_timed
 def suite_green(p: int = 3) -> SuiteReport:
     rep = SuiteReport("green", {"p": p})
     field = field_create(p, 2)
@@ -460,7 +424,6 @@ def _wreath_images(p: int, codes: np.ndarray, gamma, sigma):
     return moved, moved * inverse[lead][:, None] % p
 
 
-@_timed
 def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
     rep = SuiteReport("axioms", {"p": p, "seed": seed})
     field2 = field_create(p, 2)
@@ -662,7 +625,6 @@ def suite_axioms(p: int = 3, seed: int = 11) -> SuiteReport:
     return rep
 
 
-@_timed
 def suite_dimension(p: int = 3) -> SuiteReport:
     rep = SuiteReport("dimension", {"p": p})
     f2 = field_create(p, 2)
@@ -722,7 +684,6 @@ def suite_dimension(p: int = 3) -> SuiteReport:
     return rep
 
 
-@_timed
 def suite_explore_k1modp(p: int = 3, k: int = 4, ext: int = 2) -> SuiteReport:
     ext_degrees = (1,) if ext == 1 else (1, ext)
     rep = SuiteReport(
@@ -733,18 +694,14 @@ def suite_explore_k1modp(p: int = 3, k: int = 4, ext: int = 2) -> SuiteReport:
     ctx = sr.SymContext(p, k)
     for m in ext_degrees:
         field = field_create(p, m)
-        module = sr.d_r(ctx, field, p - 1)
-        report = vy.variety_points(module, field)
-        zeros = vy.zero_points(sr.PkPoly(p, k), field)
-        verdict = vy.compare_sets(report, zeros, target_tag="pk")
+        report, sizes = _variety_vs_pk(ctx, field)
         rep.add_info(
             f"explore/{p}-{k}/ext{m}",
-            f"variety of D(p-1) vs V(p_k) over F_{field.q} "
-            f"({report.counts()['variety']} vs {len(zeros)} points); "
+            f"variety of D(p-1) vs V(p_k) over F_{field.q} {sizes}; "
             "conjectural case k = 1 mod p, report only",
             "Remark after Theorem main thm",
             {
-                "verdict": verdict,
+                "verdict": report.verdict,
                 "witnesses": report.witnesses,
             },
         )

@@ -229,11 +229,12 @@ def rank_lemma_check(ctx: SymContext, field: FieldCtx) -> dict:
 
     Scaling alpha by c != 0 keeps the ranks of the powers of S, the zero
     pattern of alpha and whether the homogeneous p_k vanishes, so every
-    clause is read once per projective point of a variety_points sweep
-    (ranks from its Jordan type, p_k from the zero_points set) and that
-    point stands for its q-1 affine multiples in the counts; failures
-    list the normalized projective points.  Raises TooLarge past the
-    10^7 sweep cap.
+    clause is read once per projective point of a variety_points sweep,
+    as a mask over its codes: the ranks from the Jordan type of each
+    orbit, p_k from pk_eval_batch on the codes.  Each point stands for
+    its q-1 affine multiples in the counts; failures list the normalized
+    projective points in code order.  Raises TooLarge past the 10^7
+    sweep cap.
 
     At p = 3 the "all coordinates nonzero" condition in the first clause
     is amended to "at most one coordinate zero": with p - 2 = 1 the b_1
@@ -242,13 +243,19 @@ def rank_lemma_check(ctx: SymContext, field: FieldCtx) -> dict:
     carry over).  Clause 2 would restate the module dimension, rank(S^0)
     = kp-2, so it is left out; clauses 1, 3 and 4 keep their numbers.
     """
-    from .variety import variety_points, zero_points
+    from .variety import variety_points
 
     if ctx.k < 2:
         raise ValueError("rank sweep requires k >= 2")
     p, k = ctx.p, ctx.k
     report = variety_points(block_model_d1(ctx, field), field)
-    pk_zeros = set(map(tuple, zero_points(PkPoly(p, k), field).tolist()))
+    codes = report.codes
+    # ranks of S, S^{p-3}, S^{p-2}, S^{p-1} at every point, read once per orbit
+    ranks = np.array([[t.rank(e) for e in (1, p - 3, p - 2, p - 1)] for t in report.types])
+    ranks = ranks[report.orbit]
+    zeros = (codes == 0).sum(axis=1)
+    inner = zeros == 0
+    pk_nonzero = pk_eval_batch(PkPoly(p, k), field, codes).any(axis=1)
 
     clause_one = (
         "rank(S) = (k-1)(p-1)+p-3 iff all coords nonzero"
@@ -262,24 +269,15 @@ def rank_lemma_check(ctx: SymContext, field: FieldCtx) -> dict:
         "rank(S^{p-1}) = k-1 iff p_k(alpha) != 0, at all-nonzero points",
     ]
     numbers = (1, 3, 4) if p == 3 else (1, 2, 3, 4)
-    checked = [0, 0, 0, 0]
-    failures = [[], [], [], []]
-    rank_full = (k - 1) * (p - 1) + p - 3
-    multiples = field.q - 1
-    for codes, orbit in zip(map(tuple, report.codes.tolist()), report.orbit.tolist()):
-        jt = report.types[orbit]
-        zeros = codes.count(0)
-        held = [(jt.rank(1) == rank_full) == (zeros == 0 if p >= 5 else zeros <= 1)]
-        if zeros == 0:
-            held += [
-                jt.rank(p - 3) == 3 * k - 2,
-                jt.rank(p - 2) == 2 * k - 2,
-                (jt.rank(p - 1) == k - 1) == (codes not in pk_zeros),
-            ]
-        for i, ok in enumerate(held):
-            checked[i] += multiples
-            if not ok:
-                failures[i].append(codes)
+    held = [
+        (ranks[:, 0] == (k - 1) * (p - 1) + p - 3) == (inner if p >= 5 else zeros <= 1),
+        ranks[:, 1] == 3 * k - 2,
+        ranks[:, 2] == 2 * k - 2,
+        (ranks[:, 3] == k - 1) == pk_nonzero,
+    ]
+    scopes = [np.ones(len(codes), dtype=bool), inner, inner, inner]
+    checked = [(field.q - 1) * int(scope.sum()) for scope in scopes]
+    failures = [field.from_codes(codes[scope & ~ok]).tolist() for scope, ok in zip(scopes, held)]
     return {
         "p": p,
         "k": k,
@@ -290,7 +288,7 @@ def rank_lemma_check(ctx: SymContext, field: FieldCtx) -> dict:
                 "number": i + 1,
                 "clause": clause_names[i],
                 "points_checked": checked[i],
-                "failures": [[list(field.from_code(c)) for c in f] for f in failures[i]],
+                "failures": failures[i],
             }
             for i in range(4)
             if i + 1 in numbers

@@ -242,15 +242,29 @@ def count_affine_zeros(poly: PkPoly, field: FieldCtx) -> int:
 def compare_sets(report: PointSetReport, target_codes, target_tag: str = "target") -> str:
     """Compare the report's variety set against a target set of projective points.
 
-    The target is given as rows of normalized codes, as zero_points
-    returns them.  Sets the verdict (Equal / ProperSubset / Superset /
-    Incomparable) and the witness lists on the report, points named by
-    str(Point) in code order, and returns the verdict.
+    The target is rows of normalized codes, as zero_points returns them,
+    found in report.codes by key (codes @ q^(k-1..0), exact below the
+    sweep cap); a row that is not a point of the sweep raises ValueError.
+    Sets the verdict (Equal / ProperSubset / Superset / Incomparable) and
+    the witness lists on the report, points named by str(Point) in code
+    order, and returns the verdict.
     """
-    mine = report.variety_codes()
-    theirs = set(map(tuple, np.asarray(target_codes).tolist()))
-    only_mine = sorted(mine - theirs)
-    only_theirs = sorted(theirs - mine)
+    codes, k = report.codes, report.k
+    target = np.asarray(target_codes, dtype=np.int64)
+    if not target.size:
+        target = target.reshape(0, k)
+    if target.ndim != 2 or target.shape[1] != k:
+        raise ValueError(f"target row {target[0].tolist()} is not a point with {k} codes")
+    place = report.field.q ** np.arange(k - 1, -1, -1)
+    at = np.minimum(np.searchsorted(codes @ place, target @ place), len(codes) - 1)
+    stray = (codes[at] != target).any(axis=1)
+    if stray.any():
+        raise ValueError(f"target row {target[stray.argmax()].tolist()} is not a normalized "
+                         f"point of the sweep over F_{report.field.q}")
+    theirs = np.zeros(len(codes), dtype=bool)
+    theirs[at] = True
+    mine = report.variety_mask()
+    only_mine, only_theirs = codes[mine & ~theirs].tolist(), codes[theirs & ~mine].tolist()
     if not only_mine and not only_theirs:
         verdict = "Equal"
     elif not only_mine:

@@ -346,3 +346,33 @@ def test_verify_all_report_digest(tmp_path, capsys):
     code, _, _ = run(capsys, "verify", "--suite", "all", "--out", str(out))
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ALL_REPORT_SHA256
+
+
+# sha256 of reports past the defaults whose verdicts are built as point masks
+# (rank-lemma clauses, jtd1 max-set, compare_sets witnesses); each changes
+# only with an entry in CHANGES.md
+REPORT_SHA256 = {
+    "rank-lemma-3-5": (
+        "8253a36a317884b69c4c52c84a0acfb8629acf0fa416cb150a5c393f155efc8d",
+        ["verify", "--suite", "rank-lemma", "--p", "3", "--k", "5"],
+    ),
+    "jtd1-5-3": (
+        "9cd65bc0ede13e411b4941959eddfb2e15d10f1baecdf27fe21447629ef1e38f",
+        ["verify", "--suite", "jtd1", "--p", "5", "--k", "3"],
+    ),
+    "linear-line-vs-pk": (
+        "fe308ffbbe4fe42efae10efab9ad3ee19fc72cd564d0b58d52c2831d34875bd6",
+        ["query", "variety", "--module", "{line}", "--ext", "2", "--poly", "pk", "--compare"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REPORT_SHA256))
+def test_report_digests_past_the_defaults(tmp_path, capsys, case):
+    digest, argv = REPORT_SHA256[case]
+    line = tmp_path / "line.json"
+    run(capsys, "build", "linear", "--p", "3", "--k", "3", "--w", "1,1,0", "--out", str(line))
+    out = tmp_path / "report.json"
+    code, _, _ = run(capsys, *[a.format(line=line) for a in argv], "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -8,10 +8,17 @@ from hypothesis import given, settings, strategies as st
 from eamod.gf import NonPrime, field_create
 from eamod.linalg import JordanType, MatF, canonical_nilpotent, compound_matrix
 from eamod import modrep as mr
+from eamod import suites
 from eamod import symrep as sr
 from eamod.modrep import Point
 
-from oracles import leibniz_compound, pk_eval, slow_combination, slow_jordan_mult
+from oracles import (
+    leibniz_compound,
+    pk_eval,
+    slow_combination,
+    slow_jordan_mult,
+    slow_projective_points,
+)
 
 F3 = field_create(3, 1)
 F9 = field_create(3, 2)
@@ -199,6 +206,62 @@ def test_rank_lemma_sweeps(p, k, m):
     assert [c["number"] for c in result["clauses"]] == numbers
     assert [c["points_checked"] for c in result["clauses"]] == counts
     assert result["points_checked"] == counts[0]
+
+
+def _break_d1(monkeypatch):
+    """Make block_model_d1 return D(1) with X_1 zeroed, so the rank lemma and jtD fail."""
+    real = sr.block_model_d1
+
+    def broken(ctx, field):
+        mod = real(ctx, field)
+        return mr.EAModule(mod.p, mod.k, field, (MatF.zeros(field, mod.n, mod.n),) + mod.gens[1:])
+
+    monkeypatch.setattr(sr, "block_model_d1", broken)
+
+
+@pytest.mark.parametrize("p,k,m", [(3, 3, 2), (5, 3, 1)])
+def test_rank_lemma_failures_against_point_oracle(monkeypatch, p, k, m):
+    """Failures and counts of every clause against the Jordan type and p_k at each point."""
+    _break_d1(monkeypatch)
+    ctx, field, poly = sr.SymContext(p, k), field_create(p, m), sr.PkPoly(p, k)
+    module = sr.block_model_d1(ctx, field)
+    checked, failures = [0] * 4, [[], [], [], []]
+    for pt in slow_projective_points(field, k):
+        jt = mr.point_jordan_type(module, pt)
+        zeros = sum(not c for c in pt.coords)
+        full = jt.rank(1) == (k - 1) * (p - 1) + p - 3
+        held = [full == (zeros == 0 if p >= 5 else zeros <= 1)]
+        if not zeros:
+            held += [jt.rank(p - 3) == 3 * k - 2, jt.rank(p - 2) == 2 * k - 2,
+                     (jt.rank(p - 1) == k - 1) == bool(pk_eval(poly, pt))]
+        for i, ok in enumerate(held):
+            checked[i] += field.q - 1
+            if not ok:
+                failures[i].append([list(c.coeffs) for c in pt.coords])
+    result = sr.rank_lemma_check(ctx, field)
+    numbers = [1, 3, 4] if p == 3 else [1, 2, 3, 4]
+    assert [c["number"] for c in result["clauses"]] == numbers
+    assert [c["points_checked"] for c in result["clauses"]] == [checked[i - 1] for i in numbers]
+    assert [c["failures"] for c in result["clauses"]] == [failures[i - 1] for i in numbers]
+    assert not result["pass"]
+    assert max(len(failures[i - 1]) for i in numbers) > 1
+
+
+@pytest.mark.parametrize("p,k", [(3, 3), (5, 2)])
+def test_jtd1_max_set_mismatches_against_point_oracle(monkeypatch, p, k):
+    """The max-set mismatches of jtd1 against the Jordan type and p_k at each point over F_{p^2}."""
+    _break_d1(monkeypatch)
+    field = field_create(p, 2)
+    module = sr.block_model_d1(sr.SymContext(p, k), field)
+    generic = JordanType.from_blocks(p, [p] * (k - 1) + [p - 2])
+    want = []
+    for pt in slow_projective_points(field, k):
+        maximal = bool(pk_eval(sr.PkPoly(p, k), pt)) and (p == 3 or all(pt.coords))
+        if maximal != (mr.point_jordan_type(module, pt) == generic):
+            want.append(str(pt))
+    report = suites.suite_jtd1(p, k, ext=2, trials=4)
+    (check,) = [c for c in report.checks if c.id == f"jtd1/{p}-{k}/max-set"]
+    assert len(want) > 1 and check.actual == want and not check.ok
 
 
 def test_d_r_dimensions():

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from itertools import permutations, product
 
 import numpy as np
@@ -151,6 +152,32 @@ def test_compare_sets_normalizes_targets():
     empty = vy.variety_points(mr.regular_module(3, 2, F9), F9)
     assert vy.compare_sets(empty, [pt.codes()], "t") == "ProperSubset"
     assert empty.witnesses == {"variety_not_target": [], "target_not_variety": ["(1,w)"]}
+
+
+def test_compare_sets_incomparable_witnesses_in_code_order():
+    """The line through (1,1,0) against V(p_3) over F_9, against per-point Fel oracles."""
+    line = mr.linear_variety_module(3, 3, F9, [[1, 1, 0]])
+    report = vy.variety_points(line, F9)
+    assert vy.compare_sets(report, vy.zero_points(sr.PkPoly(3, 3), F9), "pk") == "Incomparable"
+    points = slow_projective_points(F9, 3)
+    in_variety = [not mr.point_jordan_type(line, pt).is_free() for pt in points]
+    on_pk = [not pk_eval(sr.PkPoly(3, 3), pt) for pt in points]
+    witnesses = {
+        "variety_not_target": [str(pt) for pt, v, z in zip(points, in_variety, on_pk) if v and not z],
+        "target_not_variety": [str(pt) for pt, v, z in zip(points, in_variety, on_pk) if z and not v],
+    }
+    assert report.witnesses == witnesses
+    assert [len(w) for w in witnesses.values()] == [1, 7]
+
+
+@pytest.mark.parametrize("row", [[2, 1], [0, 0], [1, 9], [1, -1], [1, 2, 0]])
+def test_compare_sets_refuses_rows_off_the_sweep(row):
+    """A target row that is not a normalized sweep point is refused, not dropped."""
+    report = vy.variety_points(mr.regular_module(3, 2, F9), F9)
+    target = [row] if len(row) != 2 else [[1, 0], row]
+    with pytest.raises(ValueError, match=re.escape(str(row))):
+        vy.compare_sets(report, target, "t")
+    assert report.verdict is None
 
 
 def test_generic_type_examples():
