@@ -56,6 +56,10 @@ class UnequalTotals(ValueError):
     """Raised when comparing Jordan types of different total dimension."""
 
 
+class BrokenInvariant(RuntimeError):
+    """Raised when a result fails a check that exact arithmetic guarantees: a bug, never bad input."""
+
+
 # -- the regular representation over F_p --
 
 
@@ -603,9 +607,15 @@ def jordan_types(ctx: FieldCtx, stack: np.ndarray, p: int) -> list:
     ranks[:, 1:p] = _ranks(ctx, every_power).reshape(count, p - 1)
     # b[:, r-1] = b_r for r = 1..p+1, the last rank(N^p) - 0 = 0
     b = -np.diff(ranks, axis=1, append=0)
-    types = [JordanType(p, tuple(row)) for row in (b[:, :p] - b[:, 1:]).tolist()]
-    assert all(jt.total == n for jt in types)
-    return types
+    # the sizes r mult_r sum to rank(N^0) - rank(N^p) = n whatever the
+    # ranks; wrong ranks show as a negative count instead
+    mult = b[:, :p] - b[:, 1:]
+    bad = (mult < 0).any(axis=1).nonzero()[0]
+    if bad.size:
+        raise BrokenInvariant(f"ranks {ranks[bad[0]].tolist()} of the powers of a {n} x {n} matrix "
+                              f"over F_{ctx.q} (member {bad[0]} of {count}) give a negative "
+                              f"Jordan block count")
+    return [JordanType(p, tuple(row)) for row in mult.tolist()]
 
 
 def canonical_nilpotent(ctx: FieldCtx, jt: JordanType) -> MatF:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .gf import FieldCtx, json_int
 from .linalg import (
+    BrokenInvariant,
     JordanType,
     MatF,
     NotNilpotent,
@@ -724,6 +725,51 @@ def _cut(field: FieldCtx, solutions, block: np.ndarray) -> np.ndarray:
     return cut.reshape(len(kernel), m, -1).transpose(0, 2, 1).astype(np.int64)
 
 
+def _canonical_basis(field: FieldCtx, work: np.ndarray, n: int) -> np.ndarray:
+    """The canonical basis of the span of an (r, m, n^2) elimination stack's rows (destroyed), a commutant.
+
+    The rows of the span's RREF (rref_planes), with row 0, whose pivot
+    is entry (0, 0), replaced by the identity, and the zero rows past
+    the rank dropped: a function of the span alone.  Returned as a (d,
+    n, n, m) stack in elim_dtype(p, 0), the narrowest holding 0..p.
+    """
+    reduced, pivots = rref_planes(field, work)
+    if not pivots or pivots[0] != 0:
+        raise BrokenInvariant(f"a commutant of size {n} over F_{field.q}, spanned by {len(work)} "
+                              f"rows, has first pivot {pivots[:1]}, not entry (0, 0)")
+    basis = reduced[: len(pivots)].reshape(-1, n, n, field.m).astype(elim_dtype(field.p, 0))
+    basis[0] = 0
+    basis[0, np.arange(n), np.arange(n), 0] = 1
+    return basis
+
+
+def _corner_basis(field: FieldCtx, parent: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The commutant of a summand, read off its parent's as the corners rows Y cols.
+
+    parent is the parent's (d, n, n, m) commutant stack, rows the
+    summand's a rows of P^-1 and cols its a columns of P, for the split's
+    basis change P.  Y -> (P^-1 Y P) on the summand's coordinates maps
+    End(parent) onto End(summand), since f + 0 commutes with the
+    block-diagonal generators, so _canonical_basis of the corners is
+    the basis endomorphism_basis gives.  The corners are two mul_planes
+    products that expand only the small a x n factors: rows times the
+    parent's planes, then cols^T times the result, rearranged.  The d
+    corners have rank below d, so the RREF steps through every nonzero
+    column of the a^2 and ends with zero rows.
+    """
+    d, n, _, m = parent.shape
+    a = len(rows)
+    # planes[j m + t, x n + c] is coefficient t of Y_x[j, c]
+    planes = parent.transpose(1, 3, 0, 2).reshape(n * m, d * n)
+    left = mul_planes(field, rows, planes).reshape(a, m, d, n)
+    # left[c m + t, x a + i] is coefficient t of (rows Y_x)[i, c]
+    left = left.transpose(3, 1, 2, 0).reshape(n * m, d * a)
+    corners = mul_planes(field, cols.transpose(1, 0, 2), left).reshape(a, m, d, a)
+    # corners[c', t, x, i] is coefficient t of (rows Y_x cols)[i, c']
+    work = corners.transpose(2, 1, 3, 0).astype(elim_dtype(field.p, a * a * m), order="C")
+    return _canonical_basis(field, work.reshape(d, m, a * a), a)
+
+
 def endomorphism_basis(module: EAModule):
     """Basis of the commutant End(M) = {Y : Y X_i = X_i Y for all i}, by spinning.
 
@@ -740,9 +786,11 @@ def endomorphism_basis(module: EAModule):
     (_relation_rows, _common_kernel), so memory stays near the (n, n, n,
     m) word cube, held in the narrowest integer dtype.  Each solution
     gives Y = [W_u y_o(u)]_u S^-1.  The basis is canonical, a function of
-    End(M) alone: the rows of the RREF of the flattened n^2 vectors,
-    except row 0, whose pivot is entry (0, 0), which the identity
-    replaces.
+    End(M) alone (_canonical_basis): the rows of the RREF of the
+    flattened n^2 vectors, except row 0, whose pivot is entry (0, 0),
+    which the identity replaces.  fitting_decompose spins only the
+    commutant of the module it is given; a summand's is read off its
+    parent's as corners (_corner_basis), the same basis entry for entry.
     """
     field, n, m, k = module.field, module.n, module.field.m, module.k
     if n == 0:
@@ -780,9 +828,7 @@ def endomorphism_basis(module: EAModule):
     work = flat.reshape(n, m, d, n).transpose(2, 1, 3, 0).astype(elim_dtype(field.p, n * n * m),
                                                                   order="C")
     del flat
-    reduced, pivots = rref_planes(field, work.reshape(d, m, n * n))
-    assert pivots[0] == 0
-    return [MatF.identity(field, n)] + [MatF(field, row.reshape(n, n, m)) for row in reduced[1:]]
+    return [MatF(field, y) for y in _canonical_basis(field, work.reshape(d, m, n * n), n)]
 
 
 @dataclass
@@ -852,23 +898,32 @@ def _fitting_split(theta: MatF):
     return None
 
 
-def _try_split(module: EAModule, trials: int, stream: CounterStream):
-    """Split the module in two along a random commutant element, or None.
+def _try_split(module: EAModule, trials: int, stream: CounterStream, corner=None):
+    """Split the module in two along a random commutant element: ((A, corner of A), (B, corner of B)), or None.
 
     A module whose top or socle has dimension at most 1 is returned as
     None before any commutant or theta is computed: top and socle are
     additive over direct sums and nonzero on every nonzero summand
     (Nakayama; a p-group fixes a nonzero vector), so a 1-dimensional one
-    proves the module indecomposable.  Otherwise up to `trials` thetas are
-    drawn from the commutant basis and split by _fitting_split.
+    proves the module indecomposable.  Otherwise the commutant is
+    formed: spun by endomorphism_basis when corner is None, else read
+    off as the corners of corner = (parent's commutant stack, rows of
+    P^-1, columns of P) by _corner_basis.  It is held as one (d, n, n,
+    m) stack in elim_dtype(p, 0), up to `trials` thetas are drawn from
+    it and split by _fitting_split, and each part's corner is this
+    stack with its rows of P^-1 and columns of P, formed only if the
+    part is split in turn.
     """
     if min(_top_and_socle(module)) <= 1:
         return None
-    # the basis is held once, as one (d, n, n, m) stack
-    stack = np.array([b.data for b in endomorphism_basis(module)])
+    field = module.field
+    if corner is None:
+        stack = np.array([b.data for b in endomorphism_basis(module)], dtype=elim_dtype(field.p, 0))
+    else:
+        stack = _corner_basis(field, *corner)
     if len(stack) <= 1:
         return None
-    field = module.field
+    n = module.n
     for _ in range(trials):
         draws = [field.from_code(stream.below(field.q)) for _ in range(len(stack))]
         theta = MatF(field, combine(field, np.array([draws], dtype=np.int64), stack)[0])
@@ -878,15 +933,17 @@ def _try_split(module: EAModule, trials: int, stream: CounterStream):
         cols, da = split
         basis_change = MatF(field, cols)
         inv = basis_change.inv()
-        gens_a, gens_b = [], []
-        for x in module.gens:
-            conj = inv @ x @ basis_change
-            assert not conj.data[da:, :da].any() and not conj.data[:da, da:].any()
-            gens_a.append(MatF(field, conj.data[:da, :da].copy()))
-            gens_b.append(MatF(field, conj.data[da:, da:].copy()))
-        part_a = EAModule(module.p, module.k, field, gens_a, dim=da)
-        part_b = EAModule(module.p, module.k, field, gens_b, dim=module.n - da)
-        return part_a, part_b
+        conj = [(inv @ x @ basis_change).data for x in module.gens]
+        for i, c in enumerate(conj):
+            if c[da:, :da].any() or c[:da, da:].any():
+                raise BrokenInvariant(f"generator {i + 1} of a module of dim {n} is not block "
+                                      f"diagonal in the split {da} + {n - da}")
+        parts = []
+        for lo, hi in ((0, da), (da, n)):
+            gens = [MatF(field, c[lo:hi, lo:hi].copy()) for c in conj]
+            part = EAModule(module.p, module.k, field, gens, dim=hi - lo)
+            parts.append((part, (stack, inv.data[lo:hi], basis_change.data[:, lo:hi])))
+        return tuple(parts)
     return None
 
 
@@ -900,18 +957,22 @@ def fitting_decompose(module: EAModule, trials: int = 60, seed: int = 7) -> Fitt
     Fitting decomposition ker t^n + im t^n is nontrivial (see
     _fitting_split) and recurses on both parts.  For such a piece
     "no_split_found" is evidence, not proof, of indecomposability.
+    One commutant is computed, the given module's (endomorphism_basis);
+    each summand's is the corner of its parent's (_corner_basis), the
+    same canonical basis, so the draws and the summands are those of
+    spinning every piece's.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     stream = CounterStream(seed)
-    pending = [module]
+    pending = [(module, None)]
     final = []
     while pending:
-        piece = pending.pop(0)
-        split = _try_split(piece, trials, stream)
+        piece, corner = pending.pop(0)
+        split = _try_split(piece, trials, stream, corner)
         if split is None:
             final.append(piece)
         else:
-            pending = [split[0], split[1]] + pending
+            pending = list(split) + pending
     status = "decomposed" if len(final) > 1 else "no_split_found"
     return FittingResult(final, status, trials)

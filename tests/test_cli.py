@@ -367,6 +367,31 @@ REPORT_SHA256 = {
 }
 
 
+# sha256 of `query decompose` reports on D(r) modules from `build dr`; each
+# changes only with an entry in CHANGES.md
+DECOMPOSE_SHA256 = {
+    "d4-5-2": (
+        "485cf57d5cc0448449988f3d2acd71925f0e07d41737f07c78caa688be07d88c",
+        ["--p", "5", "--k", "2", "-r", "4"],
+    ),
+    "d2-3-4": (
+        "6eef1cc240c8c5945390ec486b974ccb7c99849d4ba090cd422a5e7a4da29dc6",
+        ["--p", "3", "--k", "4", "-r", "2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DECOMPOSE_SHA256))
+def test_decompose_report_digests(tmp_path, capsys, case):
+    digest, build = DECOMPOSE_SHA256[case]
+    module = tmp_path / "module.json"
+    assert run(capsys, "build", "dr", *build, "--out", str(module))[0] == 0
+    out = tmp_path / "report.json"
+    code, _, _ = run(capsys, "query", "decompose", "--module", str(module), "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("case", list(REPORT_SHA256))
 def test_report_digests_past_the_defaults(tmp_path, capsys, case):
     digest, argv = REPORT_SHA256[case]

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from eamod.gf import field_create
-from eamod.linalg import JordanType, MatF, NotNilpotent, canonical_nilpotent, jordan_types
+from eamod import linalg
+from eamod.linalg import (
+    BrokenInvariant,
+    JordanType,
+    MatF,
+    NotNilpotent,
+    canonical_nilpotent,
+    elim_dtype,
+    jordan_types,
+)
 from eamod import modrep as mr
 from eamod import symrep as sr
 from eamod.modrep import (
@@ -760,6 +769,123 @@ def test_endomorphism_basis_memory(change):
     finally:
         tracemalloc.stop()
     assert peak < 6e6
+
+
+def recorded_parts(monkeypatch, mod):
+    """The (part, corner) pairs of every split of fitting_decompose(mod, 60, 7), in order."""
+    parts = []
+    try_split = mr._try_split
+
+    def recording(*args):
+        split = try_split(*args)
+        if split is not None:
+            parts.extend(split)
+        return split
+
+    monkeypatch.setattr(mr, "_try_split", recording)
+    mr.fitting_decompose(mod, 60, 7)
+    return parts
+
+
+# (module, largest part dim checked against the oracle).  The oracle's Fel
+# elimination takes about 27 s on a dense dim-12 part and 3 s on a dim-10
+# part of D(4), so dense parts stop at 6 and D(4)'s (10 and up) are checked
+# against endomorphism_basis alone.  A single restricted line has no split,
+# so the lines come in pairs, as in test_fitting_splits_restricted_lines.
+CORNER_MODULES = {
+    "ten-lines": (ten_line_sum, 12),
+    "ten-lines-dense": (lambda: conjugate(ten_line_sum(), dense_change()), 6),
+    "d4-5-2": (lambda: sr.d_r(sr.SymContext(5, 2), field_create(5, 1), 4), 0),
+    "restricted-lines-2": (lambda: mr.direct_sum(restricted_line(2, 0), restricted_line(2, 1)), 12),
+    "restricted-lines-3": (lambda: mr.direct_sum(restricted_line(3, 0), restricted_line(3, 1)), 12),
+    "two-lines-f8": (THETA_MODULES["two-lines-f8"], 12),
+}
+
+
+@pytest.mark.parametrize("name", list(CORNER_MODULES))
+def test_corner_commutant_is_the_spun_one(monkeypatch, name):
+    # every part's commutant, read off its parent's as corners, is the
+    # basis endomorphism_basis spins for it, entry for entry, and for small
+    # parts the oracle's; the dim-3 leaves, which never form theirs, too
+    build, oracle_dim = CORNER_MODULES[name]
+    parts = recorded_parts(monkeypatch, build())
+    assert parts
+    for part, corner in parts:
+        basis = mr._corner_basis(part.field, *corner)
+        assert basis.dtype == elim_dtype(part.p, 0)
+        corners = [MatF(part.field, y) for y in basis]
+        assert corners == mr.endomorphism_basis(part)
+        if part.n <= oracle_dim:
+            assert corners == canonical_commutant(part)
+
+
+def test_fitting_decompose_spins_one_commutant(monkeypatch):
+    # the ten-line sum splits nine times and spins only its own commutant;
+    # every theta is combined from a stack in the narrowest dtype
+    mod = ten_line_sum()
+    calls, dtypes = [], []
+    basis_of, combine = mr.endomorphism_basis, mr.combine
+
+    def recording(module):
+        calls.append(module)
+        return basis_of(module)
+
+    def recording_combine(field, coeffs, mats):
+        dtypes.append(mats.dtype)
+        return combine(field, coeffs, mats)
+
+    monkeypatch.setattr(mr, "endomorphism_basis", recording)
+    monkeypatch.setattr(mr, "combine", recording_combine)
+    result = mr.fitting_decompose(mod, 60, 7)
+    assert calls == [mod] and [s.n for s in result.summands] == [3] * 10
+    assert dtypes and set(dtypes) == {elim_dtype(3, 0)}
+
+
+def test_fitting_decompose_memory():
+    # tracemalloc peak of the whole decomposition of the ten-line sum: 3.6 MB
+    # with the commutant stacks in int8 and 4.9 MB with them in int64 (the
+    # dtype itself is test_fitting_decompose_spins_one_commutant's check),
+    # against 4.3 MB when every piece spun its own; the bound is
+    # test_endomorphism_basis_memory's
+    mod = ten_line_sum()
+    mr.fitting_decompose(mod, 60, 7)  # field tables and pivot memos
+    tracemalloc.start()
+    try:
+        mr.fitting_decompose(mod, 60, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
+def test_split_that_is_not_invariant_raises(monkeypatch):
+    # a coordinate split of the ten-line sum cuts its first line apart
+    mod = ten_line_sum()
+    n = mod.n
+
+    def coordinate_split(theta):
+        return MatF.identity(F9, n).data, 1
+
+    monkeypatch.setattr(mr, "_fitting_split", coordinate_split)
+    with pytest.raises(BrokenInvariant, match=r"dim 30 is not block diagonal in the split 1 \+ 29"):
+        mr.fitting_decompose(mod, 60, 7)
+
+
+def test_canonical_basis_needs_the_identity():
+    # the span of one nonzero nilpotent 2 x 2 matrix holds no element with
+    # a nonzero entry (0, 0)
+    work = np.array([[[0, 0, 1, 0]]], dtype=elim_dtype(3, 4))
+    with pytest.raises(BrokenInvariant, match="size 2 over F_3, spanned by 1 rows"):
+        mr._canonical_basis(F3, work, 2)
+
+
+def test_jordan_type_rank_steps_are_checked(monkeypatch):
+    # ranks 4, 3, 0 of N^0, N, N^2 drop by 1, then 3: a negative count of
+    # size-1 blocks, which no matrix has
+    monkeypatch.setattr(linalg, "_ranks", lambda ctx, work: np.array([3, 0] * (len(work) // 2)))
+    nil = canonical_nilpotent(F3, JordanType.from_blocks(3, [3, 1]))
+    with pytest.raises(BrokenInvariant, match=r"ranks \[4, 3, 0, 0\] of the powers of a 4 x 4 matrix"):
+        jordan_types(F3, linalg.expand(F3, nil.data, np.float32)[None], 3)
 
 
 # theta = diag(c_1, c_2) over F_{p^2} (entries by code: w is code p), viewed
