@@ -30,8 +30,9 @@ c m (p-1)^2 + p, and a stack that no int64 holds is refused.
 
 Jordan types of nilpotent matrices are extracted from rank sequences
 only; no similarity transform is computed.  A stack of matrices takes
-its powers as one batched product each and the ranks of all of them in
-one elimination.
+its powers as one batched product each, the ranks of N in one
+elimination, and those of the higher powers, for the members that rank
+N does not prove free, in a second.
 
 combine() makes every linear combination sum_t c_t M_t one product;
 compound_matrix() builds each level of minors from the last (Laplace).
@@ -183,16 +184,30 @@ class MatF:
         return MatF._reduced(self.ctx, prod.reshape(self.rows, m, other.cols).transpose(0, 2, 1))
 
     def mat_pow(self, e: int) -> "MatF":
+        """self^e for e >= 0 by repeated squaring, returned at the first zero power met.
+
+        Every later power is then zero too.  No identity is multiplied in
+        and the last square is not formed.
+        """
         if self.rows != self.cols:
             raise ValueError("matrix power requires a square matrix")
-        out = MatF.identity(self.ctx, self.rows)
+        if e < 0:
+            raise ValueError(f"matrix power needs an exponent >= 0, not {e}")
+        if not e:
+            return MatF.identity(self.ctx, self.rows)
+        out = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                out = out @ base
-            base = base @ base
+                out = base if out is None else out @ base
+                if out.is_zero():
+                    return out
             e >>= 1
-        return out
+            if not e:
+                return out
+            base = base @ base
+            if base.is_zero():
+                return base
 
     def transpose(self) -> "MatF":
         return MatF(self.ctx, np.ascontiguousarray(self.data.transpose(1, 0, 2)))
@@ -577,10 +592,16 @@ def jordan_types(ctx: FieldCtx, stack: np.ndarray, p: int) -> list:
     of the stack with the (B, nm, n) columns of the last, reduced in
     place by float_mod (product_dtype, exact while n <= ctx.max_inner).
     A stack already in product_dtype(ctx, n), as jordan_types_at makes
-    it, is multiplied as it is; any other is cast once.  The ranks of N,
-    ..., N^(p-1) for every matrix are one elimination of their B(p-1)
-    coefficient planes, (B(p-1), n, m, n).  Raises NotNilpotent when
-    some N^p is nonzero.
+    it, is multiplied as it is; any other is cast once.
+
+    The ranks of N for every matrix are one elimination of their B
+    coefficient planes, (B, n, m, n), made before any other power.  A
+    matrix with rank N = n(p-1)/p is free: once N^p = 0, its blocks have
+    sizes at most p, rank N is n minus their number, and that number is
+    n/p only when every block has size p, so rank N^e = n(p-e)/p.  Only
+    the other members keep the planes of N^2, ..., N^(p-1), and their
+    ranks are a second elimination.  Every power of every matrix is
+    still formed, and NotNilpotent is raised when some N^p is nonzero.
     """
     count, size = stack.shape[:2]
     m = ctx.m
@@ -588,10 +609,15 @@ def jordan_types(ctx: FieldCtx, stack: np.ndarray, p: int) -> list:
     _check_inner(ctx, n)
     dtype = elim_dtype(ctx.p, size)
     base = stack.astype(product_dtype(ctx, n), copy=False)
-    # powers[:, e - 1] holds the planes of N^e for e = 1..p-1, left zero once every N^e is
-    powers = np.zeros((count, p - 1, n, m, n), dtype=dtype)
-    powers[:, 0] = stack[..., ::m].reshape(count, n, m, n)
     power = base[..., ::m]
+    ranks = np.zeros((count, p + 1), dtype=np.int64)
+    ranks[:, 0] = n
+    ranks[:, 1] = _ranks(ctx, power.reshape(count, n, m, n).astype(dtype, order="C"))
+    free = ranks[:, 1] * p == n * (p - 1)
+    ranks[free, 2:p] = n // p * (p - np.arange(2, p))
+    rest = np.flatnonzero(~free)
+    # planes[e - 2] holds the planes of N^e for e = 2..p-1 of the rest, left zero once every N^e is
+    planes = np.zeros((p - 2, rest.size, n, m, n), dtype=dtype)
     for e in range(2, p + 1):
         power = float_mod(np.matmul(base, power), ctx.p)
         if e == p:
@@ -600,11 +626,9 @@ def jordan_types(ctx: FieldCtx, stack: np.ndarray, p: int) -> list:
             break
         if not power.any():
             break
-        powers[:, e - 1] = power.reshape(count, n, m, n)
-    ranks = np.zeros((count, p + 1), dtype=np.int64)
-    ranks[:, 0] = n
-    every_power = powers.reshape(count * (p - 1), n, m, n)
-    ranks[:, 1:p] = _ranks(ctx, every_power).reshape(count, p - 1)
+        planes[e - 2] = power[rest].reshape(rest.size, n, m, n)
+    if planes.size:
+        ranks[rest, 2:p] = _ranks(ctx, planes.reshape(-1, n, m, n)).reshape(p - 2, rest.size).T
     # b[:, r-1] = b_r for r = 1..p+1, the last rank(N^p) - 0 = 0
     b = -np.diff(ranks, axis=1, append=0)
     # the sizes r mult_r sum to rank(N^0) - rank(N^p) = n whatever the

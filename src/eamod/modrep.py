@@ -28,6 +28,8 @@ from .linalg import (
     MatF,
     NotNilpotent,
     _check_inner,
+    _planes,
+    _ranks,
     canonical_nilpotent,
     combine,
     compound_matrix,
@@ -270,9 +272,13 @@ def _point_bytes(field: FieldCtx, n: int) -> int:
     Its nm x nm expansion in the product dtype, and four times the p-1
     (n, m, n) planes of its powers in the elimination dtype: the planes
     and the elimination's temporaries over them (gathered pivot
-    multiples, updates).  Measured per-point tracemalloc peaks of
-    one-stack calls are 0.56 to 1.22 times it, from D(1) at (3, 3) over
-    F_27 to D(6) at (7, 2) over F_7, and 1.00 times it for D(2) at p = 3.
+    multiples, updates).  That is the cost of a point that is not free;
+    a free one keeps only the planes of N (jordan_types).  Measured
+    per-point tracemalloc peaks of one-stack calls on points spread over
+    P^(k-1) are 0.24 to 1.31 times it, from D(6) at (7, 2) over F_7 to
+    D(1) at (3, 3) over F_27 (no free point), 0.91 for D(2) at (3, 3)
+    over F_27; on non-free points only, 0.78 (D(6) at (7, 2) over F_49)
+    to 1.05 (D(2) at (3, 4) over F_9).
     """
     size = n * field.m
     planes = (field.p - 1) * n * size * elim_dtype(field.p, size).itemsize
@@ -574,9 +580,24 @@ def _wide_and_tall(module: EAModule):
 
 
 def _top_and_socle(module: EAModule):
-    """(dim top, dim socle): n - rank [X_1 | ... | X_k] and n - rank of the X_i stacked."""
+    """(dim top, dim socle): n - rank [X_1 | ... | X_k] and n - rank [X_1^T | ... | X_k^T].
+
+    The socle is the common kernel of the X_i, the kernel of the X_i
+    stacked, whose transpose is the second matrix; both ranks are one
+    elimination of the two as a stack.
+    """
+    field = module.field
     wide, tall = _wide_and_tall(module)
-    return module.n - wide.rank(), module.n - tall.rank()
+    work = np.concatenate([_planes(field, wide.data), _planes(field, tall.transpose().data)])
+    return tuple((module.n - _ranks(field, work)).tolist())
+
+
+def _conjugated(module: EAModule, inv: MatF, change: MatF) -> np.ndarray:
+    """[inv X_1 change | ... | inv X_k change] as an (n, k n, m) array: two products for all k."""
+    n, k, m = module.n, module.k, module.field.m
+    _, stacked = _wide_and_tall(module)
+    moved = (stacked @ change).data.reshape(k, n, n, m).transpose(1, 0, 2, 3).reshape(n, k * n, m)
+    return (inv @ MatF(module.field, moved)).data
 
 
 def _top_generators(module: EAModule) -> np.ndarray:
@@ -640,7 +661,8 @@ def _times_words(field: FieldCtx, gens_exp: np.ndarray, gen: np.ndarray, planes:
     """
     count, n, m, _ = planes.shape
     out = np.empty((count, n * m, n), dtype=gens_exp.dtype)
-    for i in np.unique(gen).tolist():
+    # np.unique would import numpy.ma (numpy 2.4), 15 ms at its first call
+    for i in np.flatnonzero(np.bincount(gen)).tolist():
         mine = gen == i
         out[mine] = np.matmul(gens_exp[i], planes[mine].reshape(-1, n * m, n).astype(out.dtype))
     return float_mod(out, field.p).reshape(count, n, m, n)
@@ -802,10 +824,7 @@ def endomorphism_basis(module: EAModule):
                         dtype=dtype).reshape(k, n * m, n * m)
     s_mat, words, owner, tree = _spin(module, generators, gens_exp)
     s_inv = s_mat.inv()
-    _, stacked = _wide_and_tall(module)
-    # [A_1 | ... | A_k], A_i = S^-1 X_i S
-    xs = (stacked @ s_mat).data.reshape(k, n, n, m).transpose(1, 0, 2, 3).reshape(n, k * n, m)
-    a = (s_inv @ MatF(field, xs)).data
+    a = _conjugated(module, s_inv, s_mat)  # [A_1 | ... | A_k], A_i = S^-1 X_i S
     solutions = _common_kernel(field, _relation_rows(field, a, words, owner, tree, gens_exp), t * n)
     del gens_exp, a
     d = len(solutions)
@@ -846,9 +865,12 @@ def _fitting(t: MatF):
     """Fitting's lemma for t: the columns [ker t^n | im t^n] and dim ker t^n.
 
     The space is the direct sum of the two, and both are submodules when
-    t commutes with the generators.
+    t commutes with the generators.  A zero t^n gives the identity
+    columns without an elimination.
     """
     power = t.mat_pow(t.rows)
+    if power.is_zero():
+        return MatF.identity(t.ctx, t.rows).data, t.rows
     reduced, pivots = power.rref()
     kernel = null_space(t.ctx, reduced.data, pivots)
     cols = np.concatenate([kernel.transpose(1, 0, 2), power.data[:, pivots]], axis=1)
@@ -898,23 +920,30 @@ def _fitting_split(theta: MatF):
     return None
 
 
-def _try_split(module: EAModule, trials: int, stream: CounterStream, corner=None):
-    """Split the module in two along a random commutant element: ((A, corner of A), (B, corner of B)), or None.
+def _try_split(module: EAModule, trials: int, stream: CounterStream, corner=None, top_socle=None):
+    """Split the module in two along a random commutant element, or return None.
 
-    A module whose top or socle has dimension at most 1 is returned as
-    None before any commutant or theta is computed: top and socle are
-    additive over direct sums and nonzero on every nonzero summand
-    (Nakayama; a p-group fixes a nonzero vector), so a 1-dimensional one
-    proves the module indecomposable.  Otherwise the commutant is
-    formed: spun by endomorphism_basis when corner is None, else read
-    off as the corners of corner = (parent's commutant stack, rows of
-    P^-1, columns of P) by _corner_basis.  It is held as one (d, n, n,
-    m) stack in elim_dtype(p, 0), up to `trials` thetas are drawn from
-    it and split by _fitting_split, and each part's corner is this
-    stack with its rows of P^-1 and columns of P, formed only if the
-    part is split in turn.
+    A split is ((A, corner of A, top_socle of A), (B, corner of B,
+    top_socle of B)), top_socle being (dim top, dim socle).  The
+    module's own is passed in when known and computed (_top_and_socle)
+    when None.  A module whose top or socle has dimension at most 1 is
+    returned as None before any commutant or theta is computed: top and
+    socle are additive over direct sums and nonzero on every nonzero
+    summand (Nakayama; a p-group fixes a nonzero vector), so a
+    1-dimensional one proves the module indecomposable.  Otherwise the
+    commutant is formed: spun by endomorphism_basis when corner is None,
+    else read off as the corners of corner = (parent's commutant stack,
+    rows of P^-1, columns of P) by _corner_basis.  It is held as one (d,
+    n, n, m) stack in elim_dtype(p, 0), and up to `trials` thetas are
+    drawn from it and split by _fitting_split.  The generators are
+    conjugated by the split's P in two products (_conjugated).  Each
+    part's corner is this stack with its rows of P^-1 and columns of P,
+    formed only if the part is split in turn.  By additivity only A's
+    top_socle is computed, and B's is the module's minus A's.
     """
-    if min(_top_and_socle(module)) <= 1:
+    if top_socle is None:
+        top_socle = _top_and_socle(module)
+    if min(top_socle) <= 1:
         return None
     field = module.field
     if corner is None:
@@ -933,7 +962,7 @@ def _try_split(module: EAModule, trials: int, stream: CounterStream, corner=None
         cols, da = split
         basis_change = MatF(field, cols)
         inv = basis_change.inv()
-        conj = [(inv @ x @ basis_change).data for x in module.gens]
+        conj = _conjugated(module, inv, basis_change).reshape(n, module.k, n, field.m).swapaxes(0, 1)
         for i, c in enumerate(conj):
             if c[da:, :da].any() or c[:da, da:].any():
                 raise BrokenInvariant(f"generator {i + 1} of a module of dim {n} is not block "
@@ -942,7 +971,9 @@ def _try_split(module: EAModule, trials: int, stream: CounterStream, corner=None
         for lo, hi in ((0, da), (da, n)):
             gens = [MatF(field, c[lo:hi, lo:hi].copy()) for c in conj]
             part = EAModule(module.p, module.k, field, gens, dim=hi - lo)
-            parts.append((part, (stack, inv.data[lo:hi], basis_change.data[:, lo:hi])))
+            # top and socle are additive: B's pair is the module's minus A's
+            pair = _top_and_socle(part) if lo == 0 else (top_socle[0] - pair[0], top_socle[1] - pair[1])
+            parts.append((part, (stack, inv.data[lo:hi], basis_change.data[:, lo:hi]), pair))
         return tuple(parts)
     return None
 
@@ -960,16 +991,20 @@ def fitting_decompose(module: EAModule, trials: int = 60, seed: int = 7) -> Fitt
     One commutant is computed, the given module's (endomorphism_basis);
     each summand's is the corner of its parent's (_corner_basis), the
     same canonical basis, so the draws and the summands are those of
-    spinning every piece's.
+    spinning every piece's.  Likewise only the given module's (dim top,
+    dim socle) and each split's first part's are eliminated; the second
+    part's is the difference (_try_split).  Every power of a Fitting step
+    stops at the first zero power (MatF.mat_pow), and a zero t^n is a
+    split with no RREF (_fitting).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     stream = CounterStream(seed)
-    pending = [(module, None)]
+    pending = [(module, None, None)]
     final = []
     while pending:
-        piece, corner = pending.pop(0)
-        split = _try_split(piece, trials, stream, corner)
+        piece, corner, top_socle = pending.pop(0)
+        split = _try_split(piece, trials, stream, corner, top_socle)
         if split is None:
             final.append(piece)
         else:

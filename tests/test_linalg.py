@@ -462,21 +462,23 @@ def test_float_mod_is_exact_up_to_the_mantissa(dtype, bits, p):
     assert np.array_equal(x.astype(np.int64), ints % p)
 
 
+def conjugated_nilpotent(ctx, blocks, stream):
+    """The canonical nilpotent with the given block sizes, conjugated by a random invertible matrix."""
+    n = sum(blocks)
+    while True:
+        conj = random_mat(ctx, n, n, stream)
+        try:
+            inv = conj.inv()
+        except ZeroDivisionError:
+            continue
+        return conj @ canonical_nilpotent(ctx, JordanType.from_blocks(ctx.p, blocks)) @ inv
+
+
 def test_jordan_types_of_a_stack():
     ctx = F9
     stream = CounterStream(31)
     blocks = [[3, 3, 2], [2, 2, 2, 2], [1] * 8, [3, 2, 1, 1, 1], [3, 3, 1, 1]]
-    stack = []
-    for b in blocks:
-        while True:
-            conj = random_mat(ctx, 8, 8, stream)
-            try:
-                inv = conj.inv()
-            except ZeroDivisionError:
-                continue
-            break
-        nil = conj @ canonical_nilpotent(ctx, JordanType.from_blocks(3, b)) @ inv
-        stack.append(expand(ctx, nil.data, np.int64))
+    stack = [expand(ctx, conjugated_nilpotent(ctx, b, stream).data, np.int64) for b in blocks]
     types = jordan_types(ctx, np.stack(stack), 3)
     assert types == [JordanType.from_blocks(3, b) for b in blocks]
     assert jordan_types(ctx, np.zeros((0, 16, 16), dtype=np.int64), 3) == []
@@ -508,3 +510,87 @@ def test_eliminate_at_the_edge_of_its_dtype(p, m, rows, cols):
         assert work.transpose(0, 2, 1).tolist() == [[list(x.coeffs) for x in row] for row in reduced]
         assert pivots[pivots >= 0].tolist() == expect
         assert mat.rank() == len(expect)
+
+
+# (field, block sizes of each member); a member is free when all its blocks have size p
+MIXED_STACKS = {
+    "f3": (F3, [[3, 3], [3, 2, 1], [3, 3], [2, 2, 2], [1] * 6, [3, 1, 1, 1]]),
+    "f9": (F9, [[2, 2, 1, 1], [3, 3], [3, 3], [3, 1, 1, 1]]),
+    "f5": (F5, [[5, 5], [4, 3, 2, 1], [5, 5], [5, 4, 1], [2] * 5]),
+    "f25": (F25, [[3, 2], [5], [1] * 5]),
+    "f8": (F8, [[2, 2], [2, 1, 1], [1] * 4, [2, 2]]),
+    "f3-free": (F3, [[3, 3], [3, 3]]),
+    "f5-none-free": (F5, [[4, 1], [3, 2]]),
+    "f3-indivisible": (F3, [[3, 1], [2, 2], [3, 1], [1] * 4]),
+}
+
+
+@pytest.mark.parametrize("name", list(MIXED_STACKS))
+def test_jordan_types_eliminate_higher_powers_of_the_non_free_only(monkeypatch, name):
+    # the first elimination takes N of every member; only the members with
+    # rank N below n(p-1)/p go on to the second, which takes N^2 .. N^(p-1)
+    ctx, blocks = MIXED_STACKS[name]
+    p, n, m = ctx.p, sum(blocks[0]), ctx.m
+    stream = CounterStream(5)
+    nils = [conjugated_nilpotent(ctx, b, stream) for b in blocks]
+    calls = []
+    ranks = linalg._ranks
+
+    def recording(ctx, work):
+        calls.append(work.copy())
+        return ranks(ctx, work)
+
+    def planes(mat):
+        return mat.data.transpose(0, 2, 1)
+
+    monkeypatch.setattr(linalg, "_ranks", recording)
+    stack = np.stack([expand(ctx, nil.data, np.float32) for nil in nils])
+    types = jordan_types(ctx, stack, p)
+    assert types == [JordanType(p, slow_jordan_mult(as_fel_rows(nil), p)) for nil in nils]
+    assert types == [JordanType.from_blocks(p, b) for b in blocks]
+    assert np.array_equal(calls[0], np.stack([planes(nil) for nil in nils]))
+    rest = [nil for nil, b in zip(nils, blocks) if set(b) != {p}]
+    if p == 2 or not rest:
+        assert len(calls) == 1
+        return
+    assert len(calls) == 2
+    higher = [planes(nil.mat_pow(e)) for e in range(2, p) for nil in rest]
+    assert np.array_equal(calls[1], np.stack(higher).reshape(-1, n, m, n))
+
+
+def test_mat_pow_refuses_a_negative_exponent():
+    # a negative exponent looped forever
+    eye = MatF.identity(F3, 2)
+    with pytest.raises(ValueError, match="not -1"):
+        eye.mat_pow(-1)
+    assert eye.mat_pow(0) == eye
+
+
+@pytest.mark.parametrize("ctx", [F3, F9, F8])
+def test_mat_pow_matches_repeated_products(monkeypatch, ctx):
+    # a nilpotent matrix whose powers turn zero partway, an invertible one
+    # and a zero one.  Without a zero power, e >= 1 takes floor(log2 e) squares
+    # and one product per further set bit: no identity is multiplied in
+    stream = CounterStream(9)
+    nil = conjugated_nilpotent(ctx, [ctx.p, 2, 1], stream)
+    unipotent = conjugated_nilpotent(ctx, [2, 1], stream) + MatF.identity(ctx, 3)
+    expected = []
+    for a in (nil, unipotent, MatF.zeros(ctx, 3, 3)):
+        powers = [MatF.identity(ctx, a.rows)]
+        while len(powers) < 20:
+            powers.append(powers[-1] @ a)
+        expected.append((a, powers))
+    products = []
+    matmul = MatF.__matmul__
+
+    def counted(a, b):
+        products.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(MatF, "__matmul__", counted)
+    for a, powers in expected:
+        for e, power in enumerate(powers):
+            products.clear()
+            assert a.mat_pow(e) == power
+            if a is unipotent and e:
+                assert len(products) == e.bit_length() - 1 + bin(e).count("1") - 1

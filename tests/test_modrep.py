@@ -1,7 +1,12 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -771,8 +776,14 @@ def test_endomorphism_basis_memory(change):
     assert peak < 6e6
 
 
+def top_and_socle_by_rank(mod):
+    """n - rank [X_1 | ... | X_k] and n - rank of the X_i stacked, one MatF.rank each."""
+    wide, tall = mr._wide_and_tall(mod)
+    return mod.n - wide.rank(), mod.n - tall.rank()
+
+
 def recorded_parts(monkeypatch, mod):
-    """The (part, corner) pairs of every split of fitting_decompose(mod, 60, 7), in order."""
+    """The (part, corner, top_socle) triples of every split of fitting_decompose(mod, 60, 7), in order."""
     parts = []
     try_split = mr._try_split
 
@@ -799,6 +810,8 @@ CORNER_MODULES = {
     "restricted-lines-2": (lambda: mr.direct_sum(restricted_line(2, 0), restricted_line(2, 1)), 12),
     "restricted-lines-3": (lambda: mr.direct_sum(restricted_line(3, 0), restricted_line(3, 1)), 12),
     "two-lines-f8": (THETA_MODULES["two-lines-f8"], 12),
+    # parts with (dim top, dim socle) = (1, 2) and (2, 1)
+    "cyclic-and-dual": (lambda: mr.direct_sum(radical_square_zero(F3), mr.dual(radical_square_zero(F3))), 12),
 }
 
 
@@ -806,11 +819,14 @@ CORNER_MODULES = {
 def test_corner_commutant_is_the_spun_one(monkeypatch, name):
     # every part's commutant, read off its parent's as corners, is the
     # basis endomorphism_basis spins for it, entry for entry, and for small
-    # parts the oracle's; the dim-3 leaves, which never form theirs, too
+    # parts the oracle's; the dim-3 leaves, which never form theirs, too.
+    # Every part's (dim top, dim socle), computed for the first part and
+    # subtracted from the parent's for the second, is its own
     build, oracle_dim = CORNER_MODULES[name]
     parts = recorded_parts(monkeypatch, build())
     assert parts
-    for part, corner in parts:
+    for part, corner, top_socle in parts:
+        assert top_socle == mr._top_and_socle(part) == top_and_socle_by_rank(part)
         basis = mr._corner_basis(part.field, *corner)
         assert basis.dtype == elim_dtype(part.p, 0)
         corners = [MatF(part.field, y) for y in basis]
@@ -858,6 +874,113 @@ def test_fitting_decompose_memory():
     assert peak < 6e6
 
 
+# The summands of fitting_decompose(module, 60, 7): status, dims and the
+# sha256 of each summand's generator bytes (int64, in order), recorded
+# at 401fa76, before the top/socle inheritance, mat_pow's early exit and
+# the N-first Jordan types; skipping determined work changes no byte
+SUMMAND_MODULES = {
+    "ten-lines": ten_line_sum,
+    "ten-lines-dense": lambda: conjugate(ten_line_sum(), dense_change()),
+    "d4-5-2": lambda: sr.d_r(sr.SymContext(5, 2), field_create(5, 1), 4),
+    "two-lines-f8": THETA_MODULES["two-lines-f8"],
+    "d2-3-2-f9": lambda: sr.d_r(sr.SymContext(3, 2), F9, 2),
+}
+SUMMAND_SHA256 = {
+    "ten-lines": ("decomposed", [3, 3, 3, 3, 3, 3, 3, 3, 3, 3], [
+        "29113e2ae35b1577566d35cae099b0a217b252d2c2ecfc80ca7ed84468120169",
+        "61a1387b9471719c20305b4dab2fabda3fd109072d7ebac833cb9487bbacc6d6",
+        "5965d63a90bbe7a72e6cf75ffd8a8cc9dca29e5cb9d967129ffaa003888c55a6",
+        "fb6d7d23829bb8fd8ee3ba86e1ad68dafa4832913b060e7128d563c91daba006",
+        "9389b9b6820566db51aecc46eb9ce123f5dafd9c0799b688644a165d6601640c",
+        "bd5929c54af586f233a625c84f58f9c1d2655613b63c01dab32f1953d169682f",
+        "91f37960597b9f2bd26d55560f042282393011970fef86bb22aeaf445ec3833e",
+        "ff8c8760f85139ce992f579c79592cf141c490553c36a1be1195efc9bb5a776a",
+        "1714f7c40068a86c58ee5800baad0fcb3271a43becd192abb6b870475d5cfeb4",
+        "e604d5a2927071d6d4e9e05bd46eb1c6eead3f84dd6aa0346a06dd7241e82c43",
+    ]),
+    "ten-lines-dense": ("decomposed", [3, 3, 3, 3, 3, 3, 3, 3, 3, 3], [
+        "63cdb91db33e4eca7a3a77f00cfa66d18671cb22f84693e1f166992b9a130bd7",
+        "4602bd030d5c79d538b0ecf91d3b9ae9be5a10beaddbd1f636b25bba1d8f4249",
+        "7c8976bab2f6a8b0b09645e567dc41fc866120843da0fbecf8fae1bbd29309cc",
+        "23d3ac8d35bcce3db77daec8d3e3d6bd000372221053c51e871fc8d57b80e901",
+        "72f873df3c4e7fb65e7df571d4bd8d037b4b826889a67c50c60bcb77f4bdfac6",
+        "f96590958b5d7a29d0e8977f17f64d133ea7277d6d77c1a33f8ef3d83c8460ee",
+        "e799ea30d8ce1286bddbd2f02f5b8200bd7a7064e22d937f8067b79720b6467e",
+        "bda83ae71836c742ad3f68c18324559c90af1b3a5275db9946535313d20e77f1",
+        "cc55e00f75fb9f935371d89cb73bf43b3379d2d05f7d7bdf2cccac9dd933b0e3",
+        "937876cf2ddaeeb87ea7b4297ef232f2658edc29dd3d4f73d98c9a2a93cdd4c6",
+    ]),
+    "d4-5-2": ("decomposed", [25, 25, 10, 10], [
+        "70142ebd700b231eeddd43299e365ba639aac0a759b010eb9bedc0011f640c06",
+        "2c39121867592a9a1537bfa741eb84c7e7ea17219eba78cf75e43147c8d7e61a",
+        "f934c6c390b65ae9004d807970b13b7911579187ebce9a806666b138e56bebf4",
+        "35724d84477771e597d83eae9697dd17215b14f269d38fd7381e88abf952ef39",
+    ]),
+    "two-lines-f8": ("decomposed", [2, 2], [
+        "8b520c06a75051273bea521a8f513a0804e78f90d3a075299057be715e215825",
+        "c12cbd93ded74d83ec6a1f724260bc3a1b4d3c0be3fb1deaac70ce7e0fccea30",
+    ]),
+    "d2-3-2-f9": ("decomposed", [3, 3], [
+        "0024c9f2579a1a90bd54937d465c2b13ea9b187f5afef3e316412aef83c45119",
+        "b4d63ba23330b50ff9d4334065402894ddc4f4e9ef525e28b827462aec77af78",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", list(SUMMAND_MODULES))
+def test_fitting_summand_digests(name):
+    result = mr.fitting_decompose(SUMMAND_MODULES[name](), 60, 7)
+    digests = [hashlib.sha256(b"".join(g.data.tobytes() for g in s.gens)).hexdigest()
+               for s in result.summands]
+    assert (result.status, [s.n for s in result.summands], digests) == SUMMAND_SHA256[name]
+
+
+def test_fitting_decompose_work_counts(monkeypatch):
+    # building and decomposing the ten-line sum took 108 eliminations (20 of
+    # them the build's) and 319 products when every piece's top and socle
+    # were two ranks of their own, mat_pow multiplied an identity in and
+    # squared once past its last bit, a zero power of a Fitting step was
+    # still eliminated and each X_i was conjugated alone (65 and 172 now)
+    counts = {"eliminate": 0, "matmul": 0}
+    eliminate, matmul = linalg._eliminate, MatF.__matmul__
+
+    def counted_eliminate(*args, **kwargs):
+        counts["eliminate"] += 1
+        return eliminate(*args, **kwargs)
+
+    def counted_matmul(a, b):
+        counts["matmul"] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(MatF, "__matmul__", counted_matmul)
+    assert [s.n for s in mr.fitting_decompose(ten_line_sum(), 60, 7).summands] == [3] * 10
+    assert counts["eliminate"] <= 75 and counts["matmul"] <= 210
+
+
+def test_decomposition_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma in numpy 2.4, about 15 ms at its first
+    # call; a decomposition of the ten-line sum in a fresh process makes no
+    # such import (the sum is built as ten_line_sum builds it)
+    code = "\n".join([
+        "import sys",
+        "from eamod.gf import field_create",
+        "from eamod import modrep, variety",
+        "F9 = field_create(3, 2)",
+        "elements = [F9.from_code(c) for c in range(9)]",
+        "directions = [[elements[1], c] for c in elements] + [[elements[0], elements[1]]]",
+        "module = variety.dv_rank2_builder(3, F9, directions)",
+        "before = 'numpy.ma' in sys.modules",
+        "result = modrep.fitting_decompose(module, 60, 7)",
+        "print(before, [s.n for s in result.summands] == [3] * 10, 'numpy.ma' in sys.modules)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(mr.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True", "False"]
+
+
 def test_split_that_is_not_invariant_raises(monkeypatch):
     # a coordinate split of the ten-line sum cuts its first line apart
     mod = ten_line_sum()
@@ -881,8 +1004,10 @@ def test_canonical_basis_needs_the_identity():
 
 def test_jordan_type_rank_steps_are_checked(monkeypatch):
     # ranks 4, 3, 0 of N^0, N, N^2 drop by 1, then 3: a negative count of
-    # size-1 blocks, which no matrix has
-    monkeypatch.setattr(linalg, "_ranks", lambda ctx, work: np.array([3, 0] * (len(work) // 2)))
+    # size-1 blocks, which no matrix has.  rank N = 3 is not free (4 = n is
+    # not a multiple of 3), so the second elimination, of N^2, runs too
+    faked = iter([np.array([3]), np.array([0])])
+    monkeypatch.setattr(linalg, "_ranks", lambda ctx, work: next(faked))
     nil = canonical_nilpotent(F3, JordanType.from_blocks(3, [3, 1]))
     with pytest.raises(BrokenInvariant, match=r"ranks \[4, 3, 0, 0\] of the powers of a 4 x 4 matrix"):
         jordan_types(F3, linalg.expand(F3, nil.data, np.float32)[None], 3)
