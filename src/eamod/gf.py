@@ -3,12 +3,13 @@
 A FieldCtx fixes (p, m, irr) where irr is a monic irreducible of degree m
 over F_p; every element and matrix in the package is interpreted
 relative to one such context.  Elements are coefficient vectors in
-ascending powers of the generator w (a root of irr).  Polynomials over
-F_p are plain integer lists, ascending.
+ascending powers of the generator w (a root of irr); a Point is a tuple
+of them.  Polynomials over F_p are plain integer lists, ascending.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -384,6 +385,50 @@ class Fel:
 
 
 # -- prime-subfield polynomial helpers on bare int lists (irreducibility) --
+
+
+class ZeroPoint(ValueError):
+    """Raised when a nonzero point is required."""
+
+
+@dataclass(frozen=True)
+class Point:
+    """A point of affine k-space over a FieldCtx (tuple of Fel)."""
+
+    coords: tuple
+
+    @classmethod
+    def of(cls, field: FieldCtx, values) -> "Point":
+        return cls(tuple(field.el(v) for v in values))
+
+    @property
+    def k(self) -> int:
+        return len(self.coords)
+
+    def is_zero(self) -> bool:
+        return not any(self.coords)
+
+    def is_normalized(self) -> bool:
+        for c in self.coords:
+            if c:
+                return c == 1
+        return False
+
+    def normalize(self) -> "Point":
+        """Projective normalization: scale so the first nonzero coord is 1 (self if it is)."""
+        if self.is_normalized():
+            return self
+        for c in self.coords:
+            if c:
+                inv = c.inverse()
+                return Point(tuple(x * inv for x in self.coords))
+        raise ZeroPoint("cannot normalize the zero point")
+
+    def codes(self) -> tuple:
+        return tuple(c.ctx.code(c.coeffs) for c in self.coords)
+
+    def __str__(self):
+        return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
 def _fp_trim(a):

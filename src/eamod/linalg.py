@@ -14,28 +14,13 @@ is nm residues, each term is at most (p-1)^2, and every integer up to
 float32 and runs there (product_dtype).
 
 Elimination runs over F_{p^m} itself, on a (B, r, m, c) stack of
-coefficient planes: the storage layout with its last two axes swapped.
-B matrices step through the c columns together, one step per column,
-each with its own pivot rows, and a single matrix is a stack of one.
-A pivot row with lead a is multiplied by the blocks of w^s / a, s < m
-(C^s times the block sum_t x_t C^t of x = 1/a, C^t from
-FieldCtx.regular()), and a row with entry b there takes away
-sum_s b_s (w^s / a) times the pivot row: m broadcast products on
-coefficient planes.  Reduction mod p is lazy: a step reduces only its
-pivot column and its pivot rows, and every other row keeps the
-unreduced differences.  An update subtracts at most m(p-1)^2 and a row
-takes at most c of them, so entries stay within (p-1) + c m (p-1)^2 in
-absolute value; the work dtype is the narrowest signed integer holding
-c m (p-1)^2 + p, and a stack that no int64 holds is refused.
+coefficient planes (the storage layout with its last two axes
+swapped), B matrices stepping through the columns together, with lazy
+reduction mod p in the narrowest signed dtype that holds its reach
+(_eliminate, elim_dtype).
 
-Jordan types of nilpotent matrices are extracted from rank sequences
-only; no similarity transform is computed.  A stack of matrices takes
-its powers as one batched product each, the ranks of N in one
-elimination, and those of the higher powers, for the members that rank
-N does not prove free, in a second.
-
-combine() makes every linear combination sum_t c_t M_t one product;
-compound_matrix() builds each level of minors from the last (Laplace).
+Jordan types of nilpotent matrices are read off the ranks of their
+powers (jordan_types); no similarity transform is computed.
 """
 
 from __future__ import annotations
@@ -256,6 +241,25 @@ class MatF:
             raise ZeroDivisionError("matrix is singular")
         return MatF(self.ctx, reduced[:, n:])
 
+    def completed_inverse(self) -> "MatF":
+        """The inverse of C: these r rows, then e_j at each non-pivot column j of their RREF.
+
+        One RREF of [rows | I_r] is [F | E], E rows = F; a pivot past
+        column k means dependent rows (ZeroDivisionError).  C^-1 has E at
+        (pivots, :r), -F[:, non-pivots] at (pivots, r:), 1 at (j_i, r + i).
+        """
+        (r, k), m = self.data.shape[:2], self.ctx.m
+        aug = np.concatenate([self.data, MatF.identity(self.ctx, r).data], axis=1)
+        reduced, pivots = MatF(self.ctx, aug).rref()
+        if pivots and pivots[-1] >= k:
+            raise ZeroDivisionError("rows are dependent")
+        free = [j for j in range(k) if j not in pivots]
+        out = np.zeros((k, k, m), dtype=np.int64)
+        out[pivots, :r] = reduced.data[:, k:]
+        out[pivots, r:] = -reduced.data[:, free]
+        out[free, np.arange(r, k), 0] = 1
+        return MatF(self.ctx, out)
+
     def _check(self, other, shape=True):
         if self.ctx != other.ctx:
             raise ValueError("mixed field contexts")
@@ -430,24 +434,19 @@ def _eliminate(ctx: FieldCtx, work: np.ndarray, full: bool) -> np.ndarray:
     """Gaussian elimination over F_{p^m}, in place, of a (B, r, m, c) stack of coefficient planes.
 
     work[b, i, :, j] is the coefficient vector of entry (i, j) of member
-    b.  Entries start in 0..p-1, in the dtype elim_dtype(p, c m), and
-    the stack is C-contiguous.  The B matrices step through the c
-    columns together, one step per column.  At column j each takes as
-    its pivot row the first row not yet used with a nonzero entry a
-    there; rows are never swapped.  The pivot row is reduced mod p, and
-    one small product with the blocks of w^s / a (_pivot_blocks) gives
-    its multiples w^s / a times it for s < m, reduced mod p; the first
-    is the pivot row scaled to a leading 1.  Every row with an entry
-    b != 0 there takes away b / a times the pivot row, which is
-    sum_s b_s (w^s / a) times it: m broadcast products.  The rows are
-    the unused ones, the pivot row among them, with full=False (for a
-    rank); every row with full=True (for an RREF), which then puts the
-    scaled pivot row back.  Only those rows are touched, all members'
-    in one update, and only column j and the pivot rows are reduced:
-    each update subtracts at most m(p-1)^2 and a row takes at most one
-    per column, so elim_dtype(p, c m) holds every entry.  Row
-    operations keep a column that is zero in every row zero, so such
-    columns are skipped.
+    b; entries start in 0..p-1, in elim_dtype(p, c m), and the stack is
+    C-contiguous.  The members step through the columns together.  At
+    column j each takes as its pivot row the first unused row with a
+    nonzero entry a there (rows are never swapped), reduces it mod p and
+    forms its multiples w^s / a times it, s < m, with one small product
+    (_pivot_blocks); the first is the row scaled to a leading 1.  Every
+    row with an entry b != 0 there takes away sum_s b_s (w^s / a) times
+    the pivot row: m broadcast products, all members' in one update.
+    Those rows are the unused ones with full=False (a rank), every row
+    with full=True (an RREF), which puts the scaled pivot row back.
+    Only column j and the pivot rows are reduced: an update subtracts at
+    most m(p-1)^2 and a row takes at most one a column, so elim_dtype(p,
+    c m) holds every entry.  Columns zero in every row are skipped.
 
     Returns the (B, r) pivot column of each row, -1 where a row has
     none.  full=True then reduces the stack mod p and orders each
@@ -582,29 +581,27 @@ def jordan_type_nilpotent(n_mat: MatF, p: int) -> JordanType:
     return jordan_types(ctx, expanded[None], p)[0]
 
 
-def jordan_types(ctx: FieldCtx, stack: np.ndarray, p: int) -> list:
+def jordan_types(ctx: FieldCtx, stack: np.ndarray, p: int, rank_n=None, proven: bool = False) -> list:
     """Jordan types of a (B, nm, nm) stack of F_p expansions of nilpotent n x n matrices.
 
     With b_r = rank(N^{r-1}) - rank(N^r), the multiplicity of size-r
     blocks is b_r - b_{r+1}.  Block column 0 of an expansion holds the
     coefficient vectors of the entries, and block column 0 of N^e is
-    expand(N) times that of N^(e-1): each power is one batched product
-    of the stack with the (B, nm, n) columns of the last, reduced in
-    place by float_mod (product_dtype, exact while n <= ctx.max_inner).
-    A stack already in product_dtype(ctx, n), as jordan_types_at makes
-    it, is multiplied as it is; any other is cast once.
+    expand(N) times that of N^(e-1): one batched product a power, in
+    product_dtype(ctx, n) (a stack in another dtype is cast once).
 
-    The ranks of N for every matrix are one elimination of their B
-    coefficient planes, (B, n, m, n), made before any other power.  A
-    matrix with rank N = n(p-1)/p is free: once N^p = 0, its blocks have
-    sizes at most p, rank N is n minus their number, and that number is
-    n/p only when every block has size p, so rank N^e = n(p-e)/p.  Only
-    the other members keep the planes of N^2, ..., N^(p-1), and their
-    ranks are a second elimination.  Every power of every matrix is
-    still formed, and NotNilpotent is raised when some N^p is nonzero.
+    Once N^p = 0, rank N = n(p-1)/p proves a member free: rank N is n
+    minus its number of blocks, which is n/p only when every block has
+    size p, and then rank N^e = n(p-e)/p.  proven says that every member
+    has N^p = 0 (modrep.validate of its module), and N^p is not formed;
+    otherwise every power up to N^p is, and NotNilpotent is raised when
+    some N^p is nonzero.  rank_n holds the (B,) ranks of N when the
+    caller has them; an unproven stack without them whose n p divides
+    eliminates N's (B, n, m, n) planes first.  The members rank N does
+    not prove free take N^2, ..., N^(p-1) to one more elimination, or
+    N, ..., N^(p-1) without ranks of N.
     """
-    count, size = stack.shape[:2]
-    m = ctx.m
+    (count, size), m = stack.shape[:2], ctx.m
     n = size // m
     _check_inner(ctx, n)
     dtype = elim_dtype(ctx.p, size)
@@ -612,23 +609,28 @@ def jordan_types(ctx: FieldCtx, stack: np.ndarray, p: int) -> list:
     power = base[..., ::m]
     ranks = np.zeros((count, p + 1), dtype=np.int64)
     ranks[:, 0] = n
-    ranks[:, 1] = _ranks(ctx, power.reshape(count, n, m, n).astype(dtype, order="C"))
-    free = ranks[:, 1] * p == n * (p - 1)
-    ranks[free, 2:p] = n // p * (p - np.arange(2, p))
-    rest = np.flatnonzero(~free)
-    # planes[e - 2] holds the planes of N^e for e = 2..p-1 of the rest, left zero once every N^e is
-    planes = np.zeros((p - 2, rest.size, n, m, n), dtype=dtype)
-    for e in range(2, p + 1):
-        power = float_mod(np.matmul(base, power), ctx.p)
+    if rank_n is None and not proven and n % p == 0:
+        rank_n = _ranks(ctx, power.reshape(count, n, m, n).astype(dtype, order="C"))
+    rest, first = np.arange(count), 1  # the members and the first power the elimination takes
+    if rank_n is not None:
+        ranks[:, 1] = rank_n
+        free = ranks[:, 1] * p == n * (p - 1)
+        ranks[free, 2:p] = n // p * (p - np.arange(2, p))
+        rest, first = np.flatnonzero(~free), 2
+    # planes[e - first] holds the planes of N^e of the rest, left zero once every N^e is
+    planes = np.zeros((p - first, rest.size, n, m, n), dtype=dtype)
+    for e in range(first, p if proven else p + 1):
+        if e > 1:
+            power = float_mod(np.matmul(base, power), ctx.p)
         if e == p:
             if power.any():
                 raise NotNilpotent(f"matrix is not nilpotent of order <= {p}")
             break
         if not power.any():
             break
-        planes[e - 2] = power[rest].reshape(rest.size, n, m, n)
+        planes[e - first] = power[rest].reshape(rest.size, n, m, n)
     if planes.size:
-        ranks[rest, 2:p] = _ranks(ctx, planes.reshape(-1, n, m, n)).reshape(p - 2, rest.size).T
+        ranks[rest, first:p] = _ranks(ctx, planes.reshape(-1, n, m, n)).reshape(p - first, rest.size).T
     # b[:, r-1] = b_r for r = 1..p+1, the last rank(N^p) - 0 = 0
     b = -np.diff(ranks, axis=1, append=0)
     # the sizes r mult_r sum to rank(N^0) - rank(N^p) = n whatever the

@@ -5,10 +5,8 @@ X_1..X_k (the images of g_i - 1) over one FieldCtx, with X_i^p = 0.
 This module hosts all module-level constructions: sums, tensors,
 duals, exterior powers, restriction, induction, linear-variety
 modules, the exact projectivity test, endomorphism (commutant) bases
-and the randomized Fitting decomposition.
-
-Jordan types at points all come from jordan_types_at; x_alpha, which
-is_free_at takes, is one linalg.combine.
+and the randomized Fitting decomposition.  Jordan types at points all
+come from jordan_types_at.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-from .gf import FieldCtx, json_int
+from .gf import FieldCtx, Point, ZeroPoint, json_int
 from .linalg import (
     BrokenInvariant,
     JordanType,
@@ -45,7 +43,7 @@ from .linalg import (
 )
 from .stream import CounterStream
 
-# peak bytes of one jordan_types_at stack, at _point_bytes a point
+# peak bytes of one jordan_types_at stack, at _point_bytes a point in each phase
 STACK_BYTES = 1 << 20
 
 
@@ -55,56 +53,12 @@ class NonCommuting(ValueError):
         super().__init__(f"generators {i} and {j} do not commute")
 
 
-class ZeroPoint(ValueError):
-    """Raised when a nonzero point is required."""
-
-
 class MismatchedContext(ValueError):
     """Raised when combining modules over different (p, k, field)."""
 
 
 class DependentGenerators(ValueError):
     """Raised when subgroup/embedding vectors are linearly dependent."""
-
-
-@dataclass(frozen=True)
-class Point:
-    """A point of affine k-space over a FieldCtx (tuple of Fel)."""
-
-    coords: tuple
-
-    @classmethod
-    def of(cls, field: FieldCtx, values) -> "Point":
-        return cls(tuple(field.el(v) for v in values))
-
-    @property
-    def k(self) -> int:
-        return len(self.coords)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def is_normalized(self) -> bool:
-        for c in self.coords:
-            if c:
-                return c == 1
-        return False
-
-    def normalize(self) -> "Point":
-        """Projective normalization: scale so the first nonzero coord is 1 (self if it is)."""
-        if self.is_normalized():
-            return self
-        for c in self.coords:
-            if c:
-                inv = c.inverse()
-                return Point(tuple(x * inv for x in self.coords))
-        raise ZeroPoint("cannot normalize the zero point")
-
-    def codes(self) -> tuple:
-        return tuple(c.ctx.code(c.coeffs) for c in self.coords)
-
-    def __str__(self):
-        return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
 class Symmetry(enum.Flag):
@@ -127,14 +81,15 @@ class Symmetry(enum.Flag):
 class EAModule:
     """A module over F E, E elementary abelian of rank k.
 
-    symmetry is what the constructor vouches for (see Symmetry); point
-    sweeps use it, and equality ignores it.
+    symmetry is what the constructor vouches for (see Symmetry), for
+    point sweeps; proven, that the relations hold (validate sets it; the
+    lift, direct sums and split parts pass it on).  Equality ignores both.
     """
 
-    __slots__ = ("p", "k", "n", "field", "gens", "symmetry")
+    __slots__ = ("p", "k", "n", "field", "gens", "symmetry", "proven")
 
     def __init__(self, p: int, k: int, field: FieldCtx, gens, dim: int = None,
-                 symmetry: Symmetry = Symmetry.NONE):
+                 symmetry: Symmetry = Symmetry.NONE, proven: bool = False):
         gens = tuple(gens)
         if len(gens) != k:
             raise ValueError(f"expected {k} generators, got {len(gens)}")
@@ -157,6 +112,7 @@ class EAModule:
         self.field = field
         self.gens = gens
         self.symmetry = symmetry
+        self.proven = proven
 
     def group_matrices(self):
         """u_i = 1 + X_i, derived on demand."""
@@ -236,14 +192,30 @@ class EAModule:
 
 
 def validate(module: EAModule) -> EAModule:
-    """Check pairwise commutation and X_i^p = 0; returns the module."""
-    for i, g in enumerate(module.gens):
-        if not g.mat_pow(module.p).is_zero():
-            raise NotNilpotent(f"generator {i + 1} is not nilpotent of order <= p")
-    for i in range(module.k):
-        for j in range(i + 1, module.k):
-            if module.gens[i] @ module.gens[j] != module.gens[j] @ module.gens[i]:
-                raise NonCommuting(i + 1, j + 1)
+    """Check X_i^p = 0 and pairwise commutation, and mark the module proven; returns it.
+
+    X_i^p is p-1 batched products on the expansions' block columns 0 and
+    every X_i X_j one product, the X_i stacked times [X_1 | ... | X_k].
+    In characteristic p, (sum_i a_i X_i)^p = sum_i a_i^p X_i^p = 0 then,
+    at every point a over every extension.
+    """
+    field, n, k, m = module.field, module.n, module.k, module.field.m
+    if n and k:
+        _check_inner(field, n)
+        expanded = np.array([expand(field, g.data, product_dtype(field, n)) for g in module.gens])
+        power = expanded[..., ::m]
+        for _ in range(module.p - 1):
+            power = float_mod(np.matmul(expanded, power), field.p)
+        bad = np.flatnonzero(power.any(axis=(1, 2)))
+        if bad.size:
+            raise NotNilpotent(f"generator {bad[0] + 1} is not nilpotent of order <= p")
+        wide, tall = _wide_and_tall(module)
+        products = (tall @ wide).data.reshape(k, n, k, n, m)  # [i, :, j] is X_i X_j
+        for i in range(k):
+            for j in range(i + 1, k):
+                if not np.array_equal(products[i, :, j], products[j, :, i]):
+                    raise NonCommuting(i + 1, j + 1)
+    module.proven = True
     return module
 
 
@@ -266,57 +238,64 @@ def x_alpha(module: EAModule, alpha) -> MatF:
     return MatF(module.field, combine(module.field, _nonzero_point(module, alpha), gens)[0])
 
 
-def _point_bytes(field: FieldCtx, n: int) -> int:
+def _point_bytes(field: FieldCtx, n: int, expanded: bool = True) -> int:
     """Bytes that one point of a dim-n module adds to a jordan_types_at stack.
 
-    Its nm x nm expansion in the product dtype, and four times the p-1
-    (n, m, n) planes of its powers in the elimination dtype: the planes
-    and the elimination's temporaries over them (gathered pivot
-    multiples, updates).  That is the cost of a point that is not free;
-    a free one keeps only the planes of N (jordan_types).  Measured
-    per-point tracemalloc peaks of one-stack calls on points spread over
-    P^(k-1) are 0.24 to 1.31 times it, from D(6) at (7, 2) over F_7 to
-    D(1) at (3, 3) over F_27 (no free point), 0.91 for D(2) at (3, 3)
-    over F_27; on non-free points only, 0.78 (D(6) at (7, 2) over F_49)
-    to 1.05 (D(2) at (3, 4) over F_9).
+    Phase two (expanded): its nm x nm expansion in the product dtype and
+    four times the (n, m, n) planes in the elimination dtype of the
+    powers it eliminates: N^2, ..., N^(p-1) when p divides n (phase one
+    took N), else N, ..., N^(p-1).  Phase one: N's (n, n, m) planes in
+    the product dtype and four times them in the elimination's.  Peaks
+    of one stack were 0.69-0.79 (phase one) and 0.81-1.47 times it.
     """
-    size = n * field.m
-    planes = (field.p - 1) * n * size * elim_dtype(field.p, size).itemsize
-    return size * size * product_dtype(field, n).itemsize + 4 * planes
+    size, p = n * field.m, field.p
+    plane = n * size * elim_dtype(p, size).itemsize
+    powers = p - 1 - (n % p == 0) if expanded else 1
+    return (size if expanded else n) * size * product_dtype(field, n).itemsize + 4 * powers * plane
 
 
 def jordan_types_at(module: EAModule, coords: np.ndarray) -> list:
     """Jordan types of X_alpha at the points of an (N, k, m) coefficient array, a stack at a time.
 
     The one Jordan-type path for points: sweeps, samples and single
-    points.  The F_p expansion of a*X_i is expand(X_i)(I (x) C(a)), C(a)
-    the multiplication matrix of a, so a stack of X_alpha is built
-    straight from the coefficients as sum_i expand(X_i)(I (x) C(alpha_i)):
-    one batched product with inner dimension km, whose entries reach
-    k m (p-1)^2, exact while k <= max_inner.  The stack is made once,
-    in the product dtype that jordan_types multiplies in, and reduced
-    there in place (linalg.float_mod), so jordan_types takes it as it
-    is.  Stacks hold max(1, STACK_BYTES // _point_bytes(field, n))
-    points, a number fixed by the module's dimension and field.
+    points.  An unproven module is validated once, so no point needs the
+    N^p = 0 check.  When p divides n, phase one eliminates N's
+    coefficient planes at every point (one combine a stack) and types
+    the points that rank N proves free; phase two types the rest, or all
+    points when p does not divide n, by jordan_types with their ranks of
+    N.  Each phase's stacks hold STACK_BYTES // _point_bytes(field, n,
+    expanded) points.  Phase two builds its stack as sum_i expand(X_i)(I
+    (x) C(alpha_i)), C(a) the multiplication matrix of a: one batched
+    product with inner dimension km, exact while k <= max_inner.
     """
     field, n, k = module.field, module.n, module.k
-    m, p = field.m, field.p
-    size = n * m
+    m, p, size = field.m, field.p, n * field.m
+    if not module.proven:
+        validate(module)
     _check_inner(field, k)
+    types = [JordanType(p, (0,) * (p - 1) + (n // p,))] * len(coords)
+    rest, rank_n = np.arange(len(coords)), None
+    if n % p == 0:
+        gens = np.array([g.data for g in module.gens]).reshape(k, n, n, m)
+        step = max(1, STACK_BYTES // (_point_bytes(field, n, False) or 1))
+        rank_n = np.empty(len(coords), dtype=np.int64)
+        for start in range(0, len(coords), step):
+            planes = combine(field, coords[start : start + step], gens).transpose(0, 1, 3, 2)
+            rank_n[start : start + step] = _ranks(field, planes.astype(elim_dtype(p, size), order="C"))
+        rest = np.flatnonzero(rank_n * p != n * (p - 1))
+    if not rest.size:
+        return types
     dtype = product_dtype(field, max(n, k))
-    # the m columns of every block column of expand(X_1), ..., expand(X_k)
-    # side by side, to be multiplied by C(alpha_1), ..., C(alpha_k) stacked
-    gens = [expand(field, g.data, dtype).reshape(size * n, m) for g in module.gens]
-    gens = np.concatenate(gens, axis=1)
-    blocks = field.regular().reshape(m, m * m)
+    # the m columns of each block column of every expand(X_i), side by side
+    gens = np.concatenate([expand(field, g.data, dtype).reshape(size * n, m) for g in module.gens], axis=1)
     step = max(1, STACK_BYTES // (_point_bytes(field, n) or 1))
-    types = []
-    for start in range(0, len(coords), step):
-        chunk = coords[start : start + step]
-        mult = (chunk @ blocks % p).astype(dtype).reshape(len(chunk), k * m, m)
-        stack = np.matmul(gens, mult).reshape(len(chunk), size, size)
-        float_mod(stack, p)
-        types += jordan_types(field, stack, p)
+    for start in range(0, rest.size, step):
+        at = rest[start : start + step]
+        mult = (coords[at] @ field.regular().reshape(m, m * m) % p).astype(dtype).reshape(len(at), k * m, m)
+        stack = float_mod(np.matmul(gens, mult).reshape(len(at), size, size), p)
+        known = None if rank_n is None else rank_n[at]
+        for i, jt in zip(at.tolist(), jordan_types(field, stack, p, known, proven=True)):
+            types[i] = jt
     return types
 
 
@@ -332,9 +311,8 @@ def is_free_at(module: EAModule, alpha) -> bool:
     type is [p]^{dim/p}; always false when p does not divide dim.
     """
     _nonzero_point(module, alpha)
-    if module.n % module.p != 0:
-        return False
-    return module.n == 0 or x_alpha(module, alpha).mat_pow(module.p - 1).rank() == module.n // module.p
+    n, p = module.n, module.p
+    return n % p == 0 and (n == 0 or x_alpha(module, alpha).mat_pow(p - 1).rank() == n // p)
 
 
 # -- constructions --
@@ -352,8 +330,8 @@ def lift_to_extension(module: EAModule, ext: FieldCtx) -> EAModule:
     The generator w of the source maps to the least-code root r of its
     irr in ext, so an entry sum_i a_i w^i becomes sum_i a_i r^i; F_p
     entries embed as constant coefficients.  The lift keeps the module's
-    declared symmetry and adds none: a lift from F_p has every entry in
-    F_p, and variety_points reads Frobenius off the entries.
+    proof and declared symmetry and adds none: a lift from F_p has every
+    entry in F_p, and variety_points reads Frobenius off the entries.
     """
     src = module.field
     if src == ext:
@@ -368,7 +346,7 @@ def lift_to_extension(module: EAModule, ext: FieldCtx) -> EAModule:
         powers = [r ** i for i in range(src.m)]
     embed = np.array([x.coeffs for x in powers], dtype=np.int64)
     gens = [MatF(ext, g.data @ embed) for g in module.gens]
-    return EAModule(module.p, module.k, ext, gens, symmetry=module.symmetry)
+    return EAModule(module.p, module.k, ext, gens, symmetry=module.symmetry, proven=module.proven)
 
 
 def zero_module(p: int, k: int, field: FieldCtx) -> EAModule:
@@ -378,7 +356,7 @@ def zero_module(p: int, k: int, field: FieldCtx) -> EAModule:
 def direct_sum(m1: EAModule, m2: EAModule) -> EAModule:
     _check_pair(m1, m2)
     gens = [MatF.block_diag([a, b]) for a, b in zip(m1.gens, m2.gens)]
-    return EAModule(m1.p, m1.k, m1.field, gens)
+    return EAModule(m1.p, m1.k, m1.field, gens, proven=m1.proven and m2.proven)
 
 
 def tensor(m1: EAModule, m2: EAModule) -> EAModule:
@@ -397,8 +375,7 @@ def dual(module: EAModule) -> EAModule:
     gens = []
     for x in module.gens:
         # (1 + X)^{-1} = sum_{j<p} (-X)^j, a finite geometric series
-        inv = eye
-        term = eye
+        inv = term = eye
         for _ in range(module.p - 1):
             term = -(term @ x)
             inv = inv + term
@@ -443,17 +420,12 @@ def _check_pair(m1: EAModule, m2: EAModule) -> None:
 
 
 def _completed_inverse(field: FieldCtx, rows, k: int, name: str) -> MatF:
-    """The inverse of C: the rows over the field, then e_j at each non-pivot column j.
-
-    The pivots are those of the RREF of the rows, so C is invertible
-    exactly when the rows are independent over the field; otherwise
-    DependentGenerators names the `name` vectors.
-    """
-    pivots = MatF.from_rows(field, rows).rref()[1] if rows else []
-    if len(pivots) != len(rows):
-        raise DependentGenerators(f"{name} vectors are dependent over F_{field.q}")
-    standard = [[int(i == j) for i in range(k)] for j in range(k) if j not in pivots]
-    return MatF.from_rows(field, [list(v) for v in rows] + standard).inv()
+    """MatF.completed_inverse of the rows over the field; DependentGenerators names the `name` vectors."""
+    rows = MatF.from_rows(field, rows).data.reshape(len(rows), k, field.m)
+    try:
+        return MatF(field, rows).completed_inverse()
+    except ZeroDivisionError:
+        raise DependentGenerators(f"{name} vectors are dependent over F_{field.q}") from None
 
 
 def _group_word(us, exponents, eye: MatF) -> MatF:
@@ -808,11 +780,7 @@ def endomorphism_basis(module: EAModule):
     (_relation_rows, _common_kernel), so memory stays near the (n, n, n,
     m) word cube, held in the narrowest integer dtype.  Each solution
     gives Y = [W_u y_o(u)]_u S^-1.  The basis is canonical, a function of
-    End(M) alone (_canonical_basis): the rows of the RREF of the
-    flattened n^2 vectors, except row 0, whose pivot is entry (0, 0),
-    which the identity replaces.  fitting_decompose spins only the
-    commutant of the module it is given; a summand's is read off its
-    parent's as corners (_corner_basis), the same basis entry for entry.
+    End(M) alone (_canonical_basis).
     """
     field, n, m, k = module.field, module.n, module.field.m, module.k
     if n == 0:
@@ -923,23 +891,18 @@ def _fitting_split(theta: MatF):
 def _try_split(module: EAModule, trials: int, stream: CounterStream, corner=None, top_socle=None):
     """Split the module in two along a random commutant element, or return None.
 
-    A split is ((A, corner of A, top_socle of A), (B, corner of B,
-    top_socle of B)), top_socle being (dim top, dim socle).  The
-    module's own is passed in when known and computed (_top_and_socle)
-    when None.  A module whose top or socle has dimension at most 1 is
-    returned as None before any commutant or theta is computed: top and
-    socle are additive over direct sums and nonzero on every nonzero
-    summand (Nakayama; a p-group fixes a nonzero vector), so a
-    1-dimensional one proves the module indecomposable.  Otherwise the
-    commutant is formed: spun by endomorphism_basis when corner is None,
-    else read off as the corners of corner = (parent's commutant stack,
-    rows of P^-1, columns of P) by _corner_basis.  It is held as one (d,
-    n, n, m) stack in elim_dtype(p, 0), and up to `trials` thetas are
-    drawn from it and split by _fitting_split.  The generators are
-    conjugated by the split's P in two products (_conjugated).  Each
-    part's corner is this stack with its rows of P^-1 and columns of P,
-    formed only if the part is split in turn.  By additivity only A's
-    top_socle is computed, and B's is the module's minus A's.
+    A split is ((A, corner of A, top_socle of A), (B, ...)), top_socle
+    being (dim top, dim socle), computed (_top_and_socle) when None.  A
+    top or socle of dimension at most 1 proves the module indecomposable
+    (both are additive over direct sums and nonzero on every nonzero
+    summand: Nakayama, and a p-group fixes a nonzero vector), so None is
+    returned before any commutant is formed.  The commutant, a (d, n, n,
+    m) stack, is spun (endomorphism_basis) when corner is None, else read
+    off the corners of corner = (parent's stack, rows of P^-1, columns
+    of P) (_corner_basis).  Up to `trials` thetas drawn from it are split
+    by _fitting_split, and the generators conjugated by the split's P
+    (_conjugated).  Only A's top_socle is eliminated; B's is the
+    module's minus A's.
     """
     if top_socle is None:
         top_socle = _top_and_socle(module)
@@ -970,7 +933,7 @@ def _try_split(module: EAModule, trials: int, stream: CounterStream, corner=None
         parts = []
         for lo, hi in ((0, da), (da, n)):
             gens = [MatF(field, c[lo:hi, lo:hi].copy()) for c in conj]
-            part = EAModule(module.p, module.k, field, gens, dim=hi - lo)
+            part = EAModule(module.p, module.k, field, gens, dim=hi - lo, proven=module.proven)
             # top and socle are additive: B's pair is the module's minus A's
             pair = _top_and_socle(part) if lo == 0 else (top_socle[0] - pair[0], top_socle[1] - pair[1])
             parts.append((part, (stack, inv.data[lo:hi], basis_change.data[:, lo:hi]), pair))
@@ -988,14 +951,8 @@ def fitting_decompose(module: EAModule, trials: int = 60, seed: int = 7) -> Fitt
     Fitting decomposition ker t^n + im t^n is nontrivial (see
     _fitting_split) and recurses on both parts.  For such a piece
     "no_split_found" is evidence, not proof, of indecomposability.
-    One commutant is computed, the given module's (endomorphism_basis);
-    each summand's is the corner of its parent's (_corner_basis), the
-    same canonical basis, so the draws and the summands are those of
-    spinning every piece's.  Likewise only the given module's (dim top,
-    dim socle) and each split's first part's are eliminated; the second
-    part's is the difference (_try_split).  Every power of a Fitting step
-    stops at the first zero power (MatF.mat_pow), and a zero t^n is a
-    split with no RREF (_fitting).
+    Only the given module's commutant is spun and its (dim top, dim
+    socle) eliminated; each part takes them from its parent (_try_split).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

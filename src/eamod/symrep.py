@@ -17,7 +17,7 @@ import numpy as np
 
 from .gf import BadParams, FieldCtx, is_prime, NonPrime
 from .linalg import MatF
-from .modrep import EAModule, Symmetry, lift_to_extension, wedge
+from .modrep import EAModule, Symmetry, lift_to_extension, validate, wedge
 
 
 class SingularBasis(ValueError):
@@ -177,17 +177,17 @@ def basis_change_check(ctx: SymContext, field: FieldCtx) -> bool:
 def d_r(ctx: SymContext, field: FieldCtx, r: int) -> EAModule:
     """D(r) as the r-th exterior power of the block model of D(1).
 
-    Every entry lies in F_p, so the power is taken over F_p and lifted,
-    and a sweep reads Frobenius off the entries.  The module declares
-    Symmetry.PERMUTATIONS: a permutation of the coordinates relabels the
-    p-cycles, which S_kp does by conjugation, so it keeps D(r) up to
-    isomorphism and every Jordan type.
+    Every entry lies in F_p, so the power is taken and validated over
+    F_p and lifted, proof and all; a sweep reads Frobenius off the
+    entries.  D(r) declares Symmetry.PERMUTATIONS: a permutation of the
+    coordinates relabels the p-cycles, as S_kp does by conjugation, so
+    it keeps D(r) up to isomorphism and every Jordan type.
     """
     if not 0 <= r <= ctx.n - 2:
         raise ValueError(f"r must lie in 0..{ctx.n - 2}")
     prime = FieldCtx(field.p, 1, (0, 1))
-    lifted = lift_to_extension(wedge(block_model_d1(ctx, prime), r), field)
-    return EAModule(lifted.p, lifted.k, field, lifted.gens, symmetry=Symmetry.PERMUTATIONS)
+    lifted = lift_to_extension(validate(wedge(block_model_d1(ctx, prime), r)), field)
+    return EAModule(lifted.p, lifted.k, field, lifted.gens, symmetry=Symmetry.PERMUTATIONS, proven=True)
 
 
 @dataclass(frozen=True)

@@ -196,13 +196,9 @@ def variety_points(module: EAModule, field: FieldCtx) -> PointSetReport:
     is the same.  Coordinate permutations are taken as declared
     (module.symmetry), which d_r does; loaded files, bare EAModule(...)
     and modules derived by direct_sum, tensor, wedge and the like
-    declare none.
-
-    The orbit representatives are typed in one jordan_types_at call on
-    their coefficients.
-
-    The module must already live over the sweep field; subfield modules
-    are re-built over the larger field rather than embedded.
+    declare none.  The orbit representatives are typed in one
+    jordan_types_at call, which validates an unproven module first.  The
+    module must already live over the sweep field.
     """
     if field != module.field:
         raise MismatchedContext("module must be constructed over the sweep field")

@@ -247,6 +247,21 @@ def test_not_nilpotent_raises():
         jordan_type_nilpotent(MatF.identity(F3, 2), 3)
 
 
+@pytest.mark.parametrize("ctx", [F3, F9], ids=["F3", "F9"])
+def test_looks_free_but_is_not_nilpotent(ctx):
+    # diag(1, 1, 0) at p = 3: rank N = 2 = n(p-1)/p, the rank of a free
+    # type, yet N^3 = N.  An unproven stack still forms N^p and refuses it
+    diagonal = MatF.from_rows(ctx, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    assert diagonal.rank() * 3 == 3 * 2 and not diagonal.mat_pow(3).is_zero()
+    with pytest.raises(NotNilpotent):
+        jordan_type_nilpotent(diagonal, 3)
+    free = canonical_nilpotent(ctx, JordanType.from_blocks(3, [3]))
+    stack = np.stack([expand(ctx, mat.data, np.float32) for mat in (free, diagonal, free)])
+    with pytest.raises(NotNilpotent):
+        jordan_types(ctx, stack, 3)
+    assert jordan_types(ctx, stack[::2], 3) == [JordanType.from_blocks(3, [3])] * 2
+
+
 def test_dominance_examples():
     g = dominance_compare(JordanType.from_blocks(3, [3, 1]), JordanType.from_blocks(3, [2, 2]))
     assert g is Dominance.GREATER
@@ -528,7 +543,9 @@ MIXED_STACKS = {
 @pytest.mark.parametrize("name", list(MIXED_STACKS))
 def test_jordan_types_eliminate_higher_powers_of_the_non_free_only(monkeypatch, name):
     # the first elimination takes N of every member; only the members with
-    # rank N below n(p-1)/p go on to the second, which takes N^2 .. N^(p-1)
+    # rank N below n(p-1)/p go on to the second, which takes N^2 .. N^(p-1).
+    # When p does not divide n no member is free, and N .. N^(p-1) of every
+    # member are one elimination
     ctx, blocks = MIXED_STACKS[name]
     p, n, m = ctx.p, sum(blocks[0]), ctx.m
     stream = CounterStream(5)
@@ -548,6 +565,11 @@ def test_jordan_types_eliminate_higher_powers_of_the_non_free_only(monkeypatch, 
     types = jordan_types(ctx, stack, p)
     assert types == [JordanType(p, slow_jordan_mult(as_fel_rows(nil), p)) for nil in nils]
     assert types == [JordanType.from_blocks(p, b) for b in blocks]
+    if n % p:
+        assert len(calls) == 1
+        every = [planes(nil.mat_pow(e)) for e in range(1, p) for nil in nils]
+        assert np.array_equal(calls[0], np.stack(every).reshape(-1, n, m, n))
+        return
     assert np.array_equal(calls[0], np.stack([planes(nil) for nil in nils]))
     rest = [nil for nil, b in zip(nils, blocks) if set(b) != {p}]
     if p == 2 or not rest:

@@ -73,6 +73,43 @@ def test_validate_rejects_nonnilpotent():
         mr.validate(EAModule(3, 1, F3, [bad]))
 
 
+@pytest.mark.parametrize("field", [F3, F9], ids=["F3", "F9"])
+def test_points_of_a_module_without_its_relations_are_refused(monkeypatch, field):
+    # E21 and E32 do not commute, yet every combination is strictly lower
+    # triangular, so every X_alpha is nilpotent and typed without complaint
+    # but for the module's proof.  diag(1, 1, 0) is not nilpotent, yet at
+    # p = 3 its rank 2 = n(p-1)/p would pass it as free in phase one.  Both
+    # are refused before any elimination
+    def refuse(*args, **kwargs):
+        raise AssertionError("an elimination ran before the module was validated")
+
+    e21 = MatF.from_rows(field, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    e32 = MatF.from_rows(field, [[0, 0, 0], [0, 0, 0], [0, 1, 0]])
+    diagonal = MatF.from_rows(field, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    non_commuting = EAModule(3, 2, field, [e21, e32])
+    non_nilpotent = EAModule(3, 1, field, [diagonal])
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
+    for module, error in ((non_commuting, NonCommuting), (non_nilpotent, NotNilpotent)):
+        with pytest.raises(error):
+            vy.variety_points(module, field)
+        with pytest.raises(error):
+            mr.point_jordan_type(module, [1] * module.k)
+        assert not module.proven
+
+
+def test_validate_proves_and_constructions_pass_the_proof_on():
+    mod = benson(F9, 1, 2)
+    assert not mod.proven and mr.validate(mod) is mod and mod.proven
+    assert mr.lift_to_extension(mod, field_create(3, 4)).proven
+    assert mr.direct_sum(mod, mod).proven
+    assert not mr.direct_sum(mod, benson(F9, 1, 2)).proven
+    assert not mr.tensor(mod, mod).proven and not mr.dual(mod).proven
+    assert sr.d_r(sr.SymContext(3, 3), F9, 1).proven
+    assert mod == benson(F9, 1, 2)  # equality ignores the proof
+    split = mr.fitting_decompose(mr.direct_sum(mod, mod), 60, 7)
+    assert split.decomposed and all(part.proven for part in split.summands)
+
+
 def test_validate_zero_module():
     mod = mr.zero_module(3, 2, F3)
     mr.validate(mod)
@@ -109,29 +146,82 @@ def test_jordan_types_at_ignores_the_stack_split(monkeypatch, p, k, m, r):
     coords = field.from_codes(vy.projective_codes(field, k))
     count = len(coords)
     expected = mr.jordan_types_at(module, coords)
-    sizes = []
+    non_free = sum(not t.is_free() for t in expected)
+    ranks, ones, twos = mr._ranks, [], []  # the stack sizes of phases one and two
 
-    def recorded(ctx, stack, prime):
-        sizes.append(len(stack))
-        return jordan_types(ctx, stack, prime)
+    def ranked(ctx, work):
+        ones.append(len(work))
+        return ranks(ctx, work)
 
+    def recorded(ctx, stack, prime, rank_n, proven):
+        twos.append(len(stack))
+        return jordan_types(ctx, stack, prime, rank_n, proven)
+
+    def split(total, step):
+        return [step] * (total // step) + [total % step] * (total % step > 0)
+
+    monkeypatch.setattr(mr, "_ranks", ranked)
     monkeypatch.setattr(mr, "jordan_types", recorded)
-    assert count % 5  # five points a stack leave a short last one
-    for budget, step in ((1, 1), (5 * mr._point_bytes(field, module.n), 5)):
+    # p divides n, so phase one runs; five points a stack leave a short last one
+    assert module.n % p == 0 and count % 5 and 0 < non_free < count
+    for budget in (1, 5 * mr._point_bytes(field, module.n)):
         monkeypatch.setattr(mr, "STACK_BYTES", budget)
-        sizes.clear()
+        ones.clear()
+        twos.clear()
         assert mr.jordan_types_at(module, coords) == expected
-        assert sizes == [step] * (count // step) + [count % step] * (count % step > 0)
+        assert ones == split(count, max(1, budget // mr._point_bytes(field, module.n, False)))
+        assert twos == split(non_free, max(1, budget // mr._point_bytes(field, module.n)))
 
 
 def test_stack_budget():
-    # the 53 orbit representatives of D(2) at (3, 3) over F_27 take at
-    # most two stacks; a point of D(4) at (5, 3) over F_25 (dim 715) or
-    # of D(6) at (7, 2) over F_49 (dim 924) takes a stack alone
-    step = mr.STACK_BYTES // mr._point_bytes(field_create(3, 3), 21)
-    assert -(-53 // step) <= 2
+    # the 53 orbit representatives of D(2) at (3, 3) over F_27 take one
+    # phase-one stack; a point of D(4) at (5, 3) over F_25 (dim 715) or
+    # of D(6) at (7, 2) over F_49 (dim 924) takes a stack alone in phase two
+    assert mr.STACK_BYTES // mr._point_bytes(field_create(3, 3), 21, False) >= 53
     assert mr._point_bytes(field_create(5, 2), 715) > mr.STACK_BYTES
     assert mr._point_bytes(field_create(7, 2), 924) > mr.STACK_BYTES
+
+
+def test_sweep_work_counts(monkeypatch):
+    # D(2) at (3, 3) over F_27, the benchmark's sweep: rank N at the 53 orbit
+    # representatives is one elimination, 48 of them are free by it, and only
+    # the other 5 are expanded and take their powers to a second elimination.
+    # Every point formed its expansion and all its powers when jordan_types
+    # checked N^p = 0 at each, and the two stacks took two eliminations each
+    field = field_create(3, 3)
+    module = sr.d_r(sr.SymContext(3, 3), field, 2)
+    expected = vy.variety_points(module, field).to_dict()
+    ranks, stacks, counts = mr._ranks, [], {"eliminate": 0, "validate": 0}
+    eliminate, validate = linalg._eliminate, mr.validate
+
+    def ranked(ctx, work):
+        stacks.append(("ranks of N", len(work)))
+        return ranks(ctx, work)
+
+    def recorded(ctx, stack, prime, rank_n, proven):
+        stacks.append(("powers", len(stack), proven))
+        return jordan_types(ctx, stack, prime, rank_n, proven)
+
+    def counted_eliminate(*args, **kwargs):
+        counts["eliminate"] += 1
+        return eliminate(*args, **kwargs)
+
+    def counted_validate(mod):
+        counts["validate"] += 1
+        return validate(mod)
+
+    monkeypatch.setattr(mr, "_ranks", ranked)
+    monkeypatch.setattr(mr, "jordan_types", recorded)
+    monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(mr, "validate", counted_validate)
+    assert vy.variety_points(module, field).to_dict() == expected
+    assert stacks == [("ranks of N", 53), ("powers", 5, True)]
+    assert counts == {"eliminate": 2, "validate": 0}  # d_r's module is proven
+    # a copy that proves nothing is validated at its first sweep only
+    bare = EAModule(module.p, module.k, field, module.gens, symmetry=module.symmetry)
+    for _ in range(2):
+        assert vy.variety_points(bare, field).to_dict() == expected
+    assert counts == {"eliminate": 6, "validate": 1} and bare.proven
 
 
 def test_x_alpha_unit_vector_and_shape():
@@ -935,6 +1025,56 @@ def test_fitting_summand_digests(name):
     assert (result.status, [s.n for s in result.summands], digests) == SUMMAND_SHA256[name]
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (5, 2)])
+def test_completed_inverse_is_the_inverse_of_the_completion(monkeypatch, p, m):
+    # one RREF of [rows | I_r] gives the inverse that completing the rows by
+    # the standard vectors of their non-pivot columns and inverting gives
+    field = field_create(p, m)
+    rng = np.random.default_rng(p * 10 + m)
+    eliminate, calls = linalg._eliminate, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    independent = 0
+    for trial in range(30):
+        k = int(rng.integers(1, 6))
+        r = int(rng.integers(0, k + 1))
+        # small codes make dependent sets common
+        rows = [[field.from_code(int(c)) for c in rng.integers(0, field.q if trial % 3 else 2, k)]
+                for _ in range(r)]
+        rank = MatF.from_rows(field, rows).rank() if rows else 0
+        if rank == r:
+            pivots = MatF.from_rows(field, rows).rref()[1] if rows else []
+            standard = [[int(i == j) for i in range(k)] for j in range(k) if j not in pivots]
+            expected = MatF.from_rows(field, [list(v) for v in rows] + standard).inv()
+        calls.clear()
+        if rank < r:
+            with pytest.raises(DependentGenerators, match="span vectors"):
+                mr._completed_inverse(field, rows, k, "span")
+        else:
+            assert mr._completed_inverse(field, rows, k, "span") == expected
+            independent += 1
+        assert len(calls) == 1
+    assert independent >= 10
+
+
+def test_ten_line_sum_build_eliminates_once_a_line(monkeypatch):
+    # each line's linear_variety_module completes and inverts its span in
+    # one elimination; an RREF for the pivots and then an inverse took two
+    eliminate, calls = linalg._eliminate, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    assert ten_line_sum().n == 30
+    assert len(calls) == 10
+
+
 def test_fitting_decompose_work_counts(monkeypatch):
     # building and decomposing the ten-line sum took 108 eliminations (20 of
     # them the build's) and 319 products when every piece's top and socle
@@ -1004,9 +1144,9 @@ def test_canonical_basis_needs_the_identity():
 
 def test_jordan_type_rank_steps_are_checked(monkeypatch):
     # ranks 4, 3, 0 of N^0, N, N^2 drop by 1, then 3: a negative count of
-    # size-1 blocks, which no matrix has.  rank N = 3 is not free (4 = n is
-    # not a multiple of 3), so the second elimination, of N^2, runs too
-    faked = iter([np.array([3]), np.array([0])])
+    # size-1 blocks, which no matrix has.  4 = n is not a multiple of 3, so
+    # no rank N is free and N and N^2 are one elimination
+    faked = iter([np.array([3, 0])])
     monkeypatch.setattr(linalg, "_ranks", lambda ctx, work: next(faked))
     nil = canonical_nilpotent(F3, JordanType.from_blocks(3, [3, 1]))
     with pytest.raises(BrokenInvariant, match=r"ranks \[4, 3, 0, 0\] of the powers of a 4 x 4 matrix"):

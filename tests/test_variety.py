@@ -539,17 +539,27 @@ def test_orbit_sweep_matches_full_sweep(tmp_path, monkeypatch, case):
     codes_ = vy.projective_codes(field, module.k)
     every = mr.jordan_types_at(module, field.from_codes(codes_))
     full = vy.PointSetReport(field, module.k, codes_, np.arange(len(codes_)), every)
-    evaluated = []
+    ranks, ranked, evaluated = mr._ranks, [], []
 
-    def counted(ctx, stack, prime):
+    def counted_ranks(ctx, work):
+        ranked.extend(work)
+        return ranks(ctx, work)
+
+    def counted(ctx, stack, prime, rank_n, proven):
         evaluated.extend(stack)
-        return jordan_types(ctx, stack, prime)
+        return jordan_types(ctx, stack, prime, rank_n, proven)
 
+    monkeypatch.setattr(mr, "_ranks", counted_ranks)
     monkeypatch.setattr(mr, "jordan_types", counted)
     swept = vy.variety_points(module, field)
     reps = vy.orbit_representatives(field, codes_, symmetry)
-    assert len(evaluated) == len(set(reps.tolist()))
-    assert (len(evaluated) < len(codes_)) == bool(symmetry)
+    # phase one (ranks of N) types every member when p divides n, and
+    # phase two takes the members it does not prove free; else phase two
+    # types them all
+    typed = ranked if module.n % module.p == 0 else evaluated
+    assert len(typed) == len(set(reps.tolist()))
+    assert len(evaluated) == sum(not t.is_free() for t in swept.types)
+    assert (len(typed) < len(codes_)) == bool(symmetry)
     assert json.dumps(swept.to_dict()) == json.dumps(full.to_dict())
     swept.write_csv(tmp_path / "swept.csv")
     full.write_csv(tmp_path / "full.csv")
