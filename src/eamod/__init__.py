@@ -13,7 +13,6 @@ from .linalg import (
     MatF,
     canonical_nilpotent,
     dominance_compare,
-    jordan_type_nilpotent,
 )
 from .modrep import (
     EAModule,
@@ -25,6 +24,7 @@ from .modrep import (
     fitting_decompose,
     induce,
     is_free_at,
+    jordan_type_nilpotent,
     lift_to_extension,
     linear_variety_module,
     point_jordan_type,

@@ -47,9 +47,9 @@ def _is_json_int(value) -> bool:
 
 
 def json_int(d: dict, key: str, owner: str) -> int:
-    """d[key] if it is an integer; otherwise a ValueError naming the key."""
-    if not _is_json_int(d[key]):
-        raise ValueError(f"{owner} key {key!r} must be an integer, got {d[key]!r}")
+    """d[key] if it is an integer >= 0, as every integer key of a file is; else a ValueError naming it."""
+    if not _is_json_int(d[key]) or d[key] < 0:
+        raise ValueError(f"{owner} key {key!r} must be an integer >= 0, got {d[key]!r}")
     return d[key]
 
 
@@ -60,6 +60,18 @@ def exact_inner(p: int, m: int) -> int:
         raise BadParams(f"products over F_{p}^{m} overflow float64 exactness "
                         f"(m(p-1)^2 = {term} > 2^53)")
     return 2 ** 53 // term
+
+
+def check_prime(p: int, m: int = 1) -> None:
+    """Raise NonPrime unless p is prime, and BadParams first if F_{p^m} is past the bound of exact_inner.
+
+    The bound comes first, at m >= 1: it caps the trial division of
+    is_prime at p <= 9.5e7, where (p-1)^2 passes 2^53.
+    """
+    if p > 1:
+        exact_inner(p, max(m, 1))
+    if not is_prime(p):
+        raise NonPrime(f"{p} is not prime")
 
 
 class FieldCtx:
@@ -74,8 +86,7 @@ class FieldCtx:
     def __init__(self, p: int, m: int, irr: Sequence[int]):
         self.p = int(p)
         self.m = int(m)
-        if not is_prime(self.p):
-            raise NonPrime(f"{self.p} is not prime")
+        check_prime(self.p, self.m)
         if self.m < 1:
             raise DegreeOutOfRange(f"extension degree {self.m} is below 1")
         self.irr = tuple(int(c) % p for c in irr)
@@ -492,13 +503,12 @@ def field_create(p: int, m: int) -> FieldCtx:
     Coefficient sequences (a_{m-1}, ..., a_0) are ordered as base-p
     integers, so the result is deterministic across runs and platforms.
     For m = 1 the stored polynomial is the placeholder x.  A field past
-    the float64 bound of exact_inner raises BadParams before the search.
+    the float64 bound of exact_inner raises BadParams before the primality
+    test and the search (check_prime).
     """
-    if not is_prime(p):
-        raise NonPrime(f"{p} is not prime")
+    check_prime(p, m)
     if m < 1 or m > 8:
         raise DegreeOutOfRange(f"extension degree {m} outside 1..8")
-    exact_inner(p, m)
     if m == 1:
         return FieldCtx(p, 1, (0, 1))
     for t in range(p ** m):

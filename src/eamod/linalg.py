@@ -19,8 +19,9 @@ swapped), B matrices stepping through the columns together, with lazy
 reduction mod p in the narrowest signed dtype that holds its reach
 (_eliminate, elim_dtype).
 
-Jordan types of nilpotent matrices are read off the ranks of their
-powers (jordan_types); no similarity transform is computed.
+Jordan types are read off the ranks of powers (_jordan_types), on
+stacks whose N^p = 0 the caller has proved; no similarity transform is
+computed.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ from itertools import combinations
 import numpy as np
 
 from .gf import BadParams, Fel, FieldCtx, arr_mul
-
-
-class NotNilpotent(ValueError):
-    """Raised when a matrix expected to satisfy N^p = 0 does not."""
 
 
 class UnequalTotals(ValueError):
@@ -572,65 +569,37 @@ class JordanType:
         return "".join(parts) if parts else "[]"
 
 
-def jordan_type_nilpotent(n_mat: MatF, p: int) -> JordanType:
-    """Jordan type of a nilpotent matrix: jordan_types on a stack of one."""
-    if n_mat.rows != n_mat.cols:
-        raise ValueError("matrix must be square")
-    ctx = n_mat.ctx
-    expanded = expand(ctx, n_mat.data, product_dtype(ctx, n_mat.cols))
-    return jordan_types(ctx, expanded[None], p)[0]
+def _jordan_types(ctx: FieldCtx, stack: np.ndarray, p: int, rank_n=None) -> list:
+    """Jordan types of a (B, nm, nm) stack of F_p expansions of n x n matrices N whose N^p = 0 is proved.
 
-
-def jordan_types(ctx: FieldCtx, stack: np.ndarray, p: int, rank_n=None, proven: bool = False) -> list:
-    """Jordan types of a (B, nm, nm) stack of F_p expansions of nilpotent n x n matrices.
-
-    With b_r = rank(N^{r-1}) - rank(N^r), the multiplicity of size-r
-    blocks is b_r - b_{r+1}.  Block column 0 of an expansion holds the
-    coefficient vectors of the entries, and block column 0 of N^e is
-    expand(N) times that of N^(e-1): one batched product a power, in
-    product_dtype(ctx, n) (a stack in another dtype is cast once).
-
-    Once N^p = 0, rank N = n(p-1)/p proves a member free: rank N is n
-    minus its number of blocks, which is n/p only when every block has
-    size p, and then rank N^e = n(p-e)/p.  proven says that every member
-    has N^p = 0 (modrep.validate of its module), and N^p is not formed;
-    otherwise every power up to N^p is, and NotNilpotent is raised when
-    some N^p is nonzero.  rank_n holds the (B,) ranks of N when the
-    caller has them; an unproven stack without them whose n p divides
-    eliminates N's (B, n, m, n) planes first.  The members rank N does
-    not prove free take N^2, ..., N^(p-1) to one more elimination, or
-    N, ..., N^(p-1) without ranks of N.
+    The caller proves N^p = 0 (modrep.validate); nothing here checks it.
+    With b_r = rank(N^{r-1}) - rank(N^r), size-r blocks number b_r -
+    b_{r+1}.  Block column 0 of an expansion holds the coefficient
+    vectors of the entries, and block column 0 of N^e is expand(N) times
+    that of N^(e-1): one batched product a power, in product_dtype(ctx,
+    n) (a stack in another dtype is cast once).  One elimination takes
+    N^2, ..., N^(p-1) given rank_n, the (B,) ranks of N, else N, ..., N^(p-1).
     """
     (count, size), m = stack.shape[:2], ctx.m
     n = size // m
     _check_inner(ctx, n)
-    dtype = elim_dtype(ctx.p, size)
     base = stack.astype(product_dtype(ctx, n), copy=False)
     power = base[..., ::m]
     ranks = np.zeros((count, p + 1), dtype=np.int64)
     ranks[:, 0] = n
-    if rank_n is None and not proven and n % p == 0:
-        rank_n = _ranks(ctx, power.reshape(count, n, m, n).astype(dtype, order="C"))
-    rest, first = np.arange(count), 1  # the members and the first power the elimination takes
+    first = 1 if rank_n is None else 2  # the first power the elimination takes
     if rank_n is not None:
         ranks[:, 1] = rank_n
-        free = ranks[:, 1] * p == n * (p - 1)
-        ranks[free, 2:p] = n // p * (p - np.arange(2, p))
-        rest, first = np.flatnonzero(~free), 2
-    # planes[e - first] holds the planes of N^e of the rest, left zero once every N^e is
-    planes = np.zeros((p - first, rest.size, n, m, n), dtype=dtype)
-    for e in range(first, p if proven else p + 1):
+    # planes[e - first] holds the planes of N^e, left zero once every N^e is
+    planes = np.zeros((p - first, count, n, m, n), dtype=elim_dtype(ctx.p, size))
+    for e in range(first, p):
         if e > 1:
             power = float_mod(np.matmul(base, power), ctx.p)
-        if e == p:
-            if power.any():
-                raise NotNilpotent(f"matrix is not nilpotent of order <= {p}")
-            break
         if not power.any():
             break
-        planes[e - first] = power[rest].reshape(rest.size, n, m, n)
+        planes[e - first] = power.reshape(count, n, m, n)
     if planes.size:
-        ranks[rest, first:p] = _ranks(ctx, planes.reshape(-1, n, m, n)).reshape(p - first, rest.size).T
+        ranks[:, first:p] = _ranks(ctx, planes.reshape(-1, n, m, n)).reshape(p - first, count).T
     # b[:, r-1] = b_r for r = 1..p+1, the last rank(N^p) - 0 = 0
     b = -np.diff(ranks, axis=1, append=0)
     # the sizes r mult_r sum to rank(N^0) - rank(N^p) = n whatever the

@@ -5,8 +5,8 @@ X_1..X_k (the images of g_i - 1) over one FieldCtx, with X_i^p = 0.
 This module hosts all module-level constructions: sums, tensors,
 duals, exterior powers, restriction, induction, linear-variety
 modules, the exact projectivity test, endomorphism (commutant) bases
-and the randomized Fitting decomposition.  Jordan types at points all
-come from jordan_types_at.
+and the randomized Fitting decomposition.  Every Jordan type, at a
+point or of one matrix, comes from jordan_types_at, after validate.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .linalg import (
     BrokenInvariant,
     JordanType,
     MatF,
-    NotNilpotent,
     _check_inner,
+    _jordan_types,
     _planes,
     _ranks,
     canonical_nilpotent,
@@ -34,8 +34,6 @@ from .linalg import (
     elim_dtype,
     expand,
     float_mod,
-    jordan_type_nilpotent,
-    jordan_types,
     mul_planes,
     null_space,
     product_dtype,
@@ -45,6 +43,10 @@ from .stream import CounterStream
 
 # peak bytes of one jordan_types_at stack, at _point_bytes a point in each phase
 STACK_BYTES = 1 << 20
+
+
+class NotNilpotent(ValueError):
+    """Raised by validate when some X_i^p is nonzero."""
 
 
 class NonCommuting(ValueError):
@@ -93,12 +95,11 @@ class EAModule:
         gens = tuple(gens)
         if len(gens) != k:
             raise ValueError(f"expected {k} generators, got {len(gens)}")
-        if gens:
-            n = gens[0].rows
-            if dim is not None and dim != n:
-                raise ValueError("explicit dim contradicts generator size")
-        else:
-            n = dim or 0
+        if not gens and dim is None:
+            raise ValueError("a module without generators needs its dim")
+        n = gens[0].rows if gens else dim
+        if dim is not None and dim != n:
+            raise ValueError("explicit dim contradicts generator size")
         for g in gens:
             if g.ctx != field:
                 raise MismatchedContext("generator over a different field context")
@@ -194,8 +195,9 @@ class EAModule:
 def validate(module: EAModule) -> EAModule:
     """Check X_i^p = 0 and pairwise commutation, and mark the module proven; returns it.
 
-    X_i^p is p-1 batched products on the expansions' block columns 0 and
-    every X_i X_j one product, the X_i stacked times [X_1 | ... | X_k].
+    X_i^p is p-1 batched products on the expansions' block columns 0 and,
+    when k > 1, every X_i X_j one product, the X_i stacked times [X_1 |
+    ... | X_k].
     In characteristic p, (sum_i a_i X_i)^p = sum_i a_i^p X_i^p = 0 then,
     at every point a over every extension.
     """
@@ -209,6 +211,7 @@ def validate(module: EAModule) -> EAModule:
         bad = np.flatnonzero(power.any(axis=(1, 2)))
         if bad.size:
             raise NotNilpotent(f"generator {bad[0] + 1} is not nilpotent of order <= p")
+    if n and k > 1:
         wide, tall = _wide_and_tall(module)
         products = (tall @ wide).data.reshape(k, n, k, n, m)  # [i, :, j] is X_i X_j
         for i in range(k):
@@ -261,9 +264,11 @@ def jordan_types_at(module: EAModule, coords: np.ndarray) -> list:
     points.  An unproven module is validated once, so no point needs the
     N^p = 0 check.  When p divides n, phase one eliminates N's
     coefficient planes at every point (one combine a stack) and types
-    the points that rank N proves free; phase two types the rest, or all
-    points when p does not divide n, by jordan_types with their ranks of
-    N.  Each phase's stacks hold STACK_BYTES // _point_bytes(field, n,
+    free the points with rank N = n(p-1)/p: once N^p = 0, rank N is n
+    minus the number of blocks, n/p only when every block has size p,
+    and then rank N^e = n(p-e)/p.  Phase two types the rest, or all
+    points when p does not divide n, by _jordan_types with their ranks
+    of N.  Each phase's stacks hold STACK_BYTES // _point_bytes(field, n,
     expanded) points.  Phase two builds its stack as sum_i expand(X_i)(I
     (x) C(alpha_i)), C(a) the multiplication matrix of a: one batched
     product with inner dimension km, exact while k <= max_inner.
@@ -294,7 +299,7 @@ def jordan_types_at(module: EAModule, coords: np.ndarray) -> list:
         mult = (coords[at] @ field.regular().reshape(m, m * m) % p).astype(dtype).reshape(len(at), k * m, m)
         stack = float_mod(np.matmul(gens, mult).reshape(len(at), size, size), p)
         known = None if rank_n is None else rank_n[at]
-        for i, jt in zip(at.tolist(), jordan_types(field, stack, p, known, proven=True)):
+        for i, jt in zip(at.tolist(), _jordan_types(field, stack, p, known)):
             types[i] = jt
     return types
 
@@ -346,17 +351,17 @@ def lift_to_extension(module: EAModule, ext: FieldCtx) -> EAModule:
         powers = [r ** i for i in range(src.m)]
     embed = np.array([x.coeffs for x in powers], dtype=np.int64)
     gens = [MatF(ext, g.data @ embed) for g in module.gens]
-    return EAModule(module.p, module.k, ext, gens, symmetry=module.symmetry, proven=module.proven)
+    return EAModule(module.p, module.k, ext, gens, module.n, module.symmetry, module.proven)
 
 
 def zero_module(p: int, k: int, field: FieldCtx) -> EAModule:
-    return EAModule(p, k, field, [MatF.zeros(field, 0, 0) for _ in range(k)])
+    return EAModule(p, k, field, [MatF.zeros(field, 0, 0) for _ in range(k)], 0)
 
 
 def direct_sum(m1: EAModule, m2: EAModule) -> EAModule:
     _check_pair(m1, m2)
     gens = [MatF.block_diag([a, b]) for a, b in zip(m1.gens, m2.gens)]
-    return EAModule(m1.p, m1.k, m1.field, gens, proven=m1.proven and m2.proven)
+    return EAModule(m1.p, m1.k, m1.field, gens, m1.n + m2.n, proven=m1.proven and m2.proven)
 
 
 def tensor(m1: EAModule, m2: EAModule) -> EAModule:
@@ -366,7 +371,7 @@ def tensor(m1: EAModule, m2: EAModule) -> EAModule:
     gens = []
     for u1, u2 in zip(m1.group_matrices(), m2.group_matrices()):
         gens.append(u1.kron(u2) - eye)
-    return EAModule(m1.p, m1.k, m1.field, gens)
+    return EAModule(m1.p, m1.k, m1.field, gens, eye.rows)
 
 
 def dual(module: EAModule) -> EAModule:
@@ -380,7 +385,7 @@ def dual(module: EAModule) -> EAModule:
             term = -(term @ x)
             inv = inv + term
         gens.append(inv.transpose() - eye)
-    return EAModule(module.p, module.k, module.field, gens)
+    return EAModule(module.p, module.k, module.field, gens, module.n)
 
 
 def wedge(module: EAModule, r: int) -> EAModule:
@@ -396,7 +401,7 @@ def wedge(module: EAModule, r: int) -> EAModule:
     dim = math.comb(module.n, r)
     eye = MatF.identity(module.field, dim)
     gens = [compound_matrix(u, r) - eye for u in module.group_matrices()]
-    return EAModule(module.p, module.k, module.field, gens)
+    return EAModule(module.p, module.k, module.field, gens, dim)
 
 
 def wedge_jordan(jt: JordanType, r: int, p: int) -> JordanType:
@@ -412,6 +417,11 @@ def wedge_jordan(jt: JordanType, r: int, p: int) -> JordanType:
     u = MatF.identity(ctx, jt.total) + canonical_nilpotent(ctx, jt)
     wedged = compound_matrix(u, r) - MatF.identity(ctx, math.comb(jt.total, r))
     return jordan_type_nilpotent(wedged, p)
+
+
+def jordan_type_nilpotent(n_mat: MatF, p: int) -> JordanType:
+    """Jordan type of a nilpotent matrix: that of the rank-1 module it generates, at the point 1."""
+    return point_jordan_type(EAModule(p, 1, n_mat.ctx, [n_mat]), [1])
 
 
 def _check_pair(m1: EAModule, m2: EAModule) -> None:
@@ -491,7 +501,7 @@ def induce(module: EAModule, embed, ambient_rank: int = None) -> EAModule:
         f_part = _group_word(us, a_vec, eye_module)
         # perm has F_p entries, so its Kronecker product acts plane by plane
         gens.append(MatF(module.field, np.kron(perm[:, :, None], f_part.data)) - eye_big)
-    return EAModule(p, k, module.field, gens)
+    return EAModule(p, k, module.field, gens, eye_big.rows)
 
 
 def linear_variety_module(p: int, k: int, field: FieldCtx, span_vectors) -> EAModule:
@@ -517,7 +527,7 @@ def linear_variety_module(p: int, k: int, field: FieldCtx, span_vectors) -> EAMo
     shift = np.eye(p, k=-1, dtype=np.int64)
     mults = np.array([reduce(np.kron, [eye[ell], shift, eye[t - ell - 1]]) for ell in range(t)])
     mults = mults.reshape(t, p ** t, p ** t, 1) * np.eye(1, field.m, dtype=np.int64)
-    return EAModule(p, k, field, [MatF(field, g) for g in combine(field, c_inv.data[:, r:], mults)])
+    return EAModule(p, k, field, [MatF(field, g) for g in combine(field, c_inv.data[:, r:], mults)], p ** t)
 
 
 def regular_module(p: int, k: int, field: FieldCtx) -> EAModule:

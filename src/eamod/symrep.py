@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import BadParams, FieldCtx, is_prime, NonPrime
+from .gf import BadParams, FieldCtx, check_prime
 from .linalg import MatF
 from .modrep import EAModule, Symmetry, lift_to_extension, validate, wedge
 
@@ -32,8 +32,7 @@ class SymContext:
     k: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise NonPrime(f"{self.p} is not prime")
+        check_prime(self.p)
         if self.p < 3:
             raise BadParams("p must be an odd prime (p >= 3)")
         if self.k < 1:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gf import FieldCtx, field_create
+from .gf import BadParams, FieldCtx, field_create
 from .linalg import Dominance, _ranks, dominance_compare, elim_dtype
 from .modrep import (
     EAModule,
@@ -300,6 +300,8 @@ def generic_type(module: EAModule, ext_degree: int = 4, trials: int = 24, seed: 
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if module.k < 1:
+        raise BadParams(f"a generic type needs k >= 1, got k = {module.k}: a rank-0 module has no points")
     for degree, key in ((ext_degree, 0), (ext_degree + 2, trials)):
         ext = module.field if (degree, key) == (module.field.m, 0) else field_create(module.p, degree)
         streams = [CounterStream(seed, j) for j in range(key, key + trials)]

@@ -264,6 +264,9 @@ INVALID_INPUTS = {
     "file-dim-null": ["query", "projective", "--module", "{tmp}/dimnull.json"],
     "file-field-m-not-int": ["query", "projective", "--module", "{tmp}/mlist.json"],
     "file-irr-entry-not-int": ["query", "projective", "--module", "{tmp}/irrentry.json"],
+    "file-dim-negative": ["query", "generic", "--module", "{tmp}/dimnegative.json"],
+    "file-k-negative": ["query", "variety", "--module", "{tmp}/knegative.json"],
+    "generic-rank-zero": ["query", "generic", "--module", "{tmp}/rankzero.json"],
     "point-too-many-coordinates": ["query", "jordan", "--module", "{d1}", "--alpha", "1,1,1"],
     "point-zero": ["query", "jordan", "--module", "{d1}", "--alpha", "0,0"],
     "green-p0": ["verify", "--suite", "green", "--p", "0"],
@@ -295,14 +298,17 @@ NAMED_IN_ERROR = {
     "generic-trials0": "trials",
     "decompose-trials0": "trials",
     "jordan-ext0": "extension degree 0",
+    "file-dim-negative": "module key 'dim' must be an integer >= 0, got -1",
+    "file-k-negative": "module key 'k' must be an integer >= 0, got -1",
+    "generic-rank-zero": "got k = 0",
     "build-unused-options": "build dual takes no --k, --ext, -r",
     "query-unused-options": "query projective takes no --ext, --trials, --seed",
     "induce-module-with-p": "build induce --module takes no --p or --ext",
 }
 
 
-@pytest.mark.parametrize("argv", list(INVALID_INPUTS.values()), ids=list(INVALID_INPUTS))
-def test_invalid_input_is_usage_error(tmp_path, capsys, argv):
+def _write_inputs(tmp_path, capsys):
+    """The module files that INVALID_INPUTS name, beside a good D(1) at (3, 2); returns its path."""
     d1 = tmp_path / "d1.json"
     run(capsys, "build", "d1", "--p", "3", "--k", "2", "--out", str(d1))  # dim 4
     raw = json.loads(d1.read_text())
@@ -325,14 +331,23 @@ def test_invalid_input_is_usage_error(tmp_path, capsys, argv):
     (tmp_path / "dimnull.json").write_text(json.dumps(dict(raw, dim=None)))
     (tmp_path / "mlist.json").write_text(json.dumps(dict(raw, field={"p": 3, "m": [1], "irr": [0, 1]})))
     (tmp_path / "irrentry.json").write_text(json.dumps(dict(raw, field={"p": 3, "m": 1, "irr": [[0], 1]})))
+    rank_zero = dict(raw, k=0, dim=2, generators=[])
+    (tmp_path / "rankzero.json").write_text(json.dumps(rank_zero))
+    (tmp_path / "dimnegative.json").write_text(json.dumps(dict(rank_zero, dim=-1)))
+    (tmp_path / "knegative.json").write_text(json.dumps(dict(rank_zero, k=-1)))
+    return d1
+
+
+@pytest.mark.parametrize("argv", list(INVALID_INPUTS.values()), ids=list(INVALID_INPUTS))
+def test_invalid_input_is_usage_error(tmp_path, capsys, argv):
+    d1 = _write_inputs(tmp_path, capsys)
     code, _, err = run(capsys, *[a.format(tmp=tmp_path, d1=d1) for a in argv])
     assert code == 2 and "error" in err
 
 
 @pytest.mark.parametrize("case", list(NAMED_IN_ERROR))
 def test_refusal_names_the_option(tmp_path, capsys, case):
-    d1 = tmp_path / "d1.json"
-    run(capsys, "build", "d1", "--p", "3", "--k", "2", "--out", str(d1))
+    d1 = _write_inputs(tmp_path, capsys)
     code, _, err = run(capsys, *[a.format(tmp=tmp_path, d1=d1) for a in INVALID_INPUTS[case]])
     assert code == 2 and NAMED_IN_ERROR[case] in err
 

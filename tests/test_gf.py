@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from eamod import gf
+from eamod import symrep as sr
+from eamod.cli import main
 from eamod.gf import (
     BadParams,
     DegreeOutOfRange,
@@ -195,3 +197,35 @@ def test_field_create_refuses_past_the_float64_bound_before_searching(monkeypatc
     assert field_create(below, 1).max_inner == 2 ** 53 // (below - 1) ** 2 >= 1
     with pytest.raises(BadParams):
         field_create(above, 1)
+
+
+def test_the_float64_bound_comes_before_trial_division(monkeypatch, capsys):
+    # is_prime divides up to sqrt(p): about two minutes at p = 2^61 - 1,
+    # which the bound refuses at any m.  Checked first, it caps trial
+    # division at p <= isqrt(2^53) + 1, about 9.5e7
+    bound = math.isqrt(2 ** 53) + 1
+    trial_division = gf.is_prime
+
+    def bounded(n):
+        assert n <= bound, f"trial division of {n}, past the float64 bound"
+        return trial_division(n)
+
+    monkeypatch.setattr(gf, "is_prime", bounded)
+    big = 2 ** 61 - 1
+    for make in (lambda: FieldCtx(big, 1, (0, 1)), lambda: FieldCtx(big + 2, 2, (1, 0, 1)),
+                 lambda: FieldCtx.from_dict({"p": big, "m": 1, "irr": [0, 1]}),
+                 lambda: field_create(big, 1), lambda: field_create(big, 0), lambda: sr.SymContext(big, 2)):
+        with pytest.raises(BadParams, match="overflow"):
+            make()
+    for argv in (["build", "dr", "--p", str(big), "--k", "2", "-r", "1", "--out", "x.json"],
+                 ["verify", "--suite", "green", "--p", str(big)]):
+        assert main(argv) == 2 and "overflow" in capsys.readouterr().err
+    # up to the bound the primality test still decides
+    below = bound
+    while not trial_division(below):
+        below -= 1
+    assert field_create(below, 1).p == below
+    with pytest.raises(NonPrime):
+        FieldCtx(bound, 1, (0, 1))
+    with pytest.raises(NonPrime):
+        sr.SymContext(1, 2)

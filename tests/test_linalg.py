@@ -8,9 +8,9 @@ from eamod.linalg import (
     Dominance,
     JordanType,
     MatF,
-    NotNilpotent,
     UnequalTotals,
     _eliminate,
+    _jordan_types,
     _pivot_blocks,
     _ranks,
     arr_mul,
@@ -21,9 +21,8 @@ from eamod.linalg import (
     elim_dtype,
     expand,
     float_mod,
-    jordan_type_nilpotent,
-    jordan_types,
 )
+from eamod.modrep import NotNilpotent, jordan_type_nilpotent
 from eamod.stream import CounterStream
 
 from oracles import (
@@ -248,18 +247,20 @@ def test_not_nilpotent_raises():
 
 
 @pytest.mark.parametrize("ctx", [F3, F9], ids=["F3", "F9"])
-def test_looks_free_but_is_not_nilpotent(ctx):
+def test_looks_free_but_is_not_nilpotent(monkeypatch, ctx):
     # diag(1, 1, 0) at p = 3: rank N = 2 = n(p-1)/p, the rank of a free
-    # type, yet N^3 = N.  An unproven stack still forms N^p and refuses it
+    # type, yet N^3 = N.  validate refuses it before any elimination, so
+    # rank N never gets to type it free; the free [3] next to it is typed
+    def refuse(*args, **kwargs):
+        raise AssertionError("an elimination ran before validate")
+
     diagonal = MatF.from_rows(ctx, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     assert diagonal.rank() * 3 == 3 * 2 and not diagonal.mat_pow(3).is_zero()
+    free = JordanType.from_blocks(3, [3])
+    assert jordan_type_nilpotent(canonical_nilpotent(ctx, free), 3) == free
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
     with pytest.raises(NotNilpotent):
         jordan_type_nilpotent(diagonal, 3)
-    free = canonical_nilpotent(ctx, JordanType.from_blocks(3, [3]))
-    stack = np.stack([expand(ctx, mat.data, np.float32) for mat in (free, diagonal, free)])
-    with pytest.raises(NotNilpotent):
-        jordan_types(ctx, stack, 3)
-    assert jordan_types(ctx, stack[::2], 3) == [JordanType.from_blocks(3, [3])] * 2
 
 
 def test_dominance_examples():
@@ -494,13 +495,13 @@ def test_jordan_types_of_a_stack():
     stream = CounterStream(31)
     blocks = [[3, 3, 2], [2, 2, 2, 2], [1] * 8, [3, 2, 1, 1, 1], [3, 3, 1, 1]]
     stack = [expand(ctx, conjugated_nilpotent(ctx, b, stream).data, np.int64) for b in blocks]
-    types = jordan_types(ctx, np.stack(stack), 3)
+    types = _jordan_types(ctx, np.stack(stack), 3)
     assert types == [JordanType.from_blocks(3, b) for b in blocks]
-    assert jordan_types(ctx, np.zeros((0, 16, 16), dtype=np.int64), 3) == []
-    # one member that is not nilpotent fails the whole stack
-    stack[2] = expand(ctx, MatF.identity(ctx, 8).data, np.int64)
+    assert _jordan_types(ctx, np.zeros((0, 16, 16), dtype=np.int64), 3) == []
+    # _jordan_types takes N^p = 0 as proved; a matrix that is not
+    # nilpotent is refused by validate, the one check of it
     with pytest.raises(NotNilpotent):
-        jordan_types(ctx, np.stack(stack), 3)
+        jordan_type_nilpotent(MatF.identity(ctx, 8), 3)
 
 
 @pytest.mark.parametrize("p,m,rows,cols", [
@@ -542,14 +543,16 @@ MIXED_STACKS = {
 
 @pytest.mark.parametrize("name", list(MIXED_STACKS))
 def test_jordan_types_eliminate_higher_powers_of_the_non_free_only(monkeypatch, name):
-    # the first elimination takes N of every member; only the members with
-    # rank N below n(p-1)/p go on to the second, which takes N^2 .. N^(p-1).
-    # When p does not divide n no member is free, and N .. N^(p-1) of every
-    # member are one elimination
+    # every power _jordan_types eliminates is in one elimination: N, ...,
+    # N^(p-1) of every member without ranks of N, N^2, ..., N^(p-1) with
+    # them.  jordan_types_at passes ranks of N only with the members that
+    # rank N does not prove free, so that path runs on the non-free members
     ctx, blocks = MIXED_STACKS[name]
     p, n, m = ctx.p, sum(blocks[0]), ctx.m
     stream = CounterStream(5)
     nils = [conjugated_nilpotent(ctx, b, stream) for b in blocks]
+    rest = [(nil, b) for nil, b in zip(nils, blocks) if set(b) != {p}]
+    rank_n = np.array([nil.rank() for nil, _ in rest], dtype=np.int64)
     calls = []
     ranks = linalg._ranks
 
@@ -557,27 +560,26 @@ def test_jordan_types_eliminate_higher_powers_of_the_non_free_only(monkeypatch, 
         calls.append(work.copy())
         return ranks(ctx, work)
 
-    def planes(mat):
-        return mat.data.transpose(0, 2, 1)
+    def stacked(mats):
+        return np.array([expand(ctx, mat.data, np.float32) for mat in mats]).reshape(-1, n * m, n * m)
+
+    def powers(mats, first):
+        planes = [nil.mat_pow(e).data.transpose(0, 2, 1) for e in range(first, p) for nil in mats]
+        return np.stack(planes).reshape(-1, n, m, n)
 
     monkeypatch.setattr(linalg, "_ranks", recording)
-    stack = np.stack([expand(ctx, nil.data, np.float32) for nil in nils])
-    types = jordan_types(ctx, stack, p)
+    types = _jordan_types(ctx, stacked(nils), p)
     assert types == [JordanType(p, slow_jordan_mult(as_fel_rows(nil), p)) for nil in nils]
     assert types == [JordanType.from_blocks(p, b) for b in blocks]
-    if n % p:
-        assert len(calls) == 1
-        every = [planes(nil.mat_pow(e)) for e in range(1, p) for nil in nils]
-        assert np.array_equal(calls[0], np.stack(every).reshape(-1, n, m, n))
-        return
-    assert np.array_equal(calls[0], np.stack([planes(nil) for nil in nils]))
-    rest = [nil for nil, b in zip(nils, blocks) if set(b) != {p}]
+    assert len(calls) == 1 and np.array_equal(calls.pop(), powers(nils, 1))
+    nils = [nil for nil, _ in rest]
+    types = _jordan_types(ctx, stacked(nils), p, rank_n)
+    assert types == [JordanType(p, slow_jordan_mult(as_fel_rows(nil), p)) for nil in nils]
+    assert types == [JordanType.from_blocks(p, b) for _, b in rest]
     if p == 2 or not rest:
-        assert len(calls) == 1
-        return
-    assert len(calls) == 2
-    higher = [planes(nil.mat_pow(e)) for e in range(2, p) for nil in rest]
-    assert np.array_equal(calls[1], np.stack(higher).reshape(-1, n, m, n))
+        assert not calls
+    else:
+        assert len(calls) == 1 and np.array_equal(calls[0], powers(nils, 2))
 
 
 def test_mat_pow_refuses_a_negative_exponent():

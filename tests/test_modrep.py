@@ -12,16 +12,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from eamod.gf import field_create
+from eamod.gf import BadParams, field_create
 from eamod import linalg
 from eamod.linalg import (
     BrokenInvariant,
     JordanType,
     MatF,
-    NotNilpotent,
     canonical_nilpotent,
     elim_dtype,
-    jordan_types,
+    _jordan_types,
 )
 from eamod import modrep as mr
 from eamod import symrep as sr
@@ -30,6 +29,7 @@ from eamod.modrep import (
     EAModule,
     MismatchedContext,
     NonCommuting,
+    NotNilpotent,
     Point,
     ZeroPoint,
 )
@@ -153,15 +153,15 @@ def test_jordan_types_at_ignores_the_stack_split(monkeypatch, p, k, m, r):
         ones.append(len(work))
         return ranks(ctx, work)
 
-    def recorded(ctx, stack, prime, rank_n, proven):
+    def recorded(ctx, stack, prime, rank_n):
         twos.append(len(stack))
-        return jordan_types(ctx, stack, prime, rank_n, proven)
+        return _jordan_types(ctx, stack, prime, rank_n)
 
     def split(total, step):
         return [step] * (total // step) + [total % step] * (total % step > 0)
 
     monkeypatch.setattr(mr, "_ranks", ranked)
-    monkeypatch.setattr(mr, "jordan_types", recorded)
+    monkeypatch.setattr(mr, "_jordan_types", recorded)
     # p divides n, so phase one runs; five points a stack leave a short last one
     assert module.n % p == 0 and count % 5 and 0 < non_free < count
     for budget in (1, 5 * mr._point_bytes(field, module.n)):
@@ -186,8 +186,8 @@ def test_sweep_work_counts(monkeypatch):
     # D(2) at (3, 3) over F_27, the benchmark's sweep: rank N at the 53 orbit
     # representatives is one elimination, 48 of them are free by it, and only
     # the other 5 are expanded and take their powers to a second elimination.
-    # Every point formed its expansion and all its powers when jordan_types
-    # checked N^p = 0 at each, and the two stacks took two eliminations each
+    # Every point formed its expansion and all its powers when the N^p = 0
+    # check ran at each, and the two stacks took two eliminations each
     field = field_create(3, 3)
     module = sr.d_r(sr.SymContext(3, 3), field, 2)
     expected = vy.variety_points(module, field).to_dict()
@@ -198,9 +198,9 @@ def test_sweep_work_counts(monkeypatch):
         stacks.append(("ranks of N", len(work)))
         return ranks(ctx, work)
 
-    def recorded(ctx, stack, prime, rank_n, proven):
-        stacks.append(("powers", len(stack), proven))
-        return jordan_types(ctx, stack, prime, rank_n, proven)
+    def recorded(ctx, stack, prime, rank_n):
+        stacks.append(("powers", len(stack)))
+        return _jordan_types(ctx, stack, prime, rank_n)
 
     def counted_eliminate(*args, **kwargs):
         counts["eliminate"] += 1
@@ -211,11 +211,11 @@ def test_sweep_work_counts(monkeypatch):
         return validate(mod)
 
     monkeypatch.setattr(mr, "_ranks", ranked)
-    monkeypatch.setattr(mr, "jordan_types", recorded)
+    monkeypatch.setattr(mr, "_jordan_types", recorded)
     monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
     monkeypatch.setattr(mr, "validate", counted_validate)
     assert vy.variety_points(module, field).to_dict() == expected
-    assert stacks == [("ranks of N", 53), ("powers", 5, True)]
+    assert stacks == [("ranks of N", 53), ("powers", 5)]
     assert counts == {"eliminate": 2, "validate": 0}  # d_r's module is proven
     # a copy that proves nothing is validated at its first sweep only
     bare = EAModule(module.p, module.k, field, module.gens, symmetry=module.symmetry)
@@ -597,6 +597,21 @@ def test_fitting_decompose_rank_zero_module():
     assert len(mr.endomorphism_basis(mod)) == 4
     result = mr.fitting_decompose(mod, trials=20, seed=7)
     assert result.status == "decomposed" and [s.n for s in result.summands] == [1, 1]
+
+
+def test_rank_zero_constructions_keep_their_dimension():
+    # no generators carry the size, so each construction passes it on
+    mod = EAModule(3, 0, F3, [], dim=2)
+    assert mr.direct_sum(mod, mod).n == 4 and mr.tensor(mod, mod).n == 4
+    assert mr.dual(mod).n == 2 and mr.wedge(mod, 1).n == 2 and mr.wedge(mod, 2).n == 1
+    assert mr.lift_to_extension(mod, F9).n == 2
+    assert mr.induce(mr.trivial_module(3, 0, F3), [], ambient_rank=0).n == 1
+    assert mr.zero_module(3, 0, F3).n == 0 and mr.regular_module(3, 0, F3).n == 1
+    with pytest.raises(ValueError, match="needs its dim"):
+        EAModule(3, 0, F3, [])
+    # a rank-0 module has no points to sample
+    with pytest.raises(BadParams, match="got k = 0"):
+        vy.generic_type(mod)
 
 
 def test_fitting_summands_recombine_pointwise():
@@ -1150,7 +1165,7 @@ def test_jordan_type_rank_steps_are_checked(monkeypatch):
     monkeypatch.setattr(linalg, "_ranks", lambda ctx, work: next(faked))
     nil = canonical_nilpotent(F3, JordanType.from_blocks(3, [3, 1]))
     with pytest.raises(BrokenInvariant, match=r"ranks \[4, 3, 0, 0\] of the powers of a 4 x 4 matrix"):
-        jordan_types(F3, linalg.expand(F3, nil.data, np.float32)[None], 3)
+        _jordan_types(F3, linalg.expand(F3, nil.data, np.float32)[None], 3)
 
 
 # theta = diag(c_1, c_2) over F_{p^2} (entries by code: w is code p), viewed

@@ -9,7 +9,7 @@ import pytest
 from eamod import gf
 from eamod import suites
 from eamod.gf import field_create
-from eamod.linalg import JordanType, jordan_types
+from eamod.linalg import JordanType, _jordan_types
 from eamod import modrep as mr
 from eamod import symrep as sr
 from eamod import variety as vy
@@ -545,12 +545,12 @@ def test_orbit_sweep_matches_full_sweep(tmp_path, monkeypatch, case):
         ranked.extend(work)
         return ranks(ctx, work)
 
-    def counted(ctx, stack, prime, rank_n, proven):
+    def counted(ctx, stack, prime, rank_n):
         evaluated.extend(stack)
-        return jordan_types(ctx, stack, prime, rank_n, proven)
+        return _jordan_types(ctx, stack, prime, rank_n)
 
     monkeypatch.setattr(mr, "_ranks", counted_ranks)
-    monkeypatch.setattr(mr, "jordan_types", counted)
+    monkeypatch.setattr(mr, "_jordan_types", counted)
     swept = vy.variety_points(module, field)
     reps = vy.orbit_representatives(field, codes_, symmetry)
     # phase one (ranks of N) types every member when p divides n, and
