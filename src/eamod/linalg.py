@@ -2,9 +2,10 @@
 
 Matrices are stored as int64 arrays of shape (rows, cols, m): one
 coefficient plane per power of the field generator w.  Products run
-over F_p: expand() writes each entry sum_t x_t w^t as the m x m block
-sum_t x_t C^t (C the companion matrix of irr), a ring embedding, so a
-product over F_{p^m} is an F_p product of expansions.
+over F_p: expand() writes each entry sum_t x_t w^t of a stack as the
+m x m block sum_t x_t C^t (C the companion matrix of irr), a ring
+embedding, in one product: a product over F_{p^m}, or a linear
+combination of matrices (combine), is an F_p product of expansions.
 
 Products are float BLAS products of residues in 0..p-1, reduced mod p
 in place by float_mod (mul_planes).  An inner dimension of n entries
@@ -46,22 +47,18 @@ class BrokenInvariant(RuntimeError):
 # -- the regular representation over F_p --
 
 
-def expand(ctx: FieldCtx, a: np.ndarray, dtype) -> np.ndarray:
-    """The (r m, c m) F_p matrix of an (r, c, m) array; entries stay in 0..p-1.
+def expand(ctx: FieldCtx, a: np.ndarray) -> np.ndarray:
+    """The (..., r m, c m) F_p matrices of an (..., r, c, m) stack, in product_dtype(ctx, c), in 0..p-1.
 
-    Entry (i, j) becomes the block sum_t a[i, j, t] C^t.  Block column b
-    is built alone, so the int64 sums of m terms of at most (p-1)^2 take
-    1/m of the result's cells at a time.
+    Entry (i, j) becomes the block sum_t a[i, j, t] C^t: row u of the
+    blocks of row i is row i of a times [row u of C^t]_t, so one
+    broadcast product writes the expansion in its layout, each entry m
+    terms of at most (p-1)^2, and float_mod reduces it in place.
     """
-    r, c, m = a.shape
-    regular = ctx.regular()
-    out = np.empty((r, m, c, m), dtype)
-    for b in range(m):
-        col = a @ regular[:, :, b]
-        col %= ctx.p
-        out[:, :, :, b] = col.transpose(0, 2, 1)
-        del col
-    return out.reshape(r * m, c * m)
+    *lead, r, c, m = a.shape
+    dtype = product_dtype(ctx, c)
+    out = a.astype(dtype, copy=False)[..., None, :, :] @ ctx.regular().transpose(1, 0, 2).astype(dtype)
+    return float_mod(out, ctx.p).reshape(*lead, r * m, c * m)
 
 
 class MatF:
@@ -231,12 +228,7 @@ class MatF:
     def inv(self) -> "MatF":
         if self.rows != self.cols:
             raise ValueError("inverse requires a square matrix")
-        n = self.rows
-        aug = np.concatenate([self.data, MatF.identity(self.ctx, n).data], axis=1)
-        reduced, pivots = _rref(self.ctx, aug)
-        if pivots != list(range(n)):
-            raise ZeroDivisionError("matrix is singular")
-        return MatF(self.ctx, reduced[:, n:])
+        return self.completed_inverse()
 
     def completed_inverse(self) -> "MatF":
         """The inverse of C: these r rows, then e_j at each non-pivot column j of their RREF.
@@ -247,13 +239,13 @@ class MatF:
         """
         (r, k), m = self.data.shape[:2], self.ctx.m
         aug = np.concatenate([self.data, MatF.identity(self.ctx, r).data], axis=1)
-        reduced, pivots = MatF(self.ctx, aug).rref()
+        reduced, pivots = _rref(self.ctx, aug)
         if pivots and pivots[-1] >= k:
             raise ZeroDivisionError("rows are dependent")
         free = [j for j in range(k) if j not in pivots]
         out = np.zeros((k, k, m), dtype=np.int64)
-        out[pivots, :r] = reduced.data[:, k:]
-        out[pivots, r:] = -reduced.data[:, free]
+        out[pivots, :r] = reduced[:, k:]
+        out[pivots, r:] = -reduced[:, free]
         out[free, np.arange(r, k), 0] = 1
         return MatF(self.ctx, out)
 
@@ -276,7 +268,8 @@ def combine(ctx: FieldCtx, coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
     Entries in 0..p-1, in and out, the result in product_dtype(ctx, K).
     It is one mul_planes product: the (B, K) coefficient matrix, whose
     expansion holds the multiplication blocks of the coefficients,
-    times the K matrices as (K m, r c) coefficient planes.
+    times the K matrices as (K m, r c) coefficient planes: no copy of
+    mats that view C-contiguous (K, m, r, c) planes in that dtype.
     """
     (count, terms, m), (_, r, c, _) = coeffs.shape, mats.shape
     out = mul_planes(ctx, coeffs, mats.transpose(0, 3, 1, 2).reshape(terms * m, r * c))
@@ -292,8 +285,8 @@ def mul_planes(ctx: FieldCtx, a: np.ndarray, planes: np.ndarray) -> np.ndarray:
     product.  Products with c past ctx.max_inner are refused.
     """
     _check_inner(ctx, a.shape[1])
-    dtype = product_dtype(ctx, a.shape[1])
-    return float_mod(expand(ctx, a, dtype) @ planes.astype(dtype, copy=False), ctx.p)
+    left = expand(ctx, a)
+    return float_mod(left @ planes.astype(left.dtype, copy=False), ctx.p)
 
 
 def product_dtype(ctx: FieldCtx, n: int):
@@ -576,15 +569,14 @@ def _jordan_types(ctx: FieldCtx, stack: np.ndarray, p: int, rank_n=None) -> list
     With b_r = rank(N^{r-1}) - rank(N^r), size-r blocks number b_r -
     b_{r+1}.  Block column 0 of an expansion holds the coefficient
     vectors of the entries, and block column 0 of N^e is expand(N) times
-    that of N^(e-1): one batched product a power, in product_dtype(ctx,
-    n) (a stack in another dtype is cast once).  One elimination takes
+    that of N^(e-1): one batched product a power, in the stack's dtype,
+    product_dtype(ctx, n) as expand gives it.  One elimination takes
     N^2, ..., N^(p-1) given rank_n, the (B,) ranks of N, else N, ..., N^(p-1).
     """
     (count, size), m = stack.shape[:2], ctx.m
     n = size // m
     _check_inner(ctx, n)
-    base = stack.astype(product_dtype(ctx, n), copy=False)
-    power = base[..., ::m]
+    power = stack[..., ::m]
     ranks = np.zeros((count, p + 1), dtype=np.int64)
     ranks[:, 0] = n
     first = 1 if rank_n is None else 2  # the first power the elimination takes
@@ -594,7 +586,7 @@ def _jordan_types(ctx: FieldCtx, stack: np.ndarray, p: int, rank_n=None) -> list
     planes = np.zeros((p - first, count, n, m, n), dtype=elim_dtype(ctx.p, size))
     for e in range(first, p):
         if e > 1:
-            power = float_mod(np.matmul(base, power), ctx.p)
+            power = float_mod(np.matmul(stack, power), ctx.p)
         if not power.any():
             break
         planes[e - first] = power.reshape(count, n, m, n)

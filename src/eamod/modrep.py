@@ -192,6 +192,17 @@ class EAModule:
             return cls.from_dict(json.load(fh))
 
 
+def _gen_stack(module: EAModule) -> np.ndarray:
+    """X_1..X_k as a (k, n, n, m) view of C-contiguous (k, m, n, n) planes in product_dtype(field, k).
+
+    combine copies nothing of a stack so laid out, so a caller that
+    combines the generators many times lays them out once.
+    """
+    k, n, m = module.k, module.n, module.field.m
+    planes = np.array([g.data.transpose(2, 0, 1) for g in module.gens], dtype=product_dtype(module.field, k))
+    return planes.reshape(k, m, n, n).transpose(0, 2, 3, 1)
+
+
 def validate(module: EAModule) -> EAModule:
     """Check X_i^p = 0 and pairwise commutation, and mark the module proven; returns it.
 
@@ -204,7 +215,7 @@ def validate(module: EAModule) -> EAModule:
     field, n, k, m = module.field, module.n, module.k, module.field.m
     if n and k:
         _check_inner(field, n)
-        expanded = np.array([expand(field, g.data, product_dtype(field, n)) for g in module.gens])
+        expanded = expand(field, _gen_stack(module))
         power = expanded[..., ::m]
         for _ in range(module.p - 1):
             power = float_mod(np.matmul(expanded, power), field.p)
@@ -237,24 +248,26 @@ def _nonzero_point(module: EAModule, alpha) -> np.ndarray:
 
 def x_alpha(module: EAModule, alpha) -> MatF:
     """The matrix of alpha_1 X_1 + ... + alpha_k X_k, by linalg.combine."""
-    gens = np.array([g.data for g in module.gens])
-    return MatF(module.field, combine(module.field, _nonzero_point(module, alpha), gens)[0])
+    return MatF(module.field, combine(module.field, _nonzero_point(module, alpha), _gen_stack(module))[0])
 
 
 def _point_bytes(field: FieldCtx, n: int, expanded: bool = True) -> int:
     """Bytes that one point of a dim-n module adds to a jordan_types_at stack.
 
-    Phase two (expanded): its nm x nm expansion in the product dtype and
-    four times the (n, m, n) planes in the elimination dtype of the
-    powers it eliminates: N^2, ..., N^(p-1) when p divides n (phase one
-    took N), else N, ..., N^(p-1).  Phase one: N's (n, n, m) planes in
-    the product dtype and four times them in the elimination's.  Peaks
-    of one stack were 0.69-0.79 (phase one) and 0.81-1.47 times it.
+    Phase one: N's (n, n, m) planes in the product dtype and four times
+    them in the elimination's.  Phase two (expanded) holds N's planes, in
+    expand its nm x nm expansion and the float_mod quotient of it, then
+    in the elimination the expansion and four times the (n, m, n) planes
+    of the powers it eliminates: N^2, ..., N^(p-1) when p divides n
+    (phase one took N), else N, ..., N^(p-1).  Peaks of one stack were
+    0.69-0.79 (phase one) and 0.50-1.00 times it.
     """
     size, p = n * field.m, field.p
-    plane = n * size * elim_dtype(p, size).itemsize
-    powers = p - 1 - (n % p == 0) if expanded else 1
-    return (size if expanded else n) * size * product_dtype(field, n).itemsize + 4 * powers * plane
+    planes = n * size * product_dtype(field, n).itemsize
+    fours = 4 * n * size * elim_dtype(p, size).itemsize
+    if not expanded:
+        return planes + fours
+    return planes * (field.m + 1) + max(planes * field.m, (p - 1 - (n % p == 0)) * fours)
 
 
 def jordan_types_at(module: EAModule, coords: np.ndarray) -> list:
@@ -262,44 +275,36 @@ def jordan_types_at(module: EAModule, coords: np.ndarray) -> list:
 
     The one Jordan-type path for points: sweeps, samples and single
     points.  An unproven module is validated once, so no point needs the
-    N^p = 0 check.  When p divides n, phase one eliminates N's
-    coefficient planes at every point (one combine a stack) and types
-    free the points with rank N = n(p-1)/p: once N^p = 0, rank N is n
-    minus the number of blocks, n/p only when every block has size p,
-    and then rank N^e = n(p-e)/p.  Phase two types the rest, or all
-    points when p does not divide n, by _jordan_types with their ranks
-    of N.  Each phase's stacks hold STACK_BYTES // _point_bytes(field, n,
-    expanded) points.  Phase two builds its stack as sum_i expand(X_i)(I
-    (x) C(alpha_i)), C(a) the multiplication matrix of a: one batched
-    product with inner dimension km, exact while k <= max_inner.
+    N^p = 0 check.  N at a stack of points is one combine of the
+    generators, laid out once a call.  When p divides n, phase one
+    eliminates N's planes at every point and types free the points with
+    rank N = n(p-1)/p: once N^p = 0, rank N is n minus the number of
+    blocks, n/p only when every block has size p, and then rank N^e =
+    n(p-e)/p.  Phase two types the rest, or all points when p does not
+    divide n, by _jordan_types on the expand of their N and their ranks
+    of N.  A phase's stacks hold STACK_BYTES // _point_bytes(field, n,
+    expanded) points; no name holds one while the next is formed.
     """
-    field, n, k = module.field, module.n, module.k
-    m, p, size = field.m, field.p, n * field.m
+    field, n, p = module.field, module.n, module.p
     if not module.proven:
         validate(module)
-    _check_inner(field, k)
     types = [JordanType(p, (0,) * (p - 1) + (n // p,))] * len(coords)
     rest, rank_n = np.arange(len(coords)), None
+    gens = _gen_stack(module)
     if n % p == 0:
-        gens = np.array([g.data for g in module.gens]).reshape(k, n, n, m)
         step = max(1, STACK_BYTES // (_point_bytes(field, n, False) or 1))
         rank_n = np.empty(len(coords), dtype=np.int64)
         for start in range(0, len(coords), step):
             planes = combine(field, coords[start : start + step], gens).transpose(0, 1, 3, 2)
-            rank_n[start : start + step] = _ranks(field, planes.astype(elim_dtype(p, size), order="C"))
+            rank_n[start : start + step] = _ranks(field, planes.astype(elim_dtype(p, n * field.m), order="C"))
+            del planes
         rest = np.flatnonzero(rank_n * p != n * (p - 1))
-    if not rest.size:
-        return types
-    dtype = product_dtype(field, max(n, k))
-    # the m columns of each block column of every expand(X_i), side by side
-    gens = np.concatenate([expand(field, g.data, dtype).reshape(size * n, m) for g in module.gens], axis=1)
     step = max(1, STACK_BYTES // (_point_bytes(field, n) or 1))
     for start in range(0, rest.size, step):
         at = rest[start : start + step]
-        mult = (coords[at] @ field.regular().reshape(m, m * m) % p).astype(dtype).reshape(len(at), k * m, m)
-        stack = float_mod(np.matmul(gens, mult).reshape(len(at), size, size), p)
         known = None if rank_n is None else rank_n[at]
-        for i, jt in zip(at.tolist(), _jordan_types(field, stack, p, known)):
+        found = _jordan_types(field, expand(field, combine(field, coords[at], gens)), p, known)
+        for i, jt in zip(at.tolist(), found):
             types[i] = jt
     return types
 
@@ -556,7 +561,7 @@ def projective_test(module: EAModule):
 def _wide_and_tall(module: EAModule):
     """[X_1 | ... | X_k] (n x kn) and the X_i stacked (kn x n)."""
     n, k, m = module.n, module.k, module.field.m
-    gens = np.array([x.data for x in module.gens], dtype=np.int64).reshape(k, n, n, m)
+    gens = _gen_stack(module)
     return (MatF(module.field, gens.transpose(1, 0, 2, 3).reshape(n, k * n, m)),
             MatF(module.field, gens.reshape(k * n, n, m)))
 
@@ -792,14 +797,13 @@ def endomorphism_basis(module: EAModule):
     gives Y = [W_u y_o(u)]_u S^-1.  The basis is canonical, a function of
     End(M) alone (_canonical_basis).
     """
-    field, n, m, k = module.field, module.n, module.field.m, module.k
+    field, n, m = module.field, module.n, module.field.m
     if n == 0:
         return []
     generators = _top_generators(module)
     t = generators.size
-    dtype = product_dtype(field, n)
-    gens_exp = np.array([expand(field, x.data, dtype) for x in module.gens],
-                        dtype=dtype).reshape(k, n * m, n * m)
+    gens_exp = expand(field, _gen_stack(module))
+    dtype = gens_exp.dtype
     s_mat, words, owner, tree = _spin(module, generators, gens_exp)
     s_inv = s_mat.inv()
     a = _conjugated(module, s_inv, s_mat)  # [A_1 | ... | A_k], A_i = S^-1 X_i S

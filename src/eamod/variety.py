@@ -296,14 +296,16 @@ def generic_type(module: EAModule, ext_degree: int = 4, trials: int = 24, seed: 
     pass int64 here, unlike in a capped sweep), and returns the
     dominance maximum of the observed types with attainment evidence.
     If the top types are incomparable the sweep retries once over
-    F_{p^{m+2}} and reports inconclusive if still unordered.
+    F_{p^d}, d >= ext_degree + 2 the least multiple of the module's
+    field degree, and reports inconclusive if still unordered.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if module.k < 1:
         raise BadParams(f"a generic type needs k >= 1, got k = {module.k}: a rank-0 module has no points")
-    for degree, key in ((ext_degree, 0), (ext_degree + 2, trials)):
-        ext = module.field if (degree, key) == (module.field.m, 0) else field_create(module.p, degree)
+    m = module.field.m
+    for degree, key in ((ext_degree, 0), (-(-(ext_degree + 2) // m) * m, trials)):
+        ext = module.field if (degree, key) == (m, 0) else field_create(module.p, degree)
         streams = [CounterStream(seed, j) for j in range(key, key + trials)]
         draws = [[ext.from_code(1 + s.below(ext.q - 1)) for _ in range(module.k)] for s in streams]
         coords = np.array(draws, dtype=np.int64).reshape(trials, module.k, ext.m)

@@ -150,7 +150,7 @@ def test_products_match_fel_oracle(pair):
     if a.rows == a.cols:
         expect = slow_inverse(rows_a)
         if expect is None:
-            with pytest.raises(ZeroDivisionError):
+            with pytest.raises(ZeroDivisionError, match="rows are dependent"):
                 a.inv()
         else:
             assert as_fel_rows(a.inv()) == expect
@@ -490,11 +490,35 @@ def conjugated_nilpotent(ctx, blocks, stream):
         return conj @ canonical_nilpotent(ctx, JordanType.from_blocks(ctx.p, blocks)) @ inv
 
 
+@pytest.mark.parametrize("p,m,cols,dtype", [
+    pytest.param(3, 2, 4, np.float32, id="f9"),
+    pytest.param(2, 3, 5, np.float32, id="f8"),
+    pytest.param(257, 2, 128, np.float32, id="257^2-at-the-float32-edge"),
+    pytest.param(257, 2, 129, np.float64, id="257^2-past-it"),
+])
+def test_expand_of_a_stack(p, m, cols, dtype):
+    # a (B, r, c, m) stack expands member by member, in product_dtype(ctx, c):
+    # c m (p-1)^2 = 2^24 at c = 128 over F_{257^2}, the widest float32 case.
+    # Each expansion times a matrix's coefficient vectors stacked as columns
+    # is the Fel product of the two
+    ctx = field_create(p, m)
+    stream = CounterStream(43, p)
+    mats = [random_mat(ctx, 2, cols, stream) for _ in range(3)]
+    right = random_mat(ctx, cols, 2, stream)
+    got = expand(ctx, np.array([a.data for a in mats]))
+    assert got.dtype == dtype and got.shape == (3, 2 * m, cols * m)
+    planes = right.data.transpose(0, 2, 1).reshape(cols * m, 2).astype(dtype)
+    for a, member in zip(mats, got):
+        assert np.array_equal(member, expand(ctx, a.data))
+        prod = float_mod(member @ planes, p).astype(np.int64).reshape(2, m, 2).transpose(0, 2, 1)
+        assert as_fel_rows(MatF(ctx, prod)) == slow_matmul(as_fel_rows(a), as_fel_rows(right))
+
+
 def test_jordan_types_of_a_stack():
     ctx = F9
     stream = CounterStream(31)
     blocks = [[3, 3, 2], [2, 2, 2, 2], [1] * 8, [3, 2, 1, 1, 1], [3, 3, 1, 1]]
-    stack = [expand(ctx, conjugated_nilpotent(ctx, b, stream).data, np.int64) for b in blocks]
+    stack = [expand(ctx, conjugated_nilpotent(ctx, b, stream).data) for b in blocks]
     types = _jordan_types(ctx, np.stack(stack), 3)
     assert types == [JordanType.from_blocks(3, b) for b in blocks]
     assert _jordan_types(ctx, np.zeros((0, 16, 16), dtype=np.int64), 3) == []
@@ -561,7 +585,7 @@ def test_jordan_types_eliminate_higher_powers_of_the_non_free_only(monkeypatch, 
         return ranks(ctx, work)
 
     def stacked(mats):
-        return np.array([expand(ctx, mat.data, np.float32) for mat in mats]).reshape(-1, n * m, n * m)
+        return np.array([expand(ctx, mat.data) for mat in mats]).reshape(-1, n * m, n * m)
 
     def powers(mats, first):
         planes = [nil.mat_pow(e).data.transpose(0, 2, 1) for e in range(first, p) for nil in mats]

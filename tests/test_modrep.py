@@ -182,6 +182,67 @@ def test_stack_budget():
     assert mr._point_bytes(field_create(7, 2), 924) > mr.STACK_BYTES
 
 
+@pytest.mark.parametrize("p,k,m,count", [(3, 4, 2, 16), (3, 3, 3, 31)], ids=["d2-f9-k4", "d2-f27-k3"])
+def test_phase_two_stacks_stay_in_the_budget(monkeypatch, p, k, m, count):
+    # a full phase-two stack of D(2), less what the call holds when its
+    # first stack starts (the generators' planes), peaks under STACK_BYTES:
+    # N's planes, the expansion and its float_mod quotient in expand.
+    # Charging the expansion once, or holding the last phase-one stack
+    # through phase two, passes the budget by about half at both
+    field = field_create(p, m)
+    module = sr.d_r(sr.SymContext(p, k), field, 2)
+    coords = field.from_codes(vy.projective_codes(field, k))
+    coords = coords[[not t.is_free() for t in mr.jordan_types_at(module, coords)]][:count]
+    assert len(coords) == count >= mr.STACK_BYTES // mr._point_bytes(field, module.n)
+    held, combine = [], mr.combine
+
+    def first(*args):
+        if not held:
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        return combine(*args)
+
+    monkeypatch.setattr(mr, "combine", first)
+    tracemalloc.start()
+    try:
+        mr.jordan_types_at(module, coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held[0] < mr.STACK_BYTES
+
+
+def test_jordan_types_at_lays_out_the_generators_once(monkeypatch):
+    # one point a stack: every stack of both phases combines the one
+    # generator stack, which combine takes as it is (its planes are
+    # C-contiguous in the product dtype, so reshape and cast are views)
+    field = F9
+    module = sr.d_r(sr.SymContext(3, 3), field, 2)
+    coords = field.from_codes(vy.projective_codes(field, 3))
+    expected = mr.jordan_types_at(module, coords)
+    non_free = sum(not t.is_free() for t in expected)
+    layouts, stacks = [], []
+    gen_stack, combine = mr._gen_stack, mr.combine
+
+    def laying(mod):
+        layouts.append(mod)
+        return gen_stack(mod)
+
+    def combining(ctx, coeffs, mats):
+        stacks.append(mats)
+        return combine(ctx, coeffs, mats)
+
+    monkeypatch.setattr(mr, "STACK_BYTES", 1)
+    monkeypatch.setattr(mr, "_gen_stack", laying)
+    monkeypatch.setattr(mr, "combine", combining)
+    assert mr.jordan_types_at(module, coords) == expected
+    assert module.n % 3 == 0 and 0 < non_free < len(coords)
+    assert len(layouts) == 1 and len(stacks) == len(coords) + non_free
+    gens = stacks[0]
+    assert all(mats is gens for mats in stacks)
+    assert gens.transpose(0, 3, 1, 2).flags.c_contiguous and gens.dtype == linalg.product_dtype(field, 3)
+
+
 def test_sweep_work_counts(monkeypatch):
     # D(2) at (3, 3) over F_27, the benchmark's sweep: rank N at the 53 orbit
     # representatives is one elimination, 48 of them are free by it, and only
@@ -1165,7 +1226,7 @@ def test_jordan_type_rank_steps_are_checked(monkeypatch):
     monkeypatch.setattr(linalg, "_ranks", lambda ctx, work: next(faked))
     nil = canonical_nilpotent(F3, JordanType.from_blocks(3, [3, 1]))
     with pytest.raises(BrokenInvariant, match=r"ranks \[4, 3, 0, 0\] of the powers of a 4 x 4 matrix"):
-        _jordan_types(F3, linalg.expand(F3, nil.data, np.float32)[None], 3)
+        _jordan_types(F3, linalg.expand(F3, nil.data)[None], 3)
 
 
 # theta = diag(c_1, c_2) over F_{p^2} (entries by code: w is code p), viewed

@@ -9,7 +9,7 @@ import pytest
 from eamod import gf
 from eamod import suites
 from eamod.gf import field_create
-from eamod.linalg import JordanType, _jordan_types
+from eamod.linalg import Dominance, JordanType, _jordan_types
 from eamod import modrep as mr
 from eamod import symrep as sr
 from eamod import variety as vy
@@ -199,6 +199,20 @@ def test_generic_type_deterministic():
     a = vy.generic_type(d1, 4, 24, 7)
     b = vy.generic_type(d1, 4, 24, 7)
     assert a[0] == b[0] and a[1] == b[1]
+
+
+def test_generic_type_retries_over_a_field_holding_the_module(monkeypatch):
+    # the first round over F_81 sees [3]^2[1] at 23 of 24 points; called
+    # incomparable, the types force the retry, which must lift the module
+    # into F_{3^8}, not F_{3^6} (ext_degree + 2 is no multiple of m = 4)
+    f81 = field_create(3, 4)
+    module = sr.block_model_d1(sr.SymContext(3, 3), f81)
+    _, first = vy.generic_type(module, 4, 24, 7)
+    assert first.ext_degree == 4 and first.attained == 23 and not first.retried
+    monkeypatch.setattr(vy, "dominance_compare", lambda t1, t2: Dominance.INCOMPARABLE)
+    jt, evidence = vy.generic_type(module, 4, 24, 7)
+    assert evidence.ext_degree == 8 and evidence.retried
+    assert jt == JordanType.from_blocks(3, [3, 3, 1]) and evidence.attained == 24
 
 
 def test_in_max_jordan_set():
