@@ -12,7 +12,10 @@ in place by float_mod (mul_planes).  An inner dimension of n entries
 is nm residues, each term is at most (p-1)^2, and every integer up to
 2^53 is a float64, so a product is exact while n m (p-1)^2 <= 2^53
 (FieldCtx.max_inner) and is refused beyond; below 2^24 it is exact in
-float32 and runs there (product_dtype).
+float32 and runs there (product_dtype).  float_mod reduces block by
+block along the first axis, so a product, an expansion or a power
+holds no second array of its size: its quotient is at most
+MOD_BLOCK_BYTES.
 
 Elimination runs over F_{p^m} itself, on a (B, r, m, c) stack of
 coefficient planes (the storage layout with its last two axes
@@ -299,6 +302,10 @@ def product_dtype(ctx: FieldCtx, n: int):
     return np.dtype(np.float32 if n * ctx.m * (ctx.p - 1) ** 2 <= 2 ** 24 else np.float64)
 
 
+# bytes of float_mod's quotient: a larger array is reduced in blocks of at most this
+MOD_BLOCK_BYTES = 1 << 16
+
+
 def float_mod(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p in place, for a float array of integers in 0..2^24 (float32) or 0..2^53 (float64).
 
@@ -306,9 +313,16 @@ def float_mod(x: np.ndarray, p: int) -> np.ndarray:
     rounded by less than x / p times the unit roundoff (2^-24, 2^-53),
     so by less than 1/p, and its floor is the exact quotient; a subtract
     of p times it is exact.  np.fmod is exact too but about thirty
-    times slower.
+    times slower.  x may have any shape and layout, views included: past
+    MOD_BLOCK_BYTES it is reduced block by block along its first axis (a
+    row past the block row by row), so the quotient never holds more.
     """
-    quotient = x / p
+    if x.nbytes > MOD_BLOCK_BYTES:
+        rows = MOD_BLOCK_BYTES // (x.nbytes // len(x))
+        for lo in range(0, len(x), rows or 1):
+            float_mod(x[lo : lo + rows] if rows else x[lo], p)
+        return x
+    quotient = np.divide(x, p, out=np.empty(x.shape, x.dtype))
     np.floor(quotient, out=quotient)
     quotient *= p
     x -= quotient

@@ -4,9 +4,10 @@ An EAModule is k pairwise-commuting nilpotent generator matrices
 X_1..X_k (the images of g_i - 1) over one FieldCtx, with X_i^p = 0.
 This module hosts all module-level constructions: sums, tensors,
 duals, exterior powers, restriction, induction, linear-variety
-modules, the exact projectivity test, endomorphism (commutant) bases
-and the randomized Fitting decomposition.  Every Jordan type, at a
-point or of one matrix, comes from jordan_types_at, after validate.
+modules, the exact projectivity test, endomorphism (commutant) bases,
+whose array stages live in the commutant module, and the randomized
+Fitting decomposition.  Every Jordan type, at a point or of one
+matrix, comes from jordan_types_at, after validate.
 """
 
 from __future__ import annotations
@@ -19,6 +20,15 @@ from functools import reduce
 
 import numpy as np
 
+from .commutant import (
+    _assembled,
+    _canonical_basis,
+    _check_size,
+    _common_kernel,
+    _corner_basis,
+    _relation_rows,
+    _spin,
+)
 from .gf import FieldCtx, Point, ZeroPoint, json_int
 from .linalg import (
     BrokenInvariant,
@@ -34,7 +44,6 @@ from .linalg import (
     elim_dtype,
     expand,
     float_mod,
-    mul_planes,
     null_space,
     product_dtype,
     rref_planes,
@@ -255,19 +264,21 @@ def _point_bytes(field: FieldCtx, n: int, expanded: bool = True) -> int:
     """Bytes that one point of a dim-n module adds to a jordan_types_at stack.
 
     Phase one: N's (n, n, m) planes in the product dtype and four times
-    them in the elimination's.  Phase two (expanded) holds N's planes, in
-    expand its nm x nm expansion and the float_mod quotient of it, then
-    in the elimination the expansion and four times the (n, m, n) planes
-    of the powers it eliminates: N^2, ..., N^(p-1) when p divides n
-    (phase one took N), else N, ..., N^(p-1).  Peaks of one stack were
-    0.69-0.79 (phase one) and 0.50-1.00 times it.
+    them in the elimination's.  Phase two (expanded) holds the nm x nm
+    expansion of N and planes as large as N's (N's own in expand, then
+    the columns of a power), and in the elimination four times the (n,
+    m, n) planes of the powers it eliminates: N^2, ..., N^(p-1) when p
+    divides n (phase one took N), else N, ..., N^(p-1).  float_mod's
+    quotient is one fixed block, not a point's.  Peaks of one full stack
+    were 0.64-0.74 (phase one; 1.09 at one dim-171 point) and 0.57-0.89
+    times it.
     """
     size, p = n * field.m, field.p
     planes = n * size * product_dtype(field, n).itemsize
     fours = 4 * n * size * elim_dtype(p, size).itemsize
     if not expanded:
         return planes + fours
-    return planes * (field.m + 1) + max(planes * field.m, (p - 1 - (n % p == 0)) * fours)
+    return planes * (field.m + 1) + (p - 1 - (n % p == 0)) * fours
 
 
 def jordan_types_at(module: EAModule, coords: np.ndarray) -> list:
@@ -545,10 +556,11 @@ def projective_test(module: EAModule):
 
     free_summands is the rank of z = X_1^{p-1} ... X_k^{p-1}, the sum of
     all group elements; the module is free iff that accounts for the
-    whole dimension.
+    whole dimension.  A rank-0 module is free over the trivial group:
+    (True, n), with no I_n formed.
     """
-    if module.n == 0:
-        return True, 0
+    if module.n == 0 or module.k == 0:
+        return True, module.n
     z = MatF.identity(module.field, module.n)
     for x in module.gens:
         z = z @ x.mat_pow(module.p - 1)
@@ -593,190 +605,15 @@ def _top_generators(module: EAModule) -> np.ndarray:
     They are the pivots of [X_1 | ... | X_k | I] past its kn columns: the
     e_j span a complement of the radical, the column space of
     [X_1 | ... | X_k], so by Nakayama they generate M, and there are
-    dim top of them.
+    dim top of them.  The matrix is laid out as elimination planes
+    directly, in the narrow dtype.
     """
-    wide, _ = _wide_and_tall(module)
-    eye = MatF.identity(module.field, module.n)
-    _, pivots = MatF(module.field, np.concatenate([wide.data, eye.data], axis=1)).rref()
-    return np.array([j - wide.cols for j in pivots if j >= wide.cols], dtype=np.intp)
-
-
-def _spin(module: EAModule, generators: np.ndarray, gens_exp: np.ndarray):
-    """Spin the generators g_j = e_{generators[j]} to a basis S of M.
-
-    Returns (S, words, owner, tree).  Column u of S is W_u g_owner[u] for
-    a word W_u in the X_i, and words[u] holds the (n, m, n) coefficient
-    planes of W_u (entry (r, s, c) is coefficient s of W_u[r, c]) in the
-    narrowest integer dtype.  tree[i, v] says that X_i S[:, v] was kept
-    as a column of S; its word is X_i W_v.  Each level applies every X_i
-    to the columns the last level kept and keeps the candidates that are
-    independent of the columns before them; only the kept words are
-    formed (_times_words, with gens_exp the expansions of the X_i).
-    """
-    field, n, m, k = module.field, module.n, module.field.m, module.k
-    _, stacked = _wide_and_tall(module)
-    t = generators.size
-    words = np.zeros((n, n, m, n), dtype=elim_dtype(field.p, 0))  # the narrowest holding 0..p
-    words[:t, :, 0] = np.eye(n, dtype=words.dtype)
-    owner = np.arange(t)
-    basis = np.zeros((n, t, m), dtype=np.int64)
-    basis[generators, owner, 0] = 1
-    tree = np.zeros((k, n), dtype=bool)
-    frontier = owner
-    while frontier.size and owner.size < n:
-        f, b = frontier.size, owner.size
-        # candidate i f + v is X_i S[:, frontier[v]]
-        spun = (stacked @ MatF(field, basis[:, frontier])).data
-        candidates = spun.reshape(k, n, f, m).transpose(1, 0, 2, 3).reshape(n, k * f, m)
-        _, pivots = MatF(field, np.concatenate([basis, candidates], axis=1)).rref()
-        kept = np.array(pivots[b:], dtype=np.intp) - b
-        gen, parent = kept // f, frontier[kept % f]
-        tree[gen, parent] = True
-        words[b : b + kept.size] = _times_words(field, gens_exp, gen, words[parent])
-        owner = np.concatenate([owner, owner[parent]])
-        basis = np.concatenate([basis, candidates[:, kept]], axis=1)
-        frontier = np.arange(b, owner.size)
-    return MatF(field, basis), words, owner, tree
-
-
-def _times_words(field: FieldCtx, gens_exp: np.ndarray, gen: np.ndarray, planes: np.ndarray):
-    """X_gen[w] W_w for each w, as (w, n, m, n) planes in gens_exp's dtype, in 0..p-1.
-
-    gens_exp holds the (k, nm, nm) expansions of the X_i in
-    product_dtype(field, n) and planes the words' (w, n, m, n) planes;
-    the words of each generator are one batched product with it.
-    """
-    count, n, m, _ = planes.shape
-    out = np.empty((count, n * m, n), dtype=gens_exp.dtype)
-    # np.unique would import numpy.ma (numpy 2.4), 15 ms at its first call
-    for i in np.flatnonzero(np.bincount(gen)).tolist():
-        mine = gen == i
-        out[mine] = np.matmul(gens_exp[i], planes[mine].reshape(-1, n * m, n).astype(out.dtype))
-    return float_mod(out, field.p).reshape(count, n, m, n)
-
-
-def _relation_rows(field: FieldCtx, a: np.ndarray, words: np.ndarray, owner: np.ndarray,
-                   tree: np.ndarray, gens_exp: np.ndarray):
-    """Yield the nonzero rows of each relation (i, v) off the tree, in order, as (rows, m, t n) planes.
-
-    Relation (i, v) is sum_u (A_i)_uv W_u y_o(u) - X_i W_v y_o(v) = 0,
-    with a = [A_1 | ... | A_k]; its row r has the coefficient of
-    y_j[c] in column j n + c.  The relations are built t at a time, so
-    no system of all of them exists.  The first term of t relations is
-    one product: the expansions of their columns of A, each entry (A_i)_uv
-    placed in block owner[u], times the words as (u, s) x (r, c) planes,
-    cast to the product dtype once for all relations; then each
-    relation's X_i W_v (_times_words) is taken off block owner[v].  The
-    rows are held in elim_dtype(p, t n m) with entries in 0..p-1.
-    """
-    n, m, p = words.shape[0], field.m, field.p
-    t = int(owner.max()) + 1  # generator j owns word j
-    rel_i, rel_v = np.divmod(np.flatnonzero(~tree.reshape(-1)), n)
-    planes = words.transpose(0, 2, 1, 3).reshape(n * m, n * n).astype(gens_exp.dtype)
-    dtype = elim_dtype(p, t * n * m)
-    for lo in range(0, rel_i.size, t):
-        gen, col = rel_i[lo : lo + t], rel_v[lo : lo + t]
-        count = gen.size
-        coeffs = np.zeros((count, t, n, m), dtype=np.int64)  # [relation, j, u]
-        coeffs[:, owner, np.arange(n)] = a[:, gen * n + col].transpose(1, 0, 2)
-        rel = mul_planes(field, coeffs.reshape(count * t, n, m), planes).reshape(count, t, m, n, n)
-        del coeffs
-        # rel[w, j, s] is coefficient s of the (r, c) block j of relation w
-        at = np.arange(count), owner[col]
-        term = rel[at]
-        term += p
-        term -= _times_words(field, gens_exp, gen, words[col]).transpose(0, 2, 1, 3)
-        rel[at] = float_mod(term, p)
-        del term
-        rows = rel.transpose(0, 3, 2, 1, 4).astype(dtype, order="C").reshape(count, n, m, t * n)
-        del rel
-        for relation in rows:
-            yield relation[relation.any(axis=(1, 2))]
-
-
-def _common_kernel(field: FieldCtx, relations, width: int) -> np.ndarray:
-    """The vectors y that every relation row kills: a (d, width, m) basis in 0..p-1.
-
-    relations yields (rows, m, width) planes in elim_dtype(p, width m),
-    at most width rows each.  The rows are cut into blocks of width in
-    order (rows past a block's end carry over to the next).  The first
-    block's kernel is the first set of solutions; each later block's
-    image on them is at most square, and its kernel cuts them down.
-    """
-    m = field.m
-    buffer = np.empty((2 * width, m, width), dtype=elim_dtype(field.p, width * m))
-    held = 0
-    solutions = None
-    for rows in relations:
-        buffer[held : held + len(rows)] = rows
-        held += len(rows)
-        if held >= width:
-            solutions = _cut(field, solutions, buffer[:width])
-            held -= width
-            buffer[:held] = buffer[width : width + held]
-    if held or solutions is None:
-        solutions = _cut(field, solutions, buffer[:held])
-    return solutions
-
-
-def _cut(field: FieldCtx, solutions, block: np.ndarray) -> np.ndarray:
-    """The solutions (None: every vector) that the (r, m, c) block of rows also kills (block destroyed)."""
-    if solutions is None:
-        return null_space(field, *rref_planes(field, block))
-    d, m = len(solutions), field.m
-    # image[x m + s, r]: coefficient s of row r of the block times solution x
-    image = mul_planes(field, solutions, block.transpose(2, 1, 0).reshape(-1, len(block)))
-    if not image.any():
-        return solutions
-    image = image.reshape(d, m, -1).transpose(2, 1, 0).astype(elim_dtype(field.p, d * m), order="C")
-    kernel = null_space(field, *rref_planes(field, image))
-    cut = mul_planes(field, kernel, solutions.transpose(0, 2, 1).reshape(d * m, -1))
-    return cut.reshape(len(kernel), m, -1).transpose(0, 2, 1).astype(np.int64)
-
-
-def _canonical_basis(field: FieldCtx, work: np.ndarray, n: int) -> np.ndarray:
-    """The canonical basis of the span of an (r, m, n^2) elimination stack's rows (destroyed), a commutant.
-
-    The rows of the span's RREF (rref_planes), with row 0, whose pivot
-    is entry (0, 0), replaced by the identity, and the zero rows past
-    the rank dropped: a function of the span alone.  Returned as a (d,
-    n, n, m) stack in elim_dtype(p, 0), the narrowest holding 0..p.
-    """
-    reduced, pivots = rref_planes(field, work)
-    if not pivots or pivots[0] != 0:
-        raise BrokenInvariant(f"a commutant of size {n} over F_{field.q}, spanned by {len(work)} "
-                              f"rows, has first pivot {pivots[:1]}, not entry (0, 0)")
-    basis = reduced[: len(pivots)].reshape(-1, n, n, field.m).astype(elim_dtype(field.p, 0))
-    basis[0] = 0
-    basis[0, np.arange(n), np.arange(n), 0] = 1
-    return basis
-
-
-def _corner_basis(field: FieldCtx, parent: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The commutant of a summand, read off its parent's as the corners rows Y cols.
-
-    parent is the parent's (d, n, n, m) commutant stack, rows the
-    summand's a rows of P^-1 and cols its a columns of P, for the split's
-    basis change P.  Y -> (P^-1 Y P) on the summand's coordinates maps
-    End(parent) onto End(summand), since f + 0 commutes with the
-    block-diagonal generators, so _canonical_basis of the corners is
-    the basis endomorphism_basis gives.  The corners are two mul_planes
-    products that expand only the small a x n factors: rows times the
-    parent's planes, then cols^T times the result, rearranged.  The d
-    corners have rank below d, so the RREF steps through every nonzero
-    column of the a^2 and ends with zero rows.
-    """
-    d, n, _, m = parent.shape
-    a = len(rows)
-    # planes[j m + t, x n + c] is coefficient t of Y_x[j, c]
-    planes = parent.transpose(1, 3, 0, 2).reshape(n * m, d * n)
-    left = mul_planes(field, rows, planes).reshape(a, m, d, n)
-    # left[c m + t, x a + i] is coefficient t of (rows Y_x)[i, c]
-    left = left.transpose(3, 1, 2, 0).reshape(n * m, d * a)
-    corners = mul_planes(field, cols.transpose(1, 0, 2), left).reshape(a, m, d, a)
-    # corners[c', t, x, i] is coefficient t of (rows Y_x cols)[i, c']
-    work = corners.transpose(2, 1, 3, 0).astype(elim_dtype(field.p, a * a * m), order="C")
-    return _canonical_basis(field, work.reshape(d, m, a * a), a)
+    field, n, kn = module.field, module.n, module.k * module.n
+    work = np.zeros((n, field.m, kn + n), dtype=elim_dtype(field.p, (kn + n) * field.m))
+    work[:, :, :kn] = _wide_and_tall(module)[0].data.transpose(0, 2, 1)
+    work[np.arange(n), 0, kn + np.arange(n)] = 1
+    pivots = np.array(rref_planes(field, work)[1], dtype=np.intp)
+    return pivots[pivots >= kn] - kn
 
 
 def endomorphism_basis(module: EAModule):
@@ -791,45 +628,31 @@ def endomorphism_basis(module: EAModule):
 
     n equations in the t n unknowns y.  The relations (i, v) of the
     spanning tree hold by construction and are left out.  The others are
-    built t at a time and their nonzero rows go t n at a time
-    (_relation_rows, _common_kernel), so memory stays near the (n, n, n,
-    m) word cube, held in the narrowest integer dtype.  Each solution
-    gives Y = [W_u y_o(u)]_u S^-1.  The basis is canonical, a function of
-    End(M) alone (_canonical_basis).
+    built a chunk at a time and their nonzero rows go t n at a time
+    (_relation_rows, _common_kernel), and the solutions' Y are assembled
+    a block at a time (_assembled), so memory stays near the (n, n, m,
+    n) word cube, in the narrowest integer dtype, the solutions and the
+    basis (commutant_bytes); past COMMUTANT_CAP the commutant is refused
+    before the spin.  Each solution gives Y = [W_u y_o(u)]_u S^-1.  The
+    basis is canonical, a function of End(M) alone (_canonical_basis).
     """
-    field, n, m = module.field, module.n, module.field.m
+    field, n = module.field, module.n
     if n == 0:
         return []
     generators = _top_generators(module)
     t = generators.size
+    _check_size(field, n, t)
     gens_exp = expand(field, _gen_stack(module))
-    dtype = gens_exp.dtype
-    s_mat, words, owner, tree = _spin(module, generators, gens_exp)
+    s_mat, words, owner, tree = _spin(field, _wide_and_tall(module)[1], generators, gens_exp)
     s_inv = s_mat.inv()
     a = _conjugated(module, s_inv, s_mat)  # [A_1 | ... | A_k], A_i = S^-1 X_i S
-    solutions = _common_kernel(field, _relation_rows(field, a, words, owner, tree, gens_exp), t * n)
+    solutions = _common_kernel(field, _relation_rows(field, a, words, owner, tree, gens_exp), t * n, n)
     del gens_exp, a
-    d = len(solutions)
-    # z[x, s, u', r]: coefficient s of (W_u y_o(u))[r] for solution x, u = order[u'],
-    # from the words as (c, s) x (u', r) planes, u' grouped by owner
-    order = np.argsort(owner, kind="stable")
-    bounds = np.searchsorted(owner[order], np.arange(t + 1))
-    planes = words[order].transpose(3, 2, 0, 1).reshape(n * m, n * n).astype(dtype)
-    z = np.empty((d, m, n, n), dtype=dtype)
-    for j in range(t):
-        lo, hi = bounds[j], bounds[j + 1]
-        z[:, :, lo:hi] = mul_planes(field, solutions[:, j * n : (j + 1) * n],
-                                    planes[:, lo * n : hi * n]).reshape(d, m, hi - lo, n)
-    del planes, solutions
-    # Y_x^T = S^-T Z_x^T, with the rows of S^-1 in the order of u'
-    flat = mul_planes(field, s_inv.data[order].transpose(1, 0, 2),
-                      z.transpose(2, 1, 0, 3).reshape(n * m, d * n))
-    del z
-    # flat[c m + s, x n + r] is coefficient s of Y_x[r, c]
-    work = flat.reshape(n, m, d, n).transpose(2, 1, 3, 0).astype(elim_dtype(field.p, n * n * m),
-                                                                  order="C")
-    del flat
-    return [MatF(field, y) for y in _canonical_basis(field, work.reshape(d, m, n * n), n)]
+    work = _assembled(field, solutions, words, owner, s_inv)
+    del solutions, words
+    basis = _canonical_basis(field, work, n)
+    del work
+    return [MatF(field, y) for y in basis]
 
 
 @dataclass

@@ -110,6 +110,13 @@ def test_10_green():
     _finish("10 green", reports, t0, 10)
 
 
+def test_10_green_p5():
+    # D(4) over F_25 (dim 70): the F_25 sweeps run every float_mod path
+    t0 = time.perf_counter()
+    reports = [suites.suite_green(p=5)]
+    _finish("10 green p=5", reports, t0, 10)
+
+
 def test_11_axioms():
     t0 = time.perf_counter()
     reports = [suites.suite_axioms(p=3, seed=11)]

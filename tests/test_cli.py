@@ -153,6 +153,16 @@ def test_query_projective_and_decompose_and_green(tmp_path, capsys):
     assert code == 0 and json.loads(out)["witness"] == "(1,w)"
 
 
+def test_query_projective_of_rank_zero_forms_no_identity(tmp_path, capsys):
+    # every module of the trivial group is free; I_n of dim 10^9 would take 6.94 EiB
+    d1 = _write_inputs(tmp_path, capsys)
+    giant = tmp_path / "rankzerogiant.json"
+    giant.write_text(json.dumps(dict(json.loads(d1.read_text()), k=0, dim=10 ** 9, generators=[])))
+    code, out, _ = run(capsys, "query", "projective", "--module", str(giant))
+    assert code == 0
+    assert json.loads(out) == {"free_summands": 10 ** 9, "is_projective": True}
+
+
 def test_query_generic(tmp_path, capsys):
     d1 = tmp_path / "d1.json"
     run(capsys, "build", "d1", "--p", "3", "--k", "2", "--out", str(d1))
@@ -267,6 +277,7 @@ INVALID_INPUTS = {
     "file-dim-negative": ["query", "generic", "--module", "{tmp}/dimnegative.json"],
     "file-k-negative": ["query", "variety", "--module", "{tmp}/knegative.json"],
     "generic-rank-zero": ["query", "generic", "--module", "{tmp}/rankzero.json"],
+    "decompose-rank-zero-dim-5000": ["query", "decompose", "--module", "{tmp}/rankzero5000.json"],
     "point-too-many-coordinates": ["query", "jordan", "--module", "{d1}", "--alpha", "1,1,1"],
     "point-zero": ["query", "jordan", "--module", "{d1}", "--alpha", "0,0"],
     "green-p0": ["verify", "--suite", "green", "--p", "0"],
@@ -301,6 +312,9 @@ NAMED_IN_ERROR = {
     "file-dim-negative": "module key 'dim' must be an integer >= 0, got -1",
     "file-k-negative": "module key 'k' must be an integer >= 0, got -1",
     "generic-rank-zero": "got k = 0",
+    # the word cube alone would be 116 GiB; refused before the spin
+    "decompose-rank-zero-dim-5000": "dim 5000 over F_3 (m = 1) with 5000 top generators can hold "
+                                    "15625625000000000 bytes",
     "build-unused-options": "build dual takes no --k, --ext, -r",
     "query-unused-options": "query projective takes no --ext, --trials, --seed",
     "induce-module-with-p": "build induce --module takes no --p or --ext",
@@ -333,6 +347,7 @@ def _write_inputs(tmp_path, capsys):
     (tmp_path / "irrentry.json").write_text(json.dumps(dict(raw, field={"p": 3, "m": 1, "irr": [[0], 1]})))
     rank_zero = dict(raw, k=0, dim=2, generators=[])
     (tmp_path / "rankzero.json").write_text(json.dumps(rank_zero))
+    (tmp_path / "rankzero5000.json").write_text(json.dumps(dict(rank_zero, dim=5000)))
     (tmp_path / "dimnegative.json").write_text(json.dumps(dict(rank_zero, dim=-1)))
     (tmp_path / "knegative.json").write_text(json.dumps(dict(rank_zero, k=-1)))
     return d1

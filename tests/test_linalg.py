@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -476,6 +478,43 @@ def test_float_mod_is_exact_up_to_the_mantissa(dtype, bits, p):
     assert np.array_equal(x.astype(np.int64), ints)
     assert float_mod(x, p) is x
     assert np.array_equal(x.astype(np.int64), ints % p)
+
+
+@pytest.mark.parametrize("shape,view", [
+    ((), None),
+    ((0,), None),
+    ((0, 7), None),
+    ((3, 40000), None),  # rows past the block, reduced row by row
+    ((600, 90, 2), (slice(None, None, -3), slice(5, None, 2), 1)),  # a strided, reversed view
+    ((2000, 3, 5), (slice(None), slice(None, None, -1), slice(1, 4))),  # blocks of rows of a view
+], ids=["0-d", "empty", "empty-rows", "long-rows", "strided-view", "view-blocks"])
+def test_float_mod_takes_any_layout(shape, view):
+    # exact on 0-d and empty arrays and on views, in place: the base array
+    # changes exactly where the view lies
+    ints = np.random.default_rng(len(shape)).integers(0, 2 ** 24, shape)
+    x = ints.astype(np.float32)
+    target = x if view is None else x[view]
+    expected = ints.copy()
+    if view is None:
+        expected %= 7
+    else:
+        expected[view] %= 7
+    assert float_mod(target, 7) is target
+    assert np.array_equal(x.astype(np.int64), expected)
+
+
+def test_float_mod_quotient_is_one_block():
+    # reducing a 4 MB float32 array allocates no more than its block
+    x = np.random.default_rng(5).integers(0, 2 ** 24, (1000, 1000)).astype(np.float32)
+    expected = x.astype(np.int64) % 5
+    tracemalloc.start()
+    try:
+        float_mod(x, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(x.astype(np.int64), expected)
+    assert x.nbytes == 4_000_000 and peak <= linalg.MOD_BLOCK_BYTES + 4096
 
 
 def conjugated_nilpotent(ctx, blocks, stream):
