@@ -74,6 +74,12 @@ def check_prime(p: int, m: int = 1) -> None:
         raise NonPrime(f"{p} is not prime")
 
 
+# FieldCtx.inverse_table builds no table past this many bytes
+INVERSE_TABLE_BYTES = 1 << 20
+# FieldCtx.code_logs tests this many candidates for a primitive element at once
+LOG_CANDIDATES = 16
+
+
 class FieldCtx:
     """A finite field F_{p^m} with a fixed monic irreducible of degree m.
 
@@ -81,7 +87,7 @@ class FieldCtx:
     reduces mod p only.  Instances are immutable and safe to share.
     """
 
-    __slots__ = ("p", "m", "irr", "max_inner", "_red", "_regular", "_logs")
+    __slots__ = ("p", "m", "irr", "max_inner", "_red", "_regular", "_logs", "_inverses")
 
     def __init__(self, p: int, m: int, irr: Sequence[int]):
         self.p = int(p)
@@ -113,6 +119,7 @@ class FieldCtx:
                                  dtype=np.int64).transpose(0, 2, 1)
         self._regular.flags.writeable = False
         self._logs = None
+        self._inverses = {}
 
     @property
     def q(self) -> int:
@@ -232,15 +239,23 @@ class FieldCtx:
         the product of nonzero codes a and b is exp[(log a + log b) %
         (q - 1)].  log[0] is 0, a placeholder: callers mask zero codes.
         g is the least code with g^((q-1)/r) != 1 for every prime r
-        dividing q - 1, and exp is built by doubling: g^s, ..., g^(2s-1)
-        are g^s times g^0, ..., g^(s-1), one arr_mul per step.  Both
-        tables hold q entries, so only sweeps build them.
+        dividing q - 1, LOG_CANDIDATES candidates tested at once by one
+        power_blocks per prime, and exp is built by doubling: g^s, ...,
+        g^(2s-1) are g^s times g^0, ..., g^(s-1), one arr_mul per step.
+        Both tables hold q entries, so only sweeps build them.
         """
         if self._logs is None:
             order = self.q - 1
-            one = self.cone()
-            g = next(c for c in range(1, self.q)
-                     if all(self.cpow(self.from_code(c), order // r) != one for r in _prime_factors(order)))
+            for low in range(1, self.q, LOG_CANDIDATES):
+                codes = np.arange(low, min(low + LOG_CANDIDATES, self.q))
+                coeffs, primitive = self.from_codes(codes), np.ones(codes.size, dtype=bool)
+                for r in _prime_factors(order):
+                    # the block of g^e is the identity exactly when g^e = 1
+                    blocks = power_blocks(self, coeffs, order // r, np.int64)
+                    primitive &= (blocks != np.eye(self.m, dtype=np.int64)).any(axis=(1, 2))
+                if primitive.any():
+                    break
+            g = int(codes[primitive.argmax()])
             powers = np.array([self.cone()], dtype=np.int64)
             step = np.array(self.from_code(g), dtype=np.int64)
             while len(powers) < order:
@@ -252,6 +267,28 @@ class FieldCtx:
             exp.flags.writeable = log.flags.writeable = False
             self._logs = exp, log
         return self._logs
+
+    def inverse_table(self, dtype):
+        """(weights, table) of pivot inverses in dtype, built once per field and dtype; None past INVERSE_TABLE_BYTES.
+
+        table[c] is inverse_blocks of the element of code c, a (q, m, m,
+        m) array whose row 0 is zero, and an (N, m) array a of coefficient
+        vectors has codes a @ weights, the powers p^t in dtype when every
+        code fits it (one product with no cast), else in int64.
+        """
+        try:
+            return self._inverses[dtype]
+        except KeyError:
+            pass
+        m, kind = self.m, np.dtype(dtype)
+        entry = None
+        if self.q * m ** 3 * kind.itemsize <= INVERSE_TABLE_BYTES:
+            table = np.zeros((self.q, m, m, m), dtype=kind)
+            table[1:] = inverse_blocks(self, self.from_codes(np.arange(1, self.q)), kind)
+            code = kind if self.q - 1 <= np.iinfo(kind).max else np.dtype(np.int64)
+            entry = (self.p ** np.arange(m)).astype(code), table
+        self._inverses[dtype] = entry
+        return entry
 
     def to_dict(self) -> dict:
         return {"p": self.p, "m": self.m, "irr": list(self.irr)}
@@ -290,6 +327,43 @@ def arr_mul(ctx: FieldCtx, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     m, p = ctx.m, ctx.p
     lx = (x @ ctx.regular().reshape(m, m * m)) % p
     return np.einsum("...ab,...b->...a", lx.reshape(x.shape[:-1] + (m, m)), y) % p
+
+
+def power_blocks(ctx: FieldCtx, a: np.ndarray, e: int, dtype) -> np.ndarray:
+    """(N, m, m) multiplication blocks of a[n]^e, e >= 1, for an (N, m) array of coefficient vectors.
+
+    The block of x is sum_t x_t C^t, and the block of a product is the
+    product of the blocks, so the power is square-and-multiply on the
+    stack of blocks: each step one stacked integer product reduced mod
+    p, whose entries sum m terms of at most (p-1)^2.  dtype must hold
+    m (p-1)^2 (an elimination's elim_dtype does, and int64 always).
+    """
+    m, p = ctx.m, ctx.p
+    regular = ctx.regular().astype(dtype)
+    base = a.astype(dtype, copy=False) @ regular.reshape(m, m * m)
+    base %= p
+    base = base.reshape(-1, m, m)
+    out = None
+    while True:
+        if e & 1:
+            out = base if out is None else np.remainder(out @ base, p)
+        e >>= 1
+        if not e:
+            return out
+        base = np.remainder(base @ base, p)
+
+
+def inverse_blocks(ctx: FieldCtx, a: np.ndarray, dtype) -> np.ndarray:
+    """(N, m, m, m) array in dtype: entry (n, s) is the multiplication block of w^s / a[n].
+
+    a is an (N, m) array of nonzero coefficient vectors in 0..p-1.  1/a
+    is a^(q-2) (power_blocks; F_2's one unit is its own inverse), and
+    the block of w^s x is C^s times that of x: one more stacked product.
+    """
+    inverse = power_blocks(ctx, a, ctx.q - 2 or 1, dtype)
+    out = ctx.regular().astype(dtype) @ inverse[:, None]
+    out %= ctx.p
+    return out
 
 
 def _prime_factors(n: int) -> list:

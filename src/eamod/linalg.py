@@ -21,7 +21,10 @@ Elimination runs over F_{p^m} itself, on a (B, r, m, c) stack of
 coefficient planes (the storage layout with its last two axes
 swapped), B matrices stepping through the columns together, with lazy
 reduction mod p in the narrowest signed dtype that holds its reach
-(_eliminate, elim_dtype).
+(_eliminate, elim_dtype).  The leads of a step are inverted by one take
+from a table of all q elements that the field builds once per dtype
+(_pivot_blocks, FieldCtx.inverse_table): no Python field arithmetic runs
+in an elimination.
 
 Jordan types are read off the ranks of powers (_jordan_types), on
 stacks whose N^p = 0 the caller has proved; no similarity transform is
@@ -36,7 +39,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .gf import BadParams, Fel, FieldCtx, arr_mul
+from .gf import BadParams, Fel, FieldCtx, arr_mul, inverse_blocks
 
 
 class UnequalTotals(ValueError):
@@ -352,7 +355,7 @@ def null_space(ctx: FieldCtx, reduced: np.ndarray, pivots) -> np.ndarray:
     out[np.arange(free.size), free, 0] = 1
     out[:, pivots] = (-reduced[: len(pivots), free]).transpose(1, 0, 2) % ctx.p
     lead = out[np.arange(free.size), out.any(axis=2).argmax(axis=1)]
-    inverse = _pivot_blocks(ctx, lead, np.int64)[:, 0]
+    inverse = _pivot_blocks(ctx, lead, np.dtype(np.int64))[:, 0]
     out = np.matmul(out, inverse.transpose(0, 2, 1))
     out %= ctx.p
     return out
@@ -394,44 +397,20 @@ def elim_dtype(p: int, cols: int):
                     f"(cols (p-1)^2 + p = {reach})")
 
 
-# field -> {coefficient tuple of a: _scaled_blocks of 1/a}, for the pivots met so far
-_PIVOTS: dict = {}
-_PIVOTS_CAP = 2 ** 16
-
-
-def _scaled_blocks(ctx: FieldCtx, x) -> np.ndarray:
-    """(m, m, m) int64 array in 0..p-1: entry s is the multiplication block of w^s x.
-
-    The block of x is sum_t x_t C^t, and that of w^s x is C^s times it.
-    """
-    regular = ctx.regular()
-    block = np.tensordot(np.array(x, dtype=np.int64), regular, 1) % ctx.p
-    return regular @ block % ctx.p
-
-
 def _pivot_blocks(ctx: FieldCtx, lead: np.ndarray, dtype) -> np.ndarray:
-    """(N, m, m, m) array: entry (n, s) is the multiplication block of w^s / lead[n].
+    """(N, m, m, m) array in dtype: entry (n, s) is the multiplication block of w^s / lead[n].
 
-    lead holds N nonzero coefficient vectors in 0..p-1.  Over F_p the
-    inverse is a^(p-2) mod p.  Otherwise the blocks of each lead come
-    from a memo of the field, keyed by coefficient tuple and filled
-    through FieldCtx.cinv, so it holds only the leads met (and starts
-    over past _PIVOTS_CAP); no table of all q elements is built.
+    lead holds N nonzero coefficient vectors in 0..p-1, in dtype or
+    narrower.  The blocks of every lead are one take from the field's
+    table of all q elements (FieldCtx.inverse_table) at the codes lead @
+    p^t, for any N and m; past the table's cap inverse_blocks computes
+    them, one batched power for all N.
     """
-    p, m = ctx.p, ctx.m
-    if m == 1:
-        inverse = [pow(a, p - 2, p) for a in lead[:, 0].tolist()]
-        return np.array(inverse, dtype=dtype).reshape(-1, 1, 1, 1)
-    memo = _PIVOTS.setdefault(ctx, {})
-    if len(memo) > _PIVOTS_CAP:
-        memo.clear()
-    out = []
-    for key in map(tuple, lead.tolist()):
-        blocks = memo.get(key)
-        if blocks is None:
-            blocks = memo[key] = _scaled_blocks(ctx, ctx.cinv(key))
-        out.append(blocks)
-    return np.array(out, dtype=dtype)
+    entry = ctx.inverse_table(dtype)
+    if entry is None:
+        return inverse_blocks(ctx, lead, dtype)
+    weights, table = entry
+    return table.take(lead.dot(weights), axis=0)
 
 
 def _eliminate(ctx: FieldCtx, work: np.ndarray, full: bool) -> np.ndarray:
@@ -443,6 +422,7 @@ def _eliminate(ctx: FieldCtx, work: np.ndarray, full: bool) -> np.ndarray:
     column j each takes as its pivot row the first unused row with a
     nonzero entry a there (rows are never swapped), reduces it mod p and
     forms its multiples w^s / a times it, s < m, with one small product
+    whose blocks all members' leads take from the field's table at once
     (_pivot_blocks); the first is the row scaled to a leading 1.  Every
     row with an entry b != 0 there takes away sum_s b_s (w^s / a) times
     the pivot row: m broadcast products, all members' in one update.

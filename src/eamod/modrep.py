@@ -583,8 +583,11 @@ def _top_and_socle(module: EAModule):
 
     The socle is the common kernel of the X_i, the kernel of the X_i
     stacked, whose transpose is the second matrix; both ranks are one
-    elimination of the two as a stack.
+    elimination of the two as a stack.  At k = 0 both are n, with no
+    elimination (and no array of n entries).
     """
+    if not module.k:
+        return module.n, module.n
     field = module.field
     wide, tall = _wide_and_tall(module)
     work = np.concatenate([_planes(field, wide.data), _planes(field, tall.transpose().data)])
@@ -633,12 +636,15 @@ def endomorphism_basis(module: EAModule):
     a block at a time (_assembled), so memory stays near the (n, n, m,
     n) word cube, in the narrowest integer dtype, the solutions and the
     basis (commutant_bytes); past COMMUTANT_CAP the commutant is refused
-    before the spin.  Each solution gives Y = [W_u y_o(u)]_u S^-1.  The
-    basis is canonical, a function of End(M) alone (_canonical_basis).
+    before the spin, and before _top_generators at the least t it can
+    have (1, or n at k = 0), as commutant_bytes grows with t.  Each
+    solution gives Y = [W_u y_o(u)]_u S^-1.  The basis is canonical, a
+    function of End(M) alone (_canonical_basis).
     """
     field, n = module.field, module.n
     if n == 0:
         return []
+    _check_size(field, n, 1 if module.k else n)
     generators = _top_generators(module)
     t = generators.size
     _check_size(field, n, t)

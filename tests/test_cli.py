@@ -278,6 +278,7 @@ INVALID_INPUTS = {
     "file-k-negative": ["query", "variety", "--module", "{tmp}/knegative.json"],
     "generic-rank-zero": ["query", "generic", "--module", "{tmp}/rankzero.json"],
     "decompose-rank-zero-dim-5000": ["query", "decompose", "--module", "{tmp}/rankzero5000.json"],
+    "decompose-rank-zero-dim-1e9": ["query", "decompose", "--module", "{tmp}/rankzero1e9.json"],
     "point-too-many-coordinates": ["query", "jordan", "--module", "{d1}", "--alpha", "1,1,1"],
     "point-zero": ["query", "jordan", "--module", "{d1}", "--alpha", "0,0"],
     "green-p0": ["verify", "--suite", "green", "--p", "0"],
@@ -315,6 +316,8 @@ NAMED_IN_ERROR = {
     # the word cube alone would be 116 GiB; refused before the spin
     "decompose-rank-zero-dim-5000": "dim 5000 over F_3 (m = 1) with 5000 top generators can hold "
                                     "15625625000000000 bytes",
+    # refused before the top and socle ranks, whose pivot array alone would be 14.9 GiB
+    "decompose-rank-zero-dim-1e9": "dim 1000000000 over F_3 (m = 1) with 1000000000 top generators",
     "build-unused-options": "build dual takes no --k, --ext, -r",
     "query-unused-options": "query projective takes no --ext, --trials, --seed",
     "induce-module-with-p": "build induce --module takes no --p or --ext",
@@ -348,6 +351,7 @@ def _write_inputs(tmp_path, capsys):
     rank_zero = dict(raw, k=0, dim=2, generators=[])
     (tmp_path / "rankzero.json").write_text(json.dumps(rank_zero))
     (tmp_path / "rankzero5000.json").write_text(json.dumps(dict(rank_zero, dim=5000)))
+    (tmp_path / "rankzero1e9.json").write_text(json.dumps(dict(rank_zero, dim=10 ** 9)))
     (tmp_path / "dimnegative.json").write_text(json.dumps(dict(rank_zero, dim=-1)))
     (tmp_path / "knegative.json").write_text(json.dumps(dict(rank_zero, k=-1)))
     return d1

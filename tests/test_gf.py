@@ -127,6 +127,30 @@ def test_code_logs_against_fel(ctx):
     assert ctx.code_logs() is ctx.code_logs()
 
 
+# every extension field F_{p^m} up to F_{3^8} (q <= 6561), and four prime fields
+LOG_FIELDS = [(p, 1) for p in (2, 3, 5, 8191)] + [
+    (p, m) for m in range(2, 9) for p in range(2, 82) if is_prime(p) and p ** m <= 3 ** 8
+]
+
+
+@pytest.mark.parametrize("p,m", LOG_FIELDS, ids=[f"F_{p}^{m}" for p, m in LOG_FIELDS])
+def test_code_logs_match_fel_powers(p, m):
+    # g is the least code whose Fel powers g^((q-1)/r) are not 1, and exp
+    # lists g^0, g^1, ... by Fel multiplication
+    ctx = field_create(p, m)
+    order = ctx.q - 1
+    primes = [r for r in range(2, order + 1) if order % r == 0 and is_prime(r)]
+    g = next(ctx.el(ctx.from_code(c)) for c in range(1, ctx.q)
+             if all(ctx.el(ctx.from_code(c)) ** (order // r) != 1 for r in primes))
+    expect, power = [], ctx.one()
+    for _ in range(order):
+        expect.append(ctx.code(power.coeffs))
+        power = power * g
+    exp, log = ctx.code_logs()
+    assert exp.tolist() == expect
+    assert log[exp].tolist() == list(range(order)) and log[0] == 0
+
+
 def test_from_codes_is_from_code_on_arrays():
     ctx = field_create(5, 2)
     codes = np.arange(25).reshape(5, 5)

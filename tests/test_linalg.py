@@ -444,25 +444,33 @@ def test_eliminate_stack_matches_oracles(case):
         assert pivots.tolist() == expect + [-1] * (len(pivots) - len(expect))
 
 
-@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 2)])
-def test_pivot_blocks_scale_every_lead_to_powers_of_w(p, m, monkeypatch):
-    # entry (n, s) is the multiplication block of w^s / lead[n], checked
-    # against Fel arithmetic on a fresh memo, a filled one and a capped one
+# prime fields, extension fields with a table (F_243's int8 table takes
+# int64 codes), and F_{257^2} past INVERSE_TABLE_BYTES
+PIVOT_FIELDS = [(2, 1), (5, 1), (8191, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (3, 4), (3, 5), (257, 2)]
+
+
+@pytest.mark.parametrize("p,m", PIVOT_FIELDS)
+def test_pivot_blocks_scale_every_lead_to_powers_of_w(p, m):
+    # entry (n, s) is the multiplication block of w^s / lead[n]: column b
+    # holds w^(s+b) / a, checked by Fel arithmetic as (w^s / a) a = w^s on
+    # every nonzero lead a (300 sampled past the table's cap)
     ctx = field_create(p, m)
-    monkeypatch.setattr(linalg, "_PIVOTS", {})
-    lead = np.array([ctx.from_code(c) for c in range(1, ctx.q)])
-    powers = [ctx.cpow(ctx.gen().coeffs, s) for s in range(m)]
-    for cap, leads in ((2 ** 16, lead), (2 ** 16, lead), (2, lead[:1])):
-        monkeypatch.setattr(linalg, "_PIVOTS_CAP", cap)
-        blocks = _pivot_blocks(ctx, leads, np.int8)
-        assert blocks.dtype == np.int8 and blocks.min() >= 0 and blocks.max() < p
-        for x, scaled in zip(leads.tolist(), blocks.astype(np.int64)):
-            inverse = ctx.cinv(tuple(x))
-            for s in range(m):
-                assert tuple(scaled[s] @ x % p) == powers[s]
-                assert tuple(scaled[s][:, 0]) == ctx.cmul(powers[s], inverse)
-    # the capped call found q - 1 > 2 leads in the memo and started over
-    assert len(linalg._PIVOTS[ctx]) == 1
+    dtype = elim_dtype(p, 4 * m)
+    codes = np.arange(1, ctx.q)
+    if ctx.q > 10 ** 4:
+        codes = np.random.default_rng(p).choice(codes, 300, replace=False)
+    assert (ctx.inverse_table(dtype) is None) == (ctx.q > 10 ** 4)
+    lead = ctx.from_codes(codes).astype(dtype)
+    blocks = _pivot_blocks(ctx, lead, dtype)
+    assert blocks.dtype == dtype and blocks.shape == (codes.size, m, m, m)
+    assert blocks.min() >= 0 and blocks.max() < p
+    w = ctx.el([0, 1] + [0] * (m - 2)) if m > 1 else ctx.one()
+    powers = [w ** e for e in range(2 * m - 1)]
+    for x, scaled in zip(lead.tolist(), blocks.tolist()):
+        a = ctx.el(x)
+        for s in range(m):
+            for b in range(m):
+                assert ctx.el([row[b] for row in scaled[s]]) * a == powers[s + b]
 
 
 @pytest.mark.parametrize("dtype,bits", [(np.float32, 24), (np.float64, 53)])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from eamod.gf import BadParams, field_create
+from eamod.gf import BadParams, FieldCtx, field_create
 from eamod import commutant as cm
 from eamod import linalg
 from eamod.linalg import (
@@ -1107,6 +1107,25 @@ def test_fitting_summand_digests(name):
     digests = [hashlib.sha256(b"".join(g.data.tobytes() for g in s.gens)).hexdigest()
                for s in result.summands]
     assert (result.status, [s.n for s in result.summands], digests) == SUMMAND_SHA256[name]
+
+
+def test_sweep_and_decomposition_run_no_python_field_arithmetic(monkeypatch):
+    # with FieldCtx.cinv and cpow raising, on fields built fresh (no pivot
+    # table and no log tables yet): the variety of D(2) at (3, 3) over
+    # F_27 against V(p_3), and the decomposition of the ten-line sum
+    def refused(*args):
+        raise AssertionError("Python field arithmetic on the elimination or sweep path")
+
+    monkeypatch.setattr(FieldCtx, "cinv", refused)
+    monkeypatch.setattr(FieldCtx, "cpow", refused)
+    f27 = FieldCtx(3, 3, field_create(3, 3).irr)
+    report = vy.variety_points(sr.d_r(sr.SymContext(3, 3), f27, 2), f27)
+    assert vy.compare_sets(report, vy.zero_points(sr.PkPoly(3, 3), f27), target_tag="pk") == "Equal"
+    f9 = FieldCtx(3, 2, F9.irr)
+    elements = [f9.from_code(c) for c in range(9)]
+    lines = vy.dv_rank2_builder(3, f9, [[elements[1], c] for c in elements] + [[elements[0], elements[1]]])
+    result = mr.fitting_decompose(lines, 60, 7)
+    assert (result.status, [s.n for s in result.summands]) == ("decomposed", [3] * 10)
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (5, 2)])
