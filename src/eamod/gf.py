@@ -273,8 +273,8 @@ class FieldCtx:
 
         table[c] is inverse_blocks of the element of code c, a (q, m, m,
         m) array whose row 0 is zero, and an (N, m) array a of coefficient
-        vectors has codes a @ weights, the powers p^t in dtype when every
-        code fits it (one product with no cast), else in int64.
+        vectors has codes a @ weights, the powers p^t in intp, the index
+        type of a take, so no take casts its codes.
         """
         try:
             return self._inverses[dtype]
@@ -285,8 +285,7 @@ class FieldCtx:
         if self.q * m ** 3 * kind.itemsize <= INVERSE_TABLE_BYTES:
             table = np.zeros((self.q, m, m, m), dtype=kind)
             table[1:] = inverse_blocks(self, self.from_codes(np.arange(1, self.q)), kind)
-            code = kind if self.q - 1 <= np.iinfo(kind).max else np.dtype(np.int64)
-            entry = (self.p ** np.arange(m)).astype(code), table
+            entry = self.p ** np.arange(m, dtype=np.intp), table
         self._inverses[dtype] = entry
         return entry
 

@@ -19,12 +19,15 @@ MOD_BLOCK_BYTES.
 
 Elimination runs over F_{p^m} itself, on a (B, r, m, c) stack of
 coefficient planes (the storage layout with its last two axes
-swapped), B matrices stepping through the columns together, with lazy
-reduction mod p in the narrowest signed dtype that holds its reach
-(_eliminate, elim_dtype).  The leads of a step are inverted by one take
-from a table of all q elements that the field builds once per dtype
-(_pivot_blocks, FieldCtx.inverse_table): no Python field arithmetic runs
-in an elimination.
+swapped), with lazy reduction mod p in the narrowest signed dtype that
+holds its reach (_eliminate, elim_dtype).  One matrix steps through
+its columns on views and scalars, one lead and one table row a column;
+a stack of B matrices steps through them together, all members' leads
+in one take and all their updates in one.  A column whose pivot is the
+only nonzero row left to clear costs only its search.  Leads are
+inverted by lookup in a table of all q elements that the field builds
+once per dtype (FieldCtx.inverse_table): no Python field arithmetic
+runs in an elimination.
 
 Jordan types are read off the ranks of powers (_jordan_types), on
 stacks whose N^p = 0 the caller has proved; no similarity transform is
@@ -402,15 +405,27 @@ def _pivot_blocks(ctx: FieldCtx, lead: np.ndarray, dtype) -> np.ndarray:
 
     lead holds N nonzero coefficient vectors in 0..p-1, in dtype or
     narrower.  The blocks of every lead are one take from the field's
-    table of all q elements (FieldCtx.inverse_table) at the codes lead @
-    p^t, for any N and m; past the table's cap inverse_blocks computes
-    them, one batched power for all N.
+    table of all q elements (FieldCtx.inverse_table) at the intp codes
+    lead @ p^t (over a prime field the lead itself), for any N and m;
+    past the table's cap inverse_blocks computes them, one batched power
+    for all N.
     """
     entry = ctx.inverse_table(dtype)
     if entry is None:
         return inverse_blocks(ctx, lead, dtype)
     weights, table = entry
-    return table.take(lead.dot(weights), axis=0)
+    code = lead.dot(weights) if ctx.m > 1 else lead[:, 0].astype(np.intp)
+    return table.take(code, axis=0)
+
+
+def _hits(col: np.ndarray) -> np.ndarray:
+    """The nonzero entries of a reduced (..., m) column: an OR of its m planes."""
+    if col.shape[-1] == 1:
+        return col[..., 0] != 0
+    hit = np.logical_or(col[..., 0], col[..., 1])
+    for s in range(2, col.shape[-1]):
+        hit |= col[..., s] != 0
+    return hit
 
 
 def _eliminate(ctx: FieldCtx, work: np.ndarray, full: bool) -> np.ndarray:
@@ -418,19 +433,26 @@ def _eliminate(ctx: FieldCtx, work: np.ndarray, full: bool) -> np.ndarray:
 
     work[b, i, :, j] is the coefficient vector of entry (i, j) of member
     b; entries start in 0..p-1, in elim_dtype(p, c m), and the stack is
-    C-contiguous.  The members step through the columns together.  At
-    column j each takes as its pivot row the first unused row with a
-    nonzero entry a there (rows are never swapped), reduces it mod p and
-    forms its multiples w^s / a times it, s < m, with one small product
-    whose blocks all members' leads take from the field's table at once
-    (_pivot_blocks); the first is the row scaled to a leading 1.  Every
-    row with an entry b != 0 there takes away sum_s b_s (w^s / a) times
-    the pivot row: m broadcast products, all members' in one update.
+    C-contiguous.  At column j each member takes as its pivot row the
+    first unused row with a nonzero entry a there (rows are never
+    swapped; the test is an OR of the m planes of the reduced column),
+    reduces it mod p and forms its multiples w^s / a times it, s < m,
+    from the blocks of 1/a in the field's table (FieldCtx.inverse_table);
+    the first is the row scaled to a leading 1.  Every row with an entry
+    b != 0 there takes away sum_s b_s (w^s / a) times the pivot row.
     Those rows are the unused ones with full=False (a rank), every row
     with full=True (an RREF), which puts the scaled pivot row back.
     Only column j and the pivot rows are reduced: an update subtracts at
     most m(p-1)^2 and a row takes at most one a column, so elim_dtype(p,
     c m) holds every entry.  Columns zero in every row are skipped.
+
+    One matrix (B = 1) steps on views and scalars (_single_steps): one
+    lead, one table row, one index array of rows to clear.  A stack
+    steps its members through the columns together (_stack_steps): all
+    leads' blocks in one take, all members' updates in one.  In both, a
+    column whose pivot is its only nonzero row left to clear, in every
+    member with a pivot, costs only its search: a rank forms no
+    multiples and makes no update, and an RREF only scales the row.
 
     Returns the (B, r) pivot column of each row, -1 where a row has
     none.  full=True then reduces the stack mod p and orders each
@@ -438,15 +460,75 @@ def _eliminate(ctx: FieldCtx, work: np.ndarray, full: bool) -> np.ndarray:
     RREFs and each row of the result is ascending with its -1s last.
     """
     count, rows, m, cols = work.shape
-    p = ctx.p
     if not work.flags.c_contiguous:
         raise ValueError("the elimination works in place on a C-contiguous stack")
     pivcol = np.full((count, rows), -1, dtype=np.intp)
+    columns = work.any(axis=(0, 1, 2)).nonzero()[0].tolist()
+    if count == 1:
+        _single_steps(ctx, work[0], pivcol[0], full, columns)
+    else:
+        _stack_steps(ctx, work, pivcol, full, columns)
+    if full:
+        order = np.argsort(np.where(pivcol < 0, cols, pivcol), axis=1, kind="stable")
+        ordered = np.arange(count)[:, None], order
+        np.remainder(work[ordered], ctx.p, out=work)
+        pivcol = pivcol[ordered]
+    return pivcol
+
+
+def _single_steps(ctx: FieldCtx, work: np.ndarray, pivcol: np.ndarray, full: bool, columns) -> None:
+    """_eliminate's steps on one (r, m, c) matrix, writing its pivot columns into pivcol."""
+    p, m = ctx.p, ctx.m
+    entry = ctx.inverse_table(work.dtype)
+    free = np.ones(work.shape[0], dtype=bool)
+    left = free.size
+    for j in columns:
+        col = work[:, :, j] % p
+        hit = _hits(col)
+        cand = hit & free
+        i = cand.argmax()
+        if not cand[i]:
+            continue
+        pivcol[i] = j
+        free[i] = False
+        left -= 1
+        rest = hit if full else cand
+        rest[i] = False
+        clear = rest.nonzero()[0]
+        if clear.size or full:
+            piv = work[i, :, j:]
+            piv %= p
+            lead = piv[:, 0]
+            if entry is None:
+                blocks = inverse_blocks(ctx, lead[None], work.dtype)[0]
+            else:
+                blocks = entry[1][lead.dot(entry[0]) if m > 1 else lead[0]]
+            if clear.size:
+                # multiples[s] = (w^s / a) piv for the lead a
+                multiples = blocks @ piv
+                multiples %= p
+                b = col[clear]
+                update = b[:, 0, None, None] * multiples[0]
+                for s in range(1, m):
+                    update += b[:, s, None, None] * multiples[s]
+                work[clear, :, j:] -= update
+                if full:
+                    piv[...] = multiples[0]
+            else:
+                np.remainder(blocks[0] @ piv, p, out=piv)
+        if not left:
+            break
+
+
+def _stack_steps(ctx: FieldCtx, work: np.ndarray, pivcol: np.ndarray, full: bool, columns) -> None:
+    """_eliminate's steps on a (B, r, m, c) stack, writing each member's pivot columns into pivcol."""
+    count, rows, m, _ = work.shape
+    p = ctx.p
     members = np.arange(count)
     left = count * rows
-    for j in work.any(axis=(0, 1, 2)).nonzero()[0].tolist():
+    for j in columns:
         col = work[..., j] % p
-        hit = col.any(axis=2)
+        hit = _hits(col)
         cand = hit & (pivcol < 0)
         prow = cand.argmax(axis=1)
         found = cand[members, prow]
@@ -456,12 +538,7 @@ def _eliminate(ctx: FieldCtx, work: np.ndarray, full: bool) -> np.ndarray:
         if who.size < count:
             prow = prow[who]
         pivcol[who, prow] = j
-        piv = work[who, prow, :, j:]
-        piv %= p
-        # multiples[w, s] = (w^s / a) piv for pivot row piv with lead a
-        multiples = np.matmul(_pivot_blocks(ctx, piv[:, :, 0], work.dtype), piv[:, None])
-        multiples %= p
-        scaled = multiples[:, 0]
+        left -= who.size
         if not full:
             hit = cand
         elif who.size < count:
@@ -469,24 +546,28 @@ def _eliminate(ctx: FieldCtx, work: np.ndarray, full: bool) -> np.ndarray:
         # only members with a pivot have rows to clear; one member's
         # multiples broadcast over its rows, several are picked per row
         member, row = hit.nonzero()
-        if who.size > 1:
-            multiples = multiples[member if who.size == count else np.searchsorted(who, member)]
-        b = col[member, row]
-        update = b[:, 0, None, None] * multiples[:, 0]
-        for s in range(1, m):
-            update += b[:, s, None, None] * multiples[:, s]
-        work[member, row, :, j:] -= update
-        if full:
-            work[who, prow, :, j:] = scaled
-        left -= who.size
+        if member.size > who.size or full:
+            piv = work[who, prow, :, j:]
+            piv %= p
+            blocks = _pivot_blocks(ctx, piv[:, :, 0], work.dtype)
+            if member.size > who.size:
+                # multiples[w, s] = (w^s / a) piv for pivot row piv with lead a
+                multiples = np.matmul(blocks, piv[:, None])
+                multiples %= p
+                scaled = multiples[:, 0]
+                if who.size > 1:
+                    multiples = multiples[member if who.size == count else np.searchsorted(who, member)]
+                b = col[member, row]
+                update = b[:, 0, None, None] * multiples[:, 0]
+                for s in range(1, m):
+                    update += b[:, s, None, None] * multiples[:, s]
+                work[member, row, :, j:] -= update
+            else:
+                scaled = np.remainder(np.matmul(blocks[:, 0], piv), p)
+            if full:
+                work[who, prow, :, j:] = scaled
         if not left:
             break
-    if full:
-        order = np.argsort(np.where(pivcol < 0, cols, pivcol), axis=1, kind="stable")
-        ordered = members[:, None], order
-        np.remainder(work[ordered], p, out=work)
-        pivcol = pivcol[ordered]
-    return pivcol
 
 
 def _ranks(ctx: FieldCtx, work: np.ndarray) -> np.ndarray:

@@ -427,16 +427,16 @@ def elimination_stacks(draw):
     return ctx, ranks, members
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(elimination_stacks())
-def test_eliminate_stack_matches_oracles(case):
-    ctx, ranks, members = case
+def _plane_stack(ctx, members):
+    """The C-contiguous (B, r, m, c) elimination planes, in elim_dtype, of B matrices given as Fel rows."""
     cols = len(members[0][0])
-    dtype = elim_dtype(ctx.p, cols * ctx.m)
-    # coefficient planes: (B, r, m, c)
     stack = np.stack([MatF.from_rows(ctx, rows).data.transpose(0, 2, 1) for rows in members])
-    stack = stack.astype(dtype, order="C")
-    assert _ranks(ctx, stack.copy()).tolist() == ranks == [slow_rank(rows) for rows in members]
+    return stack.astype(elim_dtype(ctx.p, cols * ctx.m), order="C")
+
+
+def _check_against_oracles(ctx, members, stack):
+    """Ranks, RREFs and pivot columns of an elimination stack equal the Fel oracles' member by member."""
+    assert _ranks(ctx, stack.copy()).tolist() == [slow_rank(rows) for rows in members]
     pivcol = _eliminate(ctx, stack, full=True)
     for work, pivots, rows in zip(stack, pivcol, members):
         reduced, expect = slow_rref(rows)
@@ -444,8 +444,82 @@ def test_eliminate_stack_matches_oracles(case):
         assert pivots.tolist() == expect + [-1] * (len(pivots) - len(expect))
 
 
-# prime fields, extension fields with a table (F_243's int8 table takes
-# int64 codes), and F_{257^2} past INVERSE_TABLE_BYTES
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(elimination_stacks())
+def test_eliminate_stack_matches_oracles(case):
+    ctx, ranks, members = case
+    assert ranks == [slow_rank(rows) for rows in members]
+    _check_against_oracles(ctx, members, _plane_stack(ctx, members))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(elimination_stacks())
+def test_eliminate_alone_matches_the_stack(case):
+    # a member eliminated alone (B = 1, the single-matrix steps) gives the
+    # bytes, pivot columns and rank it gets inside its stack (the stack steps)
+    ctx, _, members = case
+    stack = _plane_stack(ctx, members)
+    in_rank = stack.copy()
+    rank_pivcol = _eliminate(ctx, in_rank, full=False)
+    in_rref = stack.copy()
+    rref_pivcol = _eliminate(ctx, in_rref, full=True)
+    for b in range(len(members)):
+        alone = stack[b : b + 1].copy()
+        assert _eliminate(ctx, alone, full=False).tolist() == [rank_pivcol[b].tolist()]
+        alone = stack[b : b + 1].copy()
+        assert _eliminate(ctx, alone, full=True).tolist() == [rref_pivcol[b].tolist()]
+        assert alone.tobytes() == in_rref[b].tobytes()
+
+
+def _units(ctx, count, stream):
+    return [ctx.el(ctx.from_code(1 + stream.below(ctx.q - 1))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("ctx", [F5, F9, F8], ids=["F5", "F9", "F8"])
+def test_eliminate_a_monomial_matrix(ctx):
+    # a permutation matrix with unit entries: every pivot is lone, so a rank
+    # makes no update and an RREF only scales each row to its leading 1
+    perm = [3, 0, 5, 1, 4, 2]
+    n = len(perm)
+    stream = CounterStream(41, ctx.p)
+    members = []
+    for _ in range(3):
+        rows = [[ctx.zero()] * n for _ in range(n)]
+        for i, unit in zip(range(n), _units(ctx, n, stream)):
+            rows[i][perm[i]] = unit
+        members.append(rows)
+    for count in (1, 3):
+        stack = _plane_stack(ctx, members[:count])
+        assert _eliminate(ctx, stack.copy(), full=False).tolist() == [perm] * count
+        _check_against_oracles(ctx, members[:count], stack)
+        assert np.array_equal(stack[:, :, 0], np.eye(n, dtype=stack.dtype)[None].repeat(count, axis=0))
+
+
+def _lone_first_column(ctx, rows, cols, stream, hits):
+    """A random matrix whose column 0 is nonzero in its first `hits` rows only (a lone pivot for hits = 1)."""
+    mat = [[ctx.el(ctx.from_code(stream.below(ctx.q))) for _ in range(cols)] for _ in range(rows)]
+    units = _units(ctx, rows, stream)
+    for i in range(rows):
+        mat[i][0] = units[i] if i < hits else ctx.zero()
+    return mat
+
+
+@pytest.mark.parametrize("ctx", [F3, F9, F8, F25], ids=["F3", "F9", "F8", "F25"])
+def test_eliminate_a_lone_column_next_to_dense_ones(ctx):
+    # column 0 is nonzero only in its pivot row, the columns after it are
+    # dense: alone, in a stack where every member's column-0 pivot is lone,
+    # and in stacks that mix a lone pivot with a second hit row or no pivot
+    stream = CounterStream(47, ctx.p)
+    lone = [_lone_first_column(ctx, 5, 6, stream, 1) for _ in range(3)]
+    shared = _lone_first_column(ctx, 5, 6, stream, 2)
+    none = _lone_first_column(ctx, 5, 6, stream, 0)
+    cases = [lone[:1], lone, [lone[0], shared], [shared, lone[1]], [lone[0], none], [none, lone[1], shared]]
+    for members in cases:
+        _check_against_oracles(ctx, members, _plane_stack(ctx, members))
+
+
+# prime fields, extension fields with a table (F_243's int8 table has
+# codes past int8), and F_{257^2} past INVERSE_TABLE_BYTES
 PIVOT_FIELDS = [(2, 1), (5, 1), (8191, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (3, 4), (3, 5), (257, 2)]
 
 
@@ -575,21 +649,26 @@ def test_jordan_types_of_a_stack():
         jordan_type_nilpotent(MatF.identity(ctx, 8), 3)
 
 
-@pytest.mark.parametrize("p,m,rows,cols", [
-    pytest.param(3, 1, 40, 31, id="3-40-31"),
-    pytest.param(5, 1, 12, 7, id="5-12-7"),
-    pytest.param(2, 1, 30, 125, id="2-30-125"),
-    pytest.param(2, 5, 30, 25, id="2^5-30-25"),
-    pytest.param(3, 2, 40, 15, id="3^2-40-15"),
+EDGE_CASES = [(3, 1, 40, 31), (5, 1, 12, 7), (2, 1, 30, 125), (2, 5, 30, 25), (3, 2, 40, 15)]
+
+
+def _edge_id(p, m, rows, cols):
+    return f"{p}^{m}-{rows}-{cols}" if m > 1 else f"{p}-{rows}-{cols}"
+
+
+@pytest.mark.parametrize("p,m,rows,cols,count", [
+    pytest.param(*case, count, id=_edge_id(*case) + suffix)
+    for count, suffix in ((3, ""), (1, "-alone")) for case in EDGE_CASES
 ])
-def test_eliminate_at_the_edge_of_its_dtype(p, m, rows, cols):
+def test_eliminate_at_the_edge_of_its_dtype(p, m, rows, cols, count):
     # cols m (p-1)^2 + p is just inside int8 (exactly 127 but for 3^2, the
     # widest int8 case over F_9): dense rows take many unreduced updates
-    # before they pivot, so a step that skipped a reduction overflows
+    # before they pivot, so a step that skipped a reduction overflows.  A
+    # stack of 3 takes the stack steps, one matrix the single-matrix steps
     ctx = field_create(p, m)
     assert elim_dtype(p, cols * m) == np.int8 and elim_dtype(p, (cols + 1) * m) == np.int16
     stream = CounterStream(37, p)
-    mats = [random_mat(ctx, rows, cols, stream) for _ in range(3)]
+    mats = [random_mat(ctx, rows, cols, stream) for _ in range(count)]
     stack = np.stack([mat.data.transpose(0, 2, 1) for mat in mats]).astype(np.int8, order="C")
     pivcol = _eliminate(ctx, stack, full=True)
     for mat, work, pivots in zip(mats, stack, pivcol):
@@ -598,6 +677,21 @@ def test_eliminate_at_the_edge_of_its_dtype(p, m, rows, cols):
         assert pivots[pivots >= 0].tolist() == expect
         assert mat.rank() == len(expect)
 
+
+@pytest.mark.parametrize("count", [1, 3], ids=["alone", "stack"])
+def test_eliminate_past_the_table_cap(count):
+    # F_{257^2} builds no inverse table (INVERSE_TABLE_BYTES), so each step
+    # computes its leads' blocks with inverse_blocks, on either step form
+    ctx = field_create(257, 2)
+    dtype = elim_dtype(ctx.p, 5 * ctx.m)
+    assert ctx.inverse_table(dtype) is None
+    stream = CounterStream(53, ctx.p)
+    members = [as_fel_rows(random_mat(ctx, 4, 5, stream)) for _ in range(count)]
+    # a rank-2 member: its last two rows repeat sums of its first two
+    first = members[0]
+    first[2] = [a + b for a, b in zip(first[0], first[1])]
+    first[3] = [a - b for a, b in zip(first[0], first[1])]
+    _check_against_oracles(ctx, members, _plane_stack(ctx, members))
 
 # (field, block sizes of each member); a member is free when all its blocks have size p
 MIXED_STACKS = {
