@@ -426,6 +426,33 @@ def test_decompose_report_digests(tmp_path, capsys, case):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of point names over F_27 with w^2 terms: every CSV row names a point
+# of P^2(F_27) on the line through (1,w,w^2), and the Jordan report names the
+# parsed --alpha; each changes only with an entry in CHANGES.md
+F27_NAME_SHA256 = {
+    "variety-csv": (
+        "fb15fd6dcb442972a090ae93c6ae1f86bf89dd5da59e379db9be088a0cc0bf6a",
+        ["query", "variety", "--module", "{line}", "--format", "csv"],
+    ),
+    "jordan": (
+        "b65f80f1e02b403339f5bcc84b378a27c4604add29b15e6a2f35c2ffe602411d",
+        ["query", "jordan", "--module", "{line}", "--alpha", "2w^2+w,w^2,1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(F27_NAME_SHA256))
+def test_point_names_over_f27(tmp_path, capsys, case):
+    digest, argv = F27_NAME_SHA256[case]
+    line = tmp_path / "line.json"
+    build = ["build", "linear", "--p", "3", "--k", "3", "--ext", "3", "--w", "1,w,w^2"]
+    assert run(capsys, *build, "--out", str(line))[0] == 0
+    out = tmp_path / "report"
+    code, _, _ = run(capsys, *[a.format(line=line) for a in argv], "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("case", list(REPORT_SHA256))
 def test_report_digests_past_the_defaults(tmp_path, capsys, case):
     digest, argv = REPORT_SHA256[case]
