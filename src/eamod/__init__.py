@@ -6,7 +6,7 @@ extensions, generic/maximal types, module constructions and the
 symmetric-group restrictions D(r), with a CLI and verification suites.
 """
 
-from .gf import FieldCtx, Fel, field_create, poly_is_irreducible
+from .gf import FieldCtx, Fel, Point, field_create, poly_is_irreducible
 from .linalg import (
     Dominance,
     JordanType,
@@ -16,7 +16,6 @@ from .linalg import (
 )
 from .modrep import (
     EAModule,
-    Point,
     Symmetry,
     direct_sum,
     dual,

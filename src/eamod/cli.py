@@ -14,13 +14,15 @@ import json
 import sys
 import time
 
-from .gf import BadParams, Fel, FieldCtx, field_create
+import numpy as np
+
+from .gf import BadParams, FieldCtx, field_create, power_blocks
 from .linalg import MatF
 from . import modrep as mr
 from . import symrep as sr
 from . import variety as vy
 from . import suites
-from .modrep import EAModule, Point
+from .modrep import EAModule
 
 
 class ParseFailure(ValueError):
@@ -35,12 +37,26 @@ class WriteFailure(OSError):
     """Raised when an output file cannot be written."""
 
 
-def parse_element(field: FieldCtx, text: str, offset: int = 0) -> Fel:
-    """Parse an integer or a polynomial in w ("2w+1", "w^2+2w", "-w")."""
+def _digits(s: str, i: int):
+    """The run of ASCII digits of s from i, and the index past it."""
+    j = i
+    while j < len(s) and s[j] in "0123456789":
+        j += 1
+    return s[i:j], j
+
+
+def parse_element(field: FieldCtx, text: str, offset: int = 0) -> np.ndarray:
+    """The (m,) coefficient vector of an integer or a polynomial in w ("2w+1", "w^2+2w", "-w").
+
+    Over a prime field w reads as 1.  A power of w is one power_blocks
+    call, and digits are ASCII only.
+    """
     s = text.strip()
     if not s:
         raise ParseFailure("empty coordinate", offset)
-    value = field.zero()
+    offset += len(text) - len(text.lstrip())  # positions count the leading spaces stripped
+    w = np.eye(1, field.m, min(1, field.m - 1), dtype=np.int64)  # w, or 1 over a prime field
+    value = np.zeros(field.m, dtype=np.int64)
     i = 0
     term_index = 0
     while i < len(s):
@@ -61,44 +77,38 @@ def parse_element(field: FieldCtx, text: str, offset: int = 0) -> Fel:
             raise ParseFailure("missing operator between terms", offset + i)
         if i >= len(s):
             raise ParseFailure("dangling sign", offset + i)
-        digits = ""
-        while i < len(s) and s[i].isdigit():
-            digits += s[i]
-            i += 1
-        coeff = int(digits) if digits else 1
-        power = 0
+        digits, i = _digits(s, i)
+        term = np.eye(1, field.m, dtype=np.int64)[0]
         if i < len(s) and s[i] == "w":
             i += 1
             power = 1
             if i < len(s) and s[i] == "^":
-                i += 1
-                exp_digits = ""
-                while i < len(s) and s[i].isdigit():
-                    exp_digits += s[i]
-                    i += 1
+                exp_digits, i = _digits(s, i + 1)
                 if not exp_digits:
                     raise ParseFailure("missing exponent after ^", offset + i)
                 power = int(exp_digits)
+            if power:
+                term = power_blocks(field, w, power, np.int64)[0, :, 0]
         elif not digits:
             raise ParseFailure(f"unexpected character {s[i]!r}", offset + i)
-        term = field.el(coeff) * (field.gen() ** power if power else field.one())
-        value = value + (term if sign > 0 else -term)
+        value = (value + sign * (int(digits or 1) % field.p) * term) % field.p
         term_index += 1
     return value
 
 
-def parse_point(field: FieldCtx, text: str) -> Point:
+def parse_point(field: FieldCtx, text: str) -> np.ndarray:
+    """The (k, m) coefficient array of comma-separated elements (parse_element)."""
     coords = []
     offset = 0
     for part in text.split(","):
         coords.append(parse_element(field, part, offset))
         offset += len(part) + 1
-    return Point(tuple(coords))
+    return np.stack(coords)
 
 
 def parse_vectors(field: FieldCtx, text: str):
-    """Semicolon-separated vectors of comma-separated coordinates."""
-    return [list(parse_point(field, chunk).coords) for chunk in text.split(";") if chunk.strip()]
+    """Semicolon-separated vectors of comma-separated coordinates, one parse_point array each."""
+    return [parse_point(field, chunk) for chunk in text.split(";") if chunk.strip()]
 
 
 def _emit(payload, out_path):
@@ -192,13 +202,12 @@ def cmd_build(args) -> int:
             if args.p is not None or args.ext is not None:
                 raise BadParams("build induce --module takes no --p or --ext: the module fixes the field")
             base = _load(args.module)
-            embed = [[int(c.coeffs[0]) for c in v] for v in
-                     parse_vectors(field_create(base.p, 1), args.w)]
+            embed = [v[:, 0].tolist() for v in parse_vectors(field_create(base.p, 1), args.w)]
         else:
             if args.p is None:
                 raise BadParams("build induce needs --module or --p")
             prime = field_create(args.p, 1)
-            embed = [[int(c.coeffs[0]) for c in v] for v in parse_vectors(prime, args.w)]
+            embed = [v[:, 0].tolist() for v in parse_vectors(prime, args.w)]
             base = mr.trivial_module(args.p, len(embed), field)
         module = mr.induce(base, embed)
     elif kind in ("sum", "tensor"):
@@ -242,11 +251,12 @@ def cmd_query(args) -> int:
         module = _module_over_ext(args)
         if not args.alpha:
             raise BadParams("jordan needs --alpha")
-        pt = parse_point(module.field, args.alpha)
-        jt = mr.point_jordan_type(module, pt)
+        alpha = parse_point(module.field, args.alpha)
+        jt = mr.point_jordan_type(module, alpha)
+        name = vy.code_points(module.field, [module.field.to_codes(alpha).tolist()])[0]
         _emit(
             {
-                "point": str(pt),
+                "point": str(name),
                 "jordan_type": str(jt),
                 "multiplicities": list(jt.mult),
                 "free": jt.is_free(),
@@ -313,7 +323,8 @@ def cmd_query(args) -> int:
     if command == "green":
         module = _module_over_ext(args)
         witness = vy.green_witness(module, module.field)
-        _emit({"witness": str(witness) if witness else None}, args.out)
+        name = None if witness is None else str(vy.code_points(module.field, [witness])[0])
+        _emit({"witness": name}, args.out)
         return 0
     raise BadParams(f"unknown query command {command!r}")
 

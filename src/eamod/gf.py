@@ -2,15 +2,17 @@
 
 A FieldCtx fixes (p, m, irr) where irr is a monic irreducible of degree m
 over F_p; every element and matrix in the package is interpreted
-relative to one such context.  Elements are coefficient vectors in
-ascending powers of the generator w (a root of irr); a Point is a tuple
-of them.  Polynomials over F_p are plain integer lists, ascending.
+relative to one such context.  Elements are int64 coefficient vectors
+in ascending powers of the generator w (a root of irr), or their integer
+codes: arrays of them are the one field representation, and
+FieldCtx.coerce the one way in.  Fel and Point are output records that
+name points.  Polynomials over F_p are plain integer lists, ascending.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,7 +89,7 @@ class FieldCtx:
     reduces mod p only.  Instances are immutable and safe to share.
     """
 
-    __slots__ = ("p", "m", "irr", "max_inner", "_red", "_regular", "_logs", "_inverses")
+    __slots__ = ("p", "m", "irr", "max_inner", "_regular", "_logs", "_inverses")
 
     def __init__(self, p: int, m: int, irr: Sequence[int]):
         self.p = int(p)
@@ -113,7 +115,6 @@ class FieldCtx:
             top = prev[self.m - 1]
             row = [(shifted[t] - top * self.irr[t]) % self.p for t in range(self.m)]
             red.append(tuple(row))
-        self._red = tuple(red)
         # column b of C^t is w^(t+b) mod irr, C the companion matrix of irr
         self._regular = np.array([[red[t + b] for b in range(self.m)] for t in range(self.m)],
                                  dtype=np.int64).transpose(0, 2, 1)
@@ -125,64 +126,6 @@ class FieldCtx:
     def q(self) -> int:
         return self.p ** self.m
 
-    # -- coefficient-tuple arithmetic (internal workhorses) --
-
-    def czero(self):
-        return (0,) * self.m
-
-    def cone(self):
-        return (1,) + (0,) * (self.m - 1)
-
-    def cadd(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def csub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def cneg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    def cmul(self, a, b):
-        m, p = self.m, self.p
-        if m == 1:
-            return ((a[0] * b[0]) % p,)
-        conv = [0] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        out = [0] * m
-        for d, c in enumerate(conv):
-            if c:
-                row = self._red[d]
-                for t in range(m):
-                    out[t] += c * row[t]
-        return tuple(v % p for v in out)
-
-    def cinv(self, a):
-        if not any(a):
-            raise ZeroDivisionError("inverse of zero field element")
-        return self.cpow(a, self.q - 2)
-
-    def cpow(self, a, e: int):
-        if e < 0:
-            return self.cpow(self.cinv(a), -e)
-        out = self.cone()
-        base = a
-        while e:
-            if e & 1:
-                out = self.cmul(out, base)
-            base = self.cmul(base, base)
-            e >>= 1
-        return out
-
-    def code(self, coeffs) -> int:
-        """Pack coefficients into an integer 0..q-1 (a_0 least significant)."""
-        v = 0
-        for c in reversed(coeffs):
-            v = v * self.p + c
-        return v
-
     def from_code(self, v: int):
         out = []
         for _ in range(self.m):
@@ -190,37 +133,27 @@ class FieldCtx:
             v //= self.p
         return tuple(out)
 
-    # -- Fel construction and iteration --
+    def coerce(self, values, axes: int = 0) -> np.ndarray:
+        """The int64 (..., m) coefficient array of field elements nested `axes` sequences deep.
 
-    def el(self, value) -> "Fel":
-        """Coerce an int (reduced mod p, constant coefficient) or a coefficient
-        iterable into a field element."""
-        if isinstance(value, Fel):
-            if value.ctx != self:
-                raise ValueError("element from a different field context")
-            return value
-        if isinstance(value, int):
-            return Fel(self, (value % self.p,) + (0,) * (self.m - 1))
-        coeffs = tuple(int(c) % self.p for c in value)
-        if len(coeffs) != self.m:
-            raise ValueError(f"expected {self.m} coefficients, got {len(coeffs)}")
-        return Fel(self, coeffs)
-
-    def zero(self) -> "Fel":
-        return Fel(self, self.czero())
-
-    def one(self) -> "Fel":
-        return Fel(self, self.cone())
-
-    def gen(self) -> "Fel":
-        """The generator w (a root of irr); for m = 1 returns 1."""
-        if self.m == 1:
-            return self.one()
-        return Fel(self, (0, 1) + (0,) * (self.m - 2))
-
-    def elements(self) -> Iterable["Fel"]:
-        for v in range(self.q):
-            yield Fel(self, self.from_code(v))
+        An element is an int, a constant, or a sequence of m coefficients
+        in ascending powers of w; the two may mix, and every coefficient
+        is reduced mod p.  A wrong coefficient count or ragged nesting
+        raises ValueError.
+        """
+        grid = np.array(values, dtype=object)
+        if grid.ndim == axes:
+            pad = (0,) * (self.m - 1)
+            flat = [(v,) + pad if np.ndim(v) == 0 else tuple(v) for v in grid.flat]
+            if any(len(v) != self.m for v in flat):
+                raise ValueError(f"expected {self.m} coefficients per element")
+            grid = np.array(flat, dtype=object).reshape(grid.shape + (self.m,))
+        elif grid.ndim < axes and not grid.size:
+            grid = grid.reshape(grid.shape + (0,) * (axes - grid.ndim) + (self.m,))
+        if grid.ndim != axes + 1 or grid.shape[-1] != self.m:
+            raise ValueError(f"expected {self.m} coefficients per element, {axes} sequences deep, "
+                             f"not shape {grid.shape}")
+        return (grid % self.p).astype(np.int64)
 
     def regular(self) -> np.ndarray:
         """(m, m, m) array: entry t is C^t, multiplication by w^t (C the companion matrix of irr)."""
@@ -231,6 +164,10 @@ class FieldCtx:
     def from_codes(self, codes) -> np.ndarray:
         """The (..., m) int64 coefficient vectors of an integer array of codes (from_code on arrays)."""
         return np.asarray(codes, dtype=np.int64)[..., None] // self.p ** np.arange(self.m) % self.p
+
+    def to_codes(self, a) -> np.ndarray:
+        """The integer codes of an (..., m) coefficient array, a_0 least significant (from_codes inverted)."""
+        return np.asarray(a, dtype=np.int64) @ self.p ** np.arange(self.m)
 
     def code_logs(self):
         """(exp, log): index tables on codes for a primitive element g, built once per field.
@@ -256,12 +193,12 @@ class FieldCtx:
                 if primitive.any():
                     break
             g = int(codes[primitive.argmax()])
-            powers = np.array([self.cone()], dtype=np.int64)
+            powers = np.eye(1, self.m, dtype=np.int64)
             step = np.array(self.from_code(g), dtype=np.int64)
             while len(powers) < order:
                 powers = np.concatenate([powers, arr_mul(self, step, powers)])
                 step = arr_mul(self, step, step)
-            exp = powers[:order] @ self.p ** np.arange(self.m)
+            exp = self.to_codes(powers[:order])
             log = np.zeros(self.q, dtype=np.int64)
             log[exp] = np.arange(order)
             exp.flags.writeable = log.flags.writeable = False
@@ -378,80 +315,16 @@ def _prime_factors(n: int) -> list:
 
 
 class Fel:
-    """An element of a FieldCtx: m residues mod p, ascending powers of w."""
+    """An element of a FieldCtx as an output record: m residues mod p, ascending powers of w.
+
+    Its repr is the one format of point coordinates in reports.
+    """
 
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: FieldCtx, coeffs):
         self.ctx = ctx
         self.coeffs = tuple(coeffs)
-
-    def _coerce(self, other):
-        if isinstance(other, Fel):
-            if other.ctx != self.ctx:
-                raise ValueError("mixed field contexts")
-            return other
-        if isinstance(other, int):
-            return self.ctx.el(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Fel(self.ctx, self.ctx.cadd(self.coeffs, o.coeffs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Fel(self.ctx, self.ctx.csub(self.coeffs, o.coeffs))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Fel(self.ctx, self.ctx.csub(o.coeffs, self.coeffs))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Fel(self.ctx, self.ctx.cmul(self.coeffs, o.coeffs))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Fel(self.ctx, self.ctx.cneg(self.coeffs))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Fel(self.ctx, self.ctx.cmul(self.coeffs, self.ctx.cinv(o.coeffs)))
-
-    def __pow__(self, e: int):
-        return Fel(self.ctx, self.ctx.cpow(self.coeffs, e))
-
-    def inverse(self) -> "Fel":
-        return Fel(self.ctx, self.ctx.cinv(self.coeffs))
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ctx.el(other)
-        return (
-            isinstance(other, Fel)
-            and other.ctx == self.ctx
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.ctx.p, self.ctx.m, self.coeffs))
 
     def __repr__(self):
         terms = []
@@ -477,39 +350,9 @@ class ZeroPoint(ValueError):
 
 @dataclass(frozen=True)
 class Point:
-    """A point of affine k-space over a FieldCtx (tuple of Fel)."""
+    """A point of affine k-space as an output record: a tuple of Fel, named by str."""
 
     coords: tuple
-
-    @classmethod
-    def of(cls, field: FieldCtx, values) -> "Point":
-        return cls(tuple(field.el(v) for v in values))
-
-    @property
-    def k(self) -> int:
-        return len(self.coords)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def is_normalized(self) -> bool:
-        for c in self.coords:
-            if c:
-                return c == 1
-        return False
-
-    def normalize(self) -> "Point":
-        """Projective normalization: scale so the first nonzero coord is 1 (self if it is)."""
-        if self.is_normalized():
-            return self
-        for c in self.coords:
-            if c:
-                inv = c.inverse()
-                return Point(tuple(x * inv for x in self.coords))
-        raise ZeroPoint("cannot normalize the zero point")
-
-    def codes(self) -> tuple:
-        return tuple(c.ctx.code(c.coeffs) for c in self.coords)
 
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.coords) + ")"

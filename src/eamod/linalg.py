@@ -42,7 +42,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .gf import BadParams, Fel, FieldCtx, arr_mul, inverse_blocks
+from .gf import BadParams, FieldCtx, arr_mul, inverse_blocks
 
 
 class UnequalTotals(ValueError):
@@ -96,16 +96,8 @@ class MatF:
 
     @classmethod
     def from_rows(cls, ctx: FieldCtx, rows) -> "MatF":
-        """Build from nested lists of ints or Fels."""
-        nr = len(rows)
-        nc = len(rows[0]) if nr else 0
-        d = np.zeros((nr, nc, ctx.m), dtype=np.int64)
-        for i, row in enumerate(rows):
-            if len(row) != nc:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                d[i, j, :] = ctx.el(v).coeffs
-        return cls(ctx, d)
+        """Build from nested lists of elements, as FieldCtx.coerce reads them."""
+        return cls(ctx, ctx.coerce(rows, 2))
 
     @property
     def rows(self) -> int:
@@ -114,9 +106,6 @@ class MatF:
     @property
     def cols(self) -> int:
         return self.data.shape[1]
-
-    def get(self, i: int, j: int) -> Fel:
-        return Fel(self.ctx, tuple(int(c) for c in self.data[i, j]))
 
     def __eq__(self, other):
         return (
@@ -229,10 +218,6 @@ class MatF:
         """Reduced row echelon form; returns (MatF, pivot column list)."""
         reduced, pivots = _rref(self.ctx, self.data)
         return MatF(self.ctx, reduced), pivots
-
-    def kernel_array(self) -> np.ndarray:
-        """Null-space basis as an (nullity, cols, m) array."""
-        return null_space(self.ctx, *_rref(self.ctx, self.data))
 
     def inv(self) -> "MatF":
         if self.rows != self.cols:

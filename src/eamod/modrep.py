@@ -29,7 +29,7 @@ from .commutant import (
     _relation_rows,
     _spin,
 )
-from .gf import FieldCtx, Point, ZeroPoint, json_int
+from .gf import FieldCtx, ZeroPoint, arr_mul, json_int
 from .linalg import (
     BrokenInvariant,
     JordanType,
@@ -52,6 +52,8 @@ from .stream import CounterStream
 
 # peak bytes of one jordan_types_at stack, at _point_bytes a point in each phase
 STACK_BYTES = 1 << 20
+# lift_to_extension evaluates the source irreducible at this many codes at once
+ROOT_BLOCK = 1 << 12
 
 
 class NotNilpotent(ValueError):
@@ -243,16 +245,17 @@ def validate(module: EAModule) -> EAModule:
 
 
 def _nonzero_point(module: EAModule, alpha) -> np.ndarray:
-    """The (1, k, m) coefficient row of alpha, as jordan_types_at takes it; raises ZeroPoint at the origin."""
-    pt = alpha if isinstance(alpha, Point) else Point.of(module.field, alpha)
-    if pt.k != module.k:
-        raise ValueError(f"point has {pt.k} coordinates, module rank is {module.k}")
-    for c in pt.coords:
-        if c.ctx != module.field:
-            raise MismatchedContext("point coordinates over a different field")
-    if pt.is_zero():
+    """The (1, k, m) coefficient row of alpha (FieldCtx.coerce), as jordan_types_at takes it.
+
+    Raises ZeroPoint at the origin, and ValueError unless alpha has k
+    coordinates of the module field's m coefficients each.
+    """
+    row = module.field.coerce(alpha, 1)
+    if len(row) != module.k:
+        raise ValueError(f"point has {len(row)} coordinates, module rank is {module.k}")
+    if not row.any():
         raise ZeroPoint("x_alpha requires a nonzero point")
-    return np.array([[c.coeffs for c in pt.coords]], dtype=np.int64)
+    return row[None]
 
 
 def x_alpha(module: EAModule, alpha) -> MatF:
@@ -350,28 +353,32 @@ def lift_to_extension(module: EAModule, ext: FieldCtx) -> EAModule:
 
     The generator w of the source maps to the least-code root r of its
     irr in ext, so an entry sum_i a_i w^i becomes sum_i a_i r^i; F_p
-    entries embed as constant coefficients.  The lift keeps the module's
-    proof and declared symmetry and adds none: a lift from F_p has every
-    entry in F_p, and variety_points reads Frobenius off the entries.
+    entries embed as constant coefficients.  The irr is evaluated by
+    Horner's rule at ROOT_BLOCK codes at a time, up to the first block
+    that holds a root.  The lift keeps the module's proof and declared
+    symmetry and adds none: a lift from F_p has every entry in F_p, and
+    variety_points reads Frobenius off the entries.
     """
     src = module.field
     if src == ext:
         return module
     if ext.p != src.p or ext.m % src.m:
         raise MismatchedContext(f"cannot lift a module over {src!r} into {ext!r}")
-    if src.m == 1:
-        powers = [ext.one()]
-    else:
-        r = next(x for x in ext.elements()
-                 if not sum((c * x ** i for i, c in enumerate(src.irr)), ext.zero()))
-        powers = [r ** i for i in range(src.m)]
-    embed = np.array([x.coeffs for x in powers], dtype=np.int64)
+    embed = np.eye(1, ext.m, dtype=np.int64)  # row i: the coefficients of r^i
+    if src.m > 1:
+        for low in range(0, ext.q, ROOT_BLOCK):
+            x = ext.from_codes(np.arange(low, min(low + ROOT_BLOCK, ext.q)))
+            value = np.zeros_like(x)
+            for c in reversed(src.irr):
+                value = arr_mul(ext, value, x)
+                value[:, 0] = (value[:, 0] + c) % ext.p
+            roots = np.flatnonzero(~value.any(axis=1))
+            if roots.size:
+                break
+        for _ in range(1, src.m):
+            embed = np.concatenate([embed, arr_mul(ext, embed[-1:], x[roots[0]])])
     gens = [MatF(ext, g.data @ embed) for g in module.gens]
     return EAModule(module.p, module.k, ext, gens, module.n, module.symmetry, module.proven)
-
-
-def zero_module(p: int, k: int, field: FieldCtx) -> EAModule:
-    return EAModule(p, k, field, [MatF.zeros(field, 0, 0) for _ in range(k)], 0)
 
 
 def direct_sum(m1: EAModule, m2: EAModule) -> EAModule:
@@ -523,18 +530,18 @@ def induce(module: EAModule, embed, ambient_rank: int = None) -> EAModule:
 def linear_variety_module(p: int, k: int, field: FieldCtx, span_vectors) -> EAModule:
     """A module of dimension p^{k-r} whose rank variety is the given span.
 
-    span_vectors lists r vectors over the field, independent over the
-    field; they become the first rows of a coordinate change C, and the
-    module is the truncated polynomial algebra in the remaining k - r
-    coordinates with X_i acting through the substitution.
+    span_vectors lists r vectors of k elements (FieldCtx.coerce reads
+    them), independent over the field; they become the first rows of a
+    coordinate change C, and the module is the truncated polynomial
+    algebra in the remaining k - r coordinates with X_i acting through
+    the substitution.
     """
     if field.p != p:
         raise MismatchedContext("field characteristic differs from p")
-    rows = [Point.of(field, v).coords for v in span_vectors]
-    r = len(rows)
-    if any(len(v) != k for v in rows):
+    r = len(span_vectors)
+    if any(len(v) != k for v in span_vectors):
         raise ValueError("span vectors must have length k")
-    c_inv = _completed_inverse(field, rows, k, "span")
+    c_inv = _completed_inverse(field, span_vectors, k, "span")
 
     t = k - r
     # multiplication by variable ell: the subdiagonal shift S on digit ell of

@@ -6,9 +6,11 @@ sets of the p_k form, generic Jordan type estimation by seeded
 sampling, point-count dimension estimates and the Green-vertex witness
 search.
 
-A swept point is one row of normalized codes (projective_codes); Points
-of Fels are built only to name points in output.  Jordan types come
-from modrep.jordan_types_at on the coefficient rows of the codes.
+A swept point is one row of normalized codes (projective_codes), and
+every vector given from outside becomes coefficient arrays through
+FieldCtx.coerce; Points of Fels are built only to name points in output
+(code_points).  Jordan types come from modrep.jordan_types_at on the
+coefficient rows of the codes.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ from typing import Optional
 
 import numpy as np
 
-from .gf import BadParams, FieldCtx, field_create
+from .gf import BadParams, Fel, FieldCtx, Point, ZeroPoint, arr_mul, field_create
 from .linalg import Dominance, _ranks, dominance_compare, elim_dtype
 from .modrep import (
     EAModule,
     MismatchedContext,
-    Point,
     Symmetry,
     direct_sum,
     jordan_types_at,
@@ -136,8 +137,8 @@ def projective_codes(field: FieldCtx, k: int) -> np.ndarray:
 
 
 def code_points(field: FieldCtx, rows) -> list:
-    """The Points of a list of code rows, one Fel made per distinct code."""
-    els = {c: field.el(field.from_code(c)) for c in set().union(*rows)}
+    """The Points of a list of code rows, one Fel made per distinct code: the names of points in output."""
+    els = {c: Fel(field, field.from_code(c)) for c in set().union(*rows)}
     return [Point(tuple(els[c] for c in row)) for row in rows]
 
 
@@ -349,7 +350,7 @@ def fp_subspaces(p: int, k: int, dim: int):
     return out
 
 
-def green_witness(module: EAModule, field: FieldCtx) -> Optional[Point]:
+def green_witness(module: EAModule, field: FieldCtx) -> Optional[tuple]:
     """A variety point lying in no proper base subspace, if one exists.
 
     Base subspaces are spanned by vectors with prime-field coordinates.
@@ -357,35 +358,39 @@ def green_witness(module: EAModule, field: FieldCtx) -> Optional[Point]:
     F_p^k, so a point avoids them all exactly when its coordinates are
     linearly independent over F_p, that is when the k x m F_p matrix of
     their coefficients has rank k: one batched rank over all the
-    variety points.  A witness certifies that the variety is not
-    covered by proper base subspaces.
+    variety points.  A witness, returned as its row of codes, certifies
+    that the variety is not covered by proper base subspaces.
     """
     report = variety_points(module, field)
     rows = report.codes[report.variety_mask()]
     # (N, k, 1, m) elimination stack: N matrices of k rows and m columns over F_p
     work = field.from_codes(rows)[:, :, None, :].astype(elim_dtype(field.p, field.m), order="C")
     hits = np.flatnonzero(_ranks(field_create(field.p, 1), work) == module.k)
-    return code_points(field, [rows[hits[0]].tolist()])[0] if hits.size else None
+    return tuple(rows[hits[0]].tolist()) if hits.size else None
 
 
 def dv_rank2_builder(p: int, field: FieldCtx, directions) -> EAModule:
     """Direct sum of one line module per direction; dimension d*p.
 
     Realizes the rank-2 lower bound construction: the variety is the
-    union of the d distinct lines.
+    union of the d distinct lines.  Directions are pairs of elements
+    (FieldCtx.coerce); two span one line exactly when their 2 x 2
+    determinant, one arr_mul over all pairs, vanishes.
     """
-    pts = [Point.of(field, d) for d in directions]
-    if len(pts) < 1:
+    if len(directions) < 1:
         raise ValueError("need at least one direction")
-    if any(pt.k != 2 for pt in pts):
+    if any(len(d) != 2 for d in directions):
         raise ValueError("directions must have two coordinates")
-    seen = set()
-    for pt in pts:
-        code = pt.normalize().codes()
-        if code in seen:
-            raise DuplicateDirection(f"direction {pt} repeats projectively")
-        seen.add(code)
-    summands = [linear_variety_module(p, 2, field, [list(pt.coords)]) for pt in pts]
+    vectors = field.coerce(directions, 2)
+    if not vectors.any(axis=(1, 2)).all():
+        raise ZeroPoint("a direction is the zero point")
+    a, b = vectors[:, None], vectors[None, :]
+    det = (arr_mul(field, a[..., 0, :], b[..., 1, :]) - arr_mul(field, a[..., 1, :], b[..., 0, :])) % field.p
+    repeats = np.triu(~det.any(axis=2), 1).any(axis=0)  # [j]: some i < j on j's line
+    if repeats.any():
+        first = field.to_codes(vectors[repeats.argmax()]).tolist()
+        raise DuplicateDirection(f"direction {code_points(field, [first])[0]} repeats projectively")
+    summands = [linear_variety_module(p, 2, field, [v]) for v in vectors]
     acc = summands[0]
     for s in summands[1:]:
         acc = direct_sum(acc, s)

@@ -11,6 +11,8 @@ from eamod import variety as vy
 from eamod.cli import ParseFailure, build_parser, main, parse_element, parse_point
 from eamod.gf import field_create
 
+from oracles import el, gen
+
 F9 = field_create(3, 2)
 F3 = field_create(3, 1)
 
@@ -22,14 +24,20 @@ def run(capsys, *argv):
 
 
 def test_parse_element_grammar():
-    w = F9.gen()
-    assert parse_element(F9, "2w+1") == 2 * w + 1
-    assert parse_element(F9, "w") == w
-    assert parse_element(F9, "-w") == -w
-    assert parse_element(F9, "w^2") == w * w
-    assert parse_element(F9, "5") == F9.el(5)
-    assert parse_element(F9, " 2 + w ") == w + 2
-    assert parse_element(F3, "7") == F3.el(1)
+    w = gen(F9)
+    assert el(F9, parse_element(F9, "2w+1")) == 2 * w + 1
+    assert el(F9, parse_element(F9, "w")) == w
+    assert el(F9, parse_element(F9, "-w")) == -w
+    assert el(F9, parse_element(F9, "w^2")) == w * w
+    assert el(F9, parse_element(F9, "5")) == el(F9, 5)
+    assert el(F9, parse_element(F9, " 2 + w ")) == w + 2
+    assert el(F3, parse_element(F3, "7")) == el(F3, 1)
+    # w^e is a power of w, and w reads as 1 over a prime field
+    f27 = field_create(3, 3)
+    u = gen(f27)
+    assert el(f27, parse_element(f27, "2w^2-w^4+w^0")) == 2 * u ** 2 - u ** 4 + 1
+    assert el(f27, parse_element(f27, "-w^2+w")) == u - u * u
+    assert el(F3, parse_element(F3, "2w^5+w")) == el(F3, 0)
 
 
 def test_parse_element_failures():
@@ -44,12 +52,23 @@ def test_parse_element_failures():
         parse_element(F9, "1+")
     with pytest.raises(ParseFailure):
         parse_element(F9, "1 2")
+    # a position counts the leading spaces of its coordinate
+    with pytest.raises(ParseFailure) as err:
+        parse_point(F9, "1,  2x")
+    assert err.value.position == 5
+    # digits are ASCII only: str.isdigit() would take the Arabic-Indic three
+    # and the superscript two
+    for text, offset in (("\u0663", 0), ("\u00b2", 0), ("w+\u0663", 2), ("w^\u00b2", 2)):
+        with pytest.raises(ParseFailure) as err:
+            parse_element(F9, text)
+        assert err.value.position == offset
+        assert ("unexpected character" if "^" not in text else "missing exponent") in str(err.value)
 
 
 def test_parse_point():
     pt = parse_point(F9, "1,w,2w+2")
-    assert len(pt.coords) == 3
-    assert pt.coords[1] == F9.gen()
+    assert pt.shape == (3, 2)
+    assert [el(F9, c) for c in pt] == [el(F9, 1), gen(F9), 2 * gen(F9) + 2]
 
 
 def test_build_and_jordan_roundtrip(tmp_path, capsys):
@@ -281,6 +300,8 @@ INVALID_INPUTS = {
     "decompose-rank-zero-dim-1e9": ["query", "decompose", "--module", "{tmp}/rankzero1e9.json"],
     "point-too-many-coordinates": ["query", "jordan", "--module", "{d1}", "--alpha", "1,1,1"],
     "point-zero": ["query", "jordan", "--module", "{d1}", "--alpha", "0,0"],
+    "point-arabic-indic-digit": ["query", "jordan", "--module", "{d1}", "--alpha", "\u0663,1"],
+    "point-superscript-digit": ["query", "jordan", "--module", "{d1}", "--alpha", "\u00b2,1"],
     "green-p0": ["verify", "--suite", "green", "--p", "0"],
     "dv-rank2-ext0": ["verify", "--suite", "dv-rank2", "--ext", "0"],
     "dv-linear-k0": ["verify", "--suite", "dv-linear", "--k", "0"],
@@ -321,6 +342,8 @@ NAMED_IN_ERROR = {
     "build-unused-options": "build dual takes no --k, --ext, -r",
     "query-unused-options": "query projective takes no --ext, --trials, --seed",
     "induce-module-with-p": "build induce --module takes no --p or --ext",
+    "point-arabic-indic-digit": "unexpected character '\u0663' (at position 0)",
+    "point-superscript-digit": "unexpected character '\u00b2' (at position 0)",
 }
 
 

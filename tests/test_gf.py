@@ -18,7 +18,7 @@ from eamod.gf import (
 )
 from eamod.gf import arr_mul
 
-from oracles import brute_irreducible
+from oracles import brute_irreducible, code, el, elements, from_code, gen, one, zero
 
 
 def test_prime_field_placeholder_irr():
@@ -29,8 +29,8 @@ def test_prime_field_placeholder_irr():
 def test_f9_least_irreducible_is_x2_plus_1():
     f9 = field_create(3, 2)
     assert f9.irr == (1, 0, 1)
-    w = f9.gen()
-    assert w * w == f9.el(2)
+    w = gen(f9)
+    assert w * w == el(f9, 2)
 
 
 def test_composite_modulus_rejected():
@@ -52,9 +52,12 @@ def test_field_create_deterministic():
 
 @pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2), (7, 1), (3, 3), (5, 2)])
 def test_field_axioms_exhaustive(p, m):
+    # the oracle's El arithmetic, and arr_mul against it on every pair
     ctx = field_create(p, m)
-    els = list(ctx.elements())
+    els = elements(ctx)
     assert len(els) == p ** m
+    a, b = (np.array(x, dtype=np.int64) for x in zip(*product(els, repeat=2)))
+    assert arr_mul(ctx, a, b).tolist() == [list(x * y) for x, y in product(els, repeat=2)]
     for a in els:
         for b in els:
             assert a + b == b + a
@@ -85,12 +88,11 @@ def test_field_axioms_f81_vectorized():
 @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 4)])
 def test_inverse_and_frobenius(p, m):
     ctx = field_create(p, m)
-    one = ctx.one()
-    for x in ctx.elements():
+    for x in elements(ctx):
         assert x ** ctx.q == x
         if x:
-            assert x * x.inverse() == one
-        assert x + (-x) == ctx.zero()
+            assert x * x.inverse() == one(ctx)
+        assert x + (-x) == zero(ctx)
 
 
 def _monic_irreducibles(p, m):
@@ -113,8 +115,8 @@ def test_code_logs_against_fel(ctx):
     assert sorted(exp.tolist()) == nonzero.tolist()
     assert np.array_equal(log[exp], np.arange(order))
     assert np.array_equal(exp[log[nonzero]], nonzero)
-    assert exp[0] == ctx.code(ctx.cone())
-    els = [ctx.el(ctx.from_code(c)) for c in range(q)]
+    assert exp[0] == 1
+    els = [from_code(ctx, c) for c in range(q)]
     g = els[exp[1 % order]]
     assert all(g ** (order // r) != 1 for r in range(2, order + 1) if order % r == 0 and is_prime(r))
     a, b = (x.ravel() for x in np.meshgrid(nonzero, nonzero))
@@ -135,16 +137,16 @@ LOG_FIELDS = [(p, 1) for p in (2, 3, 5, 8191)] + [
 
 @pytest.mark.parametrize("p,m", LOG_FIELDS, ids=[f"F_{p}^{m}" for p, m in LOG_FIELDS])
 def test_code_logs_match_fel_powers(p, m):
-    # g is the least code whose Fel powers g^((q-1)/r) are not 1, and exp
-    # lists g^0, g^1, ... by Fel multiplication
+    # g is the least code whose El powers g^((q-1)/r) are not 1, and exp
+    # lists g^0, g^1, ... by El multiplication
     ctx = field_create(p, m)
     order = ctx.q - 1
     primes = [r for r in range(2, order + 1) if order % r == 0 and is_prime(r)]
-    g = next(ctx.el(ctx.from_code(c)) for c in range(1, ctx.q)
-             if all(ctx.el(ctx.from_code(c)) ** (order // r) != 1 for r in primes))
-    expect, power = [], ctx.one()
+    g = next(from_code(ctx, c) for c in range(1, ctx.q)
+             if all(from_code(ctx, c) ** (order // r) != 1 for r in primes))
+    expect, power = [], one(ctx)
     for _ in range(order):
-        expect.append(ctx.code(power.coeffs))
+        expect.append(code(power))
         power = power * g
     exp, log = ctx.code_logs()
     assert exp.tolist() == expect
@@ -155,6 +157,27 @@ def test_from_codes_is_from_code_on_arrays():
     ctx = field_create(5, 2)
     codes = np.arange(25).reshape(5, 5)
     assert ctx.from_codes(codes).tolist() == [[list(ctx.from_code(c)) for c in row] for row in codes.tolist()]
+    assert np.array_equal(ctx.to_codes(ctx.from_codes(codes)), codes)
+    assert [ctx.to_codes(from_code(ctx, c)) for c in range(25)] == list(range(25))
+
+
+def test_coerce_reads_ints_and_coefficient_vectors():
+    f9 = field_create(3, 2)
+    w = gen(f9)
+    assert f9.coerce(5).tolist() == [2, 0] and f9.coerce(-1).tolist() == [2, 0]
+    assert f9.coerce(10 ** 30).tolist() == [10 ** 30 % 3, 0]
+    assert f9.coerce([4, -1]).tolist() == list(el(f9, [1, 2]))
+    # axes fixes the depth of the elements: ints at that depth are constants
+    assert f9.coerce([[1, 2], [3, 4]], 1).tolist() == [[1, 2], [0, 1]]
+    assert f9.coerce([[1, 2], [3, 4]], 2).tolist() == [[[1, 0], [2, 0]], [[0, 0], [1, 0]]]
+    assert f9.coerce([1, w * w, [0, 2]], 1).tolist() == [list(one(f9)), list(w * w), list(2 * w)]
+    assert f9.coerce([[0, w], [np.array([1, 1]), 2]], 2).tolist() == [[[0, 0], [0, 1]], [[1, 1], [2, 0]]]
+    assert f9.coerce([], 1).shape == (0, 2) and f9.coerce([], 2).shape == (0, 0, 2)
+    assert f9.coerce(np.arange(6).reshape(3, 2), 1).dtype == np.int64
+    for values, axes in (([1, 2, 3], 0), ([[1], [1, 2]], 1), ([[1, 2], [1]], 2), ([1, [1, 0, 0]], 1),
+                         ([[[1, 2]]], 1)):
+        with pytest.raises(ValueError):
+            f9.coerce(values, axes)
 
 
 def test_irreducibility_examples():

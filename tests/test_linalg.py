@@ -23,18 +23,25 @@ from eamod.linalg import (
     elim_dtype,
     expand,
     float_mod,
+    null_space,
 )
 from eamod.modrep import NotNilpotent, jordan_type_nilpotent
 from eamod.stream import CounterStream
 
 from oracles import (
+    el,
+    entry,
+    from_code,
     leibniz_compound,
+    one,
+    rows_of,
     slow_combination,
     slow_inverse,
     slow_jordan_mult,
     slow_matmul,
     slow_rank,
     slow_rref,
+    zero,
 )
 
 F3 = field_create(3, 1)
@@ -55,8 +62,10 @@ def random_mat(ctx, rows, cols, stream):
     return MatF(ctx, data)
 
 
-def as_fel_rows(mat):
-    return [[mat.get(i, j) for j in range(mat.cols)] for i in range(mat.rows)]
+def kernel(mat):
+    """The (nullity, cols, m) null-space basis of a MatF, read off its RREF."""
+    reduced, pivots = mat.rref()
+    return null_space(mat.ctx, reduced.data, pivots)
 
 
 def test_rank_examples():
@@ -67,10 +76,10 @@ def test_rank_examples():
 
 
 def test_kernel_examples():
-    assert MatF.identity(F3, 3).kernel_array().shape == (0, 3, 1)
-    assert MatF.zeros(F3, 2, 2).kernel_array()[:, :, 0].tolist() == [[1, 0], [0, 1]]
+    assert kernel(MatF.identity(F3, 3)).shape == (0, 3, 1)
+    assert kernel(MatF.zeros(F3, 2, 2))[:, :, 0].tolist() == [[1, 0], [0, 1]]
     a = MatF.from_rows(F3, [[1, 1], [2, 2]])
-    assert a.kernel_array()[:, :, 0].tolist() == [[1, 2]]
+    assert kernel(a)[:, :, 0].tolist() == [[1, 2]]
 
 
 @pytest.mark.parametrize("ctx", [F3, F9, F5, F25])
@@ -80,7 +89,7 @@ def test_rank_matches_slow_oracle(ctx):
         rows = 1 + stream.below(7)
         cols = 1 + stream.below(7)
         mat = random_mat(ctx, rows, cols, stream)
-        assert mat.rank() == slow_rank(as_fel_rows(mat))
+        assert mat.rank() == slow_rank(rows_of(mat))
 
 
 @pytest.mark.parametrize("ctx", [F9, F25])
@@ -90,8 +99,8 @@ def test_matmul_matches_slow_oracle(ctx):
         a = random_mat(ctx, 4, 5, stream)
         b = random_mat(ctx, 5, 3, stream)
         prod = a @ b
-        expect = slow_matmul(as_fel_rows(a), as_fel_rows(b))
-        assert as_fel_rows(prod) == expect
+        expect = slow_matmul(rows_of(a), rows_of(b))
+        assert rows_of(prod) == expect
 
 
 @st.composite
@@ -120,13 +129,13 @@ def matrix_pairs(draw):
 def test_products_match_fel_oracle(pair):
     a, b = pair
     ctx = a.ctx
-    rows_a, rows_b = as_fel_rows(a), as_fel_rows(b)
+    rows_a, rows_b = rows_of(a), rows_of(b)
     prod = slow_matmul(rows_a, rows_b)
-    assert as_fel_rows(a @ b) == prod
+    assert rows_of(a @ b) == prod
     assert a.rank() == slow_rank(rows_a)
     assert (a @ b).rank() == slow_rank(prod)
     kron = a.kron(b)
-    assert as_fel_rows(kron) == [
+    assert rows_of(kron) == [
         [rows_a[i][j] * rows_b[k][l] for j in range(a.cols) for l in range(b.cols)]
         for i in range(a.rows) for k in range(b.rows)
     ]
@@ -136,18 +145,18 @@ def test_products_match_fel_oracle(pair):
     for i in range(a.rows):
         for j in range(b.cols):
             for t in range(a.cols):
-                assert ctx.el(terms[i, j, t].tolist()) == rows_a[i][t] * rows_b[t][j]
+                assert el(ctx, terms[i, j, t].tolist()) == rows_a[i][t] * rows_b[t][j]
     reduced, pivots = a.rref()
-    assert (as_fel_rows(reduced), pivots) == slow_rref(rows_a)
+    assert (rows_of(reduced), pivots) == slow_rref(rows_a)
     # one kernel vector per free column j: zero on the other free columns,
     # first nonzero coordinate 1, annihilated by a
     free = [j for j in range(a.cols) if j not in pivots]
-    kernel = a.kernel_array()
-    assert kernel.shape == (len(free), a.cols, ctx.m)
-    for vec, j in zip(kernel, free):
-        coords = [ctx.el(c.tolist()) for c in vec]
+    basis = kernel(a)
+    assert basis.shape == (len(free), a.cols, ctx.m)
+    for vec, j in zip(basis, free):
+        coords = [el(ctx, c.tolist()) for c in vec]
         assert [bool(coords[f]) for f in free] == [f == j for f in free]
-        assert next(c for c in coords if c) == ctx.one()
+        assert next(c for c in coords if c) == one(ctx)
         assert not any(x for (x,) in slow_matmul(rows_a, [[c] for c in coords]))
     if a.rows == a.cols:
         expect = slow_inverse(rows_a)
@@ -155,16 +164,16 @@ def test_products_match_fel_oracle(pair):
             with pytest.raises(ZeroDivisionError, match="rows are dependent"):
                 a.inv()
         else:
-            assert as_fel_rows(a.inv()) == expect
+            assert rows_of(a.inv()) == expect
 
 
 def test_kernel_vectors_annihilated_and_sized():
     stream = CounterStream(13)
     for _ in range(20):
         mat = random_mat(F9, 5, 7, stream)
-        kernel = mat.kernel_array()
-        assert kernel.shape[0] == mat.cols - mat.rank()
-        for vec in kernel:
+        basis = kernel(mat)
+        assert basis.shape[0] == mat.cols - mat.rank()
+        for vec in basis:
             col = MatF(F9, vec[:, None, :])
             assert (mat @ col).is_zero()
 
@@ -221,8 +230,8 @@ def test_jordan_type_rank_matches_powers(p):
     for total in range(1, 9):
         for blocks in _partitions(total, p):
             jt = JordanType.from_blocks(p, blocks)
-            nil = as_fel_rows(canonical_nilpotent(ctx, jt))
-            power = [[ctx.one() if i == j else ctx.zero() for j in range(total)] for i in range(total)]
+            nil = rows_of(canonical_nilpotent(ctx, jt))
+            power = [[one(ctx) if i == j else zero(ctx) for j in range(total)] for i in range(total)]
             for e in range(p + 1):
                 assert jt.rank(e) == slow_rank(power), (blocks, e)
                 power = slow_matmul(power, nil)
@@ -307,7 +316,7 @@ def test_compound_matches_leibniz_on_dense_matrices(ctx):
 
 @pytest.mark.parametrize("ctx", [F3, F8, F9, F25])
 def test_combine_matches_slow_combination(ctx):
-    """Stacks of B coefficient rows, some all zero, against the Fel sum row by row."""
+    """Stacks of B coefficient rows, some all zero, against the El sum row by row."""
     stream = CounterStream(37, ctx.q)
     for count, terms, rows, cols in [(1, 1, 1, 1), (4, 3, 2, 5), (3, 7, 4, 4)]:
         coeffs = np.array([[ctx.from_code(stream.below(ctx.q)) for _ in range(terms)]
@@ -317,9 +326,9 @@ def test_combine_matches_slow_combination(ctx):
         got = combine(ctx, coeffs, np.array([g.data for g in mats]))
         assert got.shape == (count, rows, cols, ctx.m)
         for row, out in zip(coeffs, got):
-            draws = [ctx.el(tuple(c)) for c in row.tolist()]
-            want = slow_combination(draws, [as_fel_rows(g) for g in mats])
-            assert as_fel_rows(MatF(ctx, out)) == want
+            draws = [el(ctx, tuple(c)) for c in row.tolist()]
+            want = slow_combination(draws, [rows_of(g) for g in mats])
+            assert rows_of(MatF(ctx, out)) == want
     # K = 2 terms of 2 (p-1)^2 each pass 2^53 at p = 2^26 - 5, m = 2
     big = FieldCtx(2**26 - 5, 2, (1, 0, 1))
     with pytest.raises(BadParams, match=r"p=67108859, m=2 .*n=2"):
@@ -343,17 +352,17 @@ def test_matmul_refuses_int64_overflow():
             a @ a
     # two terms of (p-1)^2 sum to 2^53 - 24 * 2^26 + 72, still exact
     b = MatF(big, np.full((2, 2, 1), big.p - 1, dtype=np.int64))
-    assert (b @ b).get(0, 0) == big.el(2)
+    assert entry(b @ b, 0, 0) == el(big, 2)
     assert b.rank() == 1
     ext = FieldCtx(big.p, 2, (1, 0, 1))  # x^2 + 1, p = 3 mod 4
-    x = ext.el((big.p - 1, big.p - 1))
+    x = el(ext, (big.p - 1, big.p - 1))
     one = MatF.from_rows(ext, [[x]])
-    assert (one @ one).get(0, 0) == x * x
+    assert entry(one @ one, 0, 0) == x * x
     # elementwise products sum m terms of at most (p-1)^2 twice, reducing between;
     # a combination of K = 1 matrix sums K m of them in one float64 product
-    assert one.kron(one).get(0, 0) == x * x
+    assert entry(one.kron(one), 0, 0) == x * x
     combined = combine(ext, np.array([[x.coeffs]]), one.data[None])
-    assert MatF(ext, combined[0]).get(0, 0) == x * x
+    assert entry(MatF(ext, combined[0]), 0, 0) == x * x
     with pytest.raises(ValueError, match=r"p=67108859, m=2 .*n=2"):
         MatF.from_rows(ext, [[x, x]]) @ MatF.from_rows(ext, [[x], [x]])
 
@@ -365,7 +374,7 @@ def conjugated_nilpotents(draw):
     blocks = draw(st.lists(st.integers(1, ctx.p), min_size=1, max_size=4).filter(lambda b: sum(b) <= 8))
     n = sum(blocks)
     codes = draw(st.lists(st.sampled_from(range(ctx.q)), min_size=n * n, max_size=n * n))
-    conj = [[ctx.el(ctx.from_code(codes[i * n + j])) for j in range(n)] for i in range(n)]
+    conj = [[from_code(ctx, codes[i * n + j]) for j in range(n)] for i in range(n)]
     assume(slow_rank(conj) == n)
     return ctx, JordanType.from_blocks(ctx.p, blocks), conj
 
@@ -375,7 +384,7 @@ def conjugated_nilpotents(draw):
 def test_jordan_type_conjugation_property(case):
     ctx, jt, conj = case
     p = ctx.p
-    nil = slow_matmul(slow_matmul(conj, as_fel_rows(canonical_nilpotent(ctx, jt))), slow_inverse(conj))
+    nil = slow_matmul(slow_matmul(conj, rows_of(canonical_nilpotent(ctx, jt))), slow_inverse(conj))
     expect = JordanType(p, slow_jordan_mult(nil, p))
     assert expect == jt
     assert jordan_type_nilpotent(MatF.from_rows(ctx, nil), p) == expect
@@ -394,11 +403,11 @@ def test_elim_dtype_bounds():
 
 
 def _invertible(ctx, n, stream):
-    """A random unit lower times unit upper triangular n x n matrix, as Fel rows."""
+    """A random unit lower times unit upper triangular n x n matrix, as El rows."""
     def entry():
-        return ctx.el(ctx.from_code(stream.below(ctx.q)))
-    lower = [[entry() if j < i else ctx.el(int(i == j)) for j in range(n)] for i in range(n)]
-    upper = [[entry() if j > i else ctx.el(int(i == j)) for j in range(n)] for i in range(n)]
+        return from_code(ctx, stream.below(ctx.q))
+    lower = [[entry() if j < i else el(ctx, int(i == j)) for j in range(n)] for i in range(n)]
+    upper = [[entry() if j > i else el(ctx, int(i == j)) for j in range(n)] for i in range(n)]
     return slow_matmul(lower, upper)
 
 
@@ -423,19 +432,19 @@ def elimination_stacks(draw):
         left = [row[:k] for row in _invertible(ctx, rows, stream)]
         right = _invertible(ctx, cols, stream)[:k]
         members.append(slow_matmul(left, right) if k else
-                       [[ctx.zero()] * cols for _ in range(rows)])
+                       [[zero(ctx)] * cols for _ in range(rows)])
     return ctx, ranks, members
 
 
 def _plane_stack(ctx, members):
-    """The C-contiguous (B, r, m, c) elimination planes, in elim_dtype, of B matrices given as Fel rows."""
+    """The C-contiguous (B, r, m, c) elimination planes, in elim_dtype, of B matrices given as El rows."""
     cols = len(members[0][0])
     stack = np.stack([MatF.from_rows(ctx, rows).data.transpose(0, 2, 1) for rows in members])
     return stack.astype(elim_dtype(ctx.p, cols * ctx.m), order="C")
 
 
 def _check_against_oracles(ctx, members, stack):
-    """Ranks, RREFs and pivot columns of an elimination stack equal the Fel oracles' member by member."""
+    """Ranks, RREFs and pivot columns of an elimination stack equal the El oracles' member by member."""
     assert _ranks(ctx, stack.copy()).tolist() == [slow_rank(rows) for rows in members]
     pivcol = _eliminate(ctx, stack, full=True)
     for work, pivots, rows in zip(stack, pivcol, members):
@@ -472,7 +481,7 @@ def test_eliminate_alone_matches_the_stack(case):
 
 
 def _units(ctx, count, stream):
-    return [ctx.el(ctx.from_code(1 + stream.below(ctx.q - 1))) for _ in range(count)]
+    return [from_code(ctx, 1 + stream.below(ctx.q - 1)) for _ in range(count)]
 
 
 @pytest.mark.parametrize("ctx", [F5, F9, F8], ids=["F5", "F9", "F8"])
@@ -484,7 +493,7 @@ def test_eliminate_a_monomial_matrix(ctx):
     stream = CounterStream(41, ctx.p)
     members = []
     for _ in range(3):
-        rows = [[ctx.zero()] * n for _ in range(n)]
+        rows = [[zero(ctx)] * n for _ in range(n)]
         for i, unit in zip(range(n), _units(ctx, n, stream)):
             rows[i][perm[i]] = unit
         members.append(rows)
@@ -497,10 +506,10 @@ def test_eliminate_a_monomial_matrix(ctx):
 
 def _lone_first_column(ctx, rows, cols, stream, hits):
     """A random matrix whose column 0 is nonzero in its first `hits` rows only (a lone pivot for hits = 1)."""
-    mat = [[ctx.el(ctx.from_code(stream.below(ctx.q))) for _ in range(cols)] for _ in range(rows)]
+    mat = [[from_code(ctx, stream.below(ctx.q)) for _ in range(cols)] for _ in range(rows)]
     units = _units(ctx, rows, stream)
     for i in range(rows):
-        mat[i][0] = units[i] if i < hits else ctx.zero()
+        mat[i][0] = units[i] if i < hits else zero(ctx)
     return mat
 
 
@@ -526,7 +535,7 @@ PIVOT_FIELDS = [(2, 1), (5, 1), (8191, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3
 @pytest.mark.parametrize("p,m", PIVOT_FIELDS)
 def test_pivot_blocks_scale_every_lead_to_powers_of_w(p, m):
     # entry (n, s) is the multiplication block of w^s / lead[n]: column b
-    # holds w^(s+b) / a, checked by Fel arithmetic as (w^s / a) a = w^s on
+    # holds w^(s+b) / a, checked by El arithmetic as (w^s / a) a = w^s on
     # every nonzero lead a (300 sampled past the table's cap)
     ctx = field_create(p, m)
     dtype = elim_dtype(p, 4 * m)
@@ -538,13 +547,13 @@ def test_pivot_blocks_scale_every_lead_to_powers_of_w(p, m):
     blocks = _pivot_blocks(ctx, lead, dtype)
     assert blocks.dtype == dtype and blocks.shape == (codes.size, m, m, m)
     assert blocks.min() >= 0 and blocks.max() < p
-    w = ctx.el([0, 1] + [0] * (m - 2)) if m > 1 else ctx.one()
+    w = el(ctx, [0, 1] + [0] * (m - 2)) if m > 1 else one(ctx)
     powers = [w ** e for e in range(2 * m - 1)]
     for x, scaled in zip(lead.tolist(), blocks.tolist()):
-        a = ctx.el(x)
+        a = el(ctx, x)
         for s in range(m):
             for b in range(m):
-                assert ctx.el([row[b] for row in scaled[s]]) * a == powers[s + b]
+                assert el(ctx, [row[b] for row in scaled[s]]) * a == powers[s + b]
 
 
 @pytest.mark.parametrize("dtype,bits", [(np.float32, 24), (np.float64, 53)])
@@ -621,7 +630,7 @@ def test_expand_of_a_stack(p, m, cols, dtype):
     # a (B, r, c, m) stack expands member by member, in product_dtype(ctx, c):
     # c m (p-1)^2 = 2^24 at c = 128 over F_{257^2}, the widest float32 case.
     # Each expansion times a matrix's coefficient vectors stacked as columns
-    # is the Fel product of the two
+    # is the El product of the two
     ctx = field_create(p, m)
     stream = CounterStream(43, p)
     mats = [random_mat(ctx, 2, cols, stream) for _ in range(3)]
@@ -632,7 +641,7 @@ def test_expand_of_a_stack(p, m, cols, dtype):
     for a, member in zip(mats, got):
         assert np.array_equal(member, expand(ctx, a.data))
         prod = float_mod(member @ planes, p).astype(np.int64).reshape(2, m, 2).transpose(0, 2, 1)
-        assert as_fel_rows(MatF(ctx, prod)) == slow_matmul(as_fel_rows(a), as_fel_rows(right))
+        assert rows_of(MatF(ctx, prod)) == slow_matmul(rows_of(a), rows_of(right))
 
 
 def test_jordan_types_of_a_stack():
@@ -672,7 +681,7 @@ def test_eliminate_at_the_edge_of_its_dtype(p, m, rows, cols, count):
     stack = np.stack([mat.data.transpose(0, 2, 1) for mat in mats]).astype(np.int8, order="C")
     pivcol = _eliminate(ctx, stack, full=True)
     for mat, work, pivots in zip(mats, stack, pivcol):
-        reduced, expect = slow_rref(as_fel_rows(mat))
+        reduced, expect = slow_rref(rows_of(mat))
         assert work.transpose(0, 2, 1).tolist() == [[list(x.coeffs) for x in row] for row in reduced]
         assert pivots[pivots >= 0].tolist() == expect
         assert mat.rank() == len(expect)
@@ -686,7 +695,7 @@ def test_eliminate_past_the_table_cap(count):
     dtype = elim_dtype(ctx.p, 5 * ctx.m)
     assert ctx.inverse_table(dtype) is None
     stream = CounterStream(53, ctx.p)
-    members = [as_fel_rows(random_mat(ctx, 4, 5, stream)) for _ in range(count)]
+    members = [rows_of(random_mat(ctx, 4, 5, stream)) for _ in range(count)]
     # a rank-2 member: its last two rows repeat sums of its first two
     first = members[0]
     first[2] = [a + b for a, b in zip(first[0], first[1])]
@@ -734,12 +743,12 @@ def test_jordan_types_eliminate_higher_powers_of_the_non_free_only(monkeypatch, 
 
     monkeypatch.setattr(linalg, "_ranks", recording)
     types = _jordan_types(ctx, stacked(nils), p)
-    assert types == [JordanType(p, slow_jordan_mult(as_fel_rows(nil), p)) for nil in nils]
+    assert types == [JordanType(p, slow_jordan_mult(rows_of(nil), p)) for nil in nils]
     assert types == [JordanType.from_blocks(p, b) for b in blocks]
     assert len(calls) == 1 and np.array_equal(calls.pop(), powers(nils, 1))
     nils = [nil for nil, _ in rest]
     types = _jordan_types(ctx, stacked(nils), p, rank_n)
-    assert types == [JordanType(p, slow_jordan_mult(as_fel_rows(nil), p)) for nil in nils]
+    assert types == [JordanType(p, slow_jordan_mult(rows_of(nil), p)) for nil in nils]
     assert types == [JordanType.from_blocks(p, b) for _, b in rest]
     if p == 2 or not rest:
         assert not calls

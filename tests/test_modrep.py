@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from eamod import gf
 from eamod.gf import BadParams, FieldCtx, field_create
 from eamod import commutant as cm
 from eamod import linalg
@@ -31,22 +32,36 @@ from eamod.modrep import (
     MismatchedContext,
     NonCommuting,
     NotNilpotent,
-    Point,
     ZeroPoint,
 )
 from eamod.stream import CounterStream
 from eamod import variety as vy
 
 from oracles import (
+    Pt,
+    code,
+    el,
+    elements,
+    entry,
+    from_code,
+    gen,
+    one,
+    rows_of,
     slow_combination,
     slow_commutant_rref,
     slow_jordan_mult,
     slow_projective_points,
     slow_rref,
+    zero,
 )
 
 F3 = field_create(3, 1)
 F9 = field_create(3, 2)
+
+
+def zero_module(p, k, field):
+    """The dimension-0 module of rank k."""
+    return EAModule(p, k, field, [MatF.zeros(field, 0, 0)] * k, 0)
 
 
 def benson(field, lam, mu):
@@ -112,7 +127,7 @@ def test_validate_proves_and_constructions_pass_the_proof_on():
 
 
 def test_validate_zero_module():
-    mod = mr.zero_module(3, 2, F3)
+    mod = zero_module(3, 2, F3)
     mr.validate(mod)
     assert mod.n == 0
     assert mr.projective_test(mod) == (True, 0)
@@ -123,7 +138,7 @@ def test_validate_zero_module():
 
 @pytest.mark.parametrize("field", [F3, F9], ids=["F3", "F9"])
 def test_zero_module_file_roundtrip(field):
-    mod = mr.zero_module(3, 2, field)
+    mod = zero_module(3, 2, field)
     raw = json.loads(json.dumps(mod.to_dict()))
     assert EAModule.from_dict(raw) == mod
     for bad in ([[]], [0], [[[]]]):
@@ -293,17 +308,29 @@ def test_x_alpha_unit_vector_and_shape():
     mod = benson(F3, 2, 1)
     assert mr.x_alpha(mod, [1, 0]) == mod.gens[0]
     # displayed form: subdiagonal a1 + a2*lam, corner a2*mu
-    a1, a2 = F3.el(1), F3.el(2)
+    a1, a2 = el(F3, 1), el(F3, 2)
     xa = mr.x_alpha(mod, [a1, a2])
-    sub = a1 + a2 * F3.el(2)
-    assert xa.get(1, 0) == sub and xa.get(2, 1) == sub
-    assert xa.get(2, 0) == a2 * F3.el(1)
-    assert xa.get(0, 0) == F3.zero() and xa.get(0, 1) == F3.zero()
+    sub = a1 + a2 * el(F3, 2)
+    assert entry(xa, 1, 0) == sub and entry(xa, 2, 1) == sub
+    assert entry(xa, 2, 0) == a2 * el(F3, 1)
+    assert entry(xa, 0, 0) == zero(F3) and entry(xa, 0, 1) == zero(F3)
 
 
 def test_x_alpha_zero_point_rejected():
     with pytest.raises(ZeroPoint):
         mr.x_alpha(benson(F3, 0, 0), [0, 0])
+
+
+def test_point_coordinates_need_the_fields_coefficient_count():
+    # coefficient vectors carry no field, so a coordinate over F_27 is
+    # refused by its length at a module over F_9
+    mod = benson(F9, 1, 1)
+    u = gen(field_create(3, 3))
+    for alpha in ([u, 1], [u, u], [[1, 0, 0], 1]):
+        with pytest.raises(ValueError, match="expected 2 coefficients per element"):
+            mr.point_jordan_type(mod, alpha)
+    with pytest.raises(ValueError, match="point has 3 coordinates"):
+        mr.point_jordan_type(mod, [1, gen(F9), 0])
 
 
 def test_point_jordan_type_trivial_module():
@@ -359,26 +386,26 @@ def test_dual_preserves_freeness_and_maximal_types():
     # square term of rank 1.)
     stream = CounterStream(4242)
     for trial in range(50):
-        lam = F9.el(F9.from_code(stream.below(9)))
-        mu = F9.el(F9.from_code(stream.below(9)))
+        lam = from_code(F9, stream.below(9))
+        mu = from_code(F9, stream.below(9))
         mod = benson(F9, lam, mu)
         if trial % 2:
             mod = mr.tensor(mod, mod)
         dual_mod = mr.dual(mod)
         mr.validate(dual_mod)
-        coords = [F9.el(F9.from_code(stream.below(9))) for _ in range(2)]
+        coords = [from_code(F9, stream.below(9)) for _ in range(2)]
         if not any(coords):
-            coords[0] = F9.one()
+            coords[0] = one(F9)
         assert mr.is_free_at(dual_mod, coords) == mr.is_free_at(mod, coords)
         if mr.is_free_at(mod, coords):
             assert mr.point_jordan_type(dual_mod, coords) == mr.point_jordan_type(mod, coords)
 
 
 def test_dual_type_mismatch_at_degenerate_point():
-    w = F9.gen()
+    w = gen(F9)
     mod = benson(F9, w + 2, 0)
     dual_mod = mr.dual(mod)
-    alpha = [2 * w + 1, F9.one()]
+    alpha = [2 * w + 1, one(F9)]
     assert mr.x_alpha(mod, alpha).is_zero()
     assert mr.point_jordan_type(mod, alpha) == JordanType.from_blocks(3, [1, 1, 1])
     assert mr.point_jordan_type(dual_mod, alpha) == JordanType.from_blocks(3, [2, 1])
@@ -470,14 +497,14 @@ def test_induced_nontrivial_variety_inside_embed_span_extension():
     mr.validate(ind)
     assert ind.n == 6
     span = set()
-    for t in F9.elements():
+    for t in elements(F9):
         if t:
-            span.add(Point((t * 1, t * 2)).normalize().codes())
-    els = list(F9.elements())
+            span.add(Pt((t * 1, t * 2)).normalize().codes())
+    els = elements(F9)
     for a in els:
         for b in els:
-            pt = Point((a, b))
-            if pt.is_zero():
+            pt = Pt((a, b))
+            if not (a or b):
                 continue
             if not mr.is_free_at(ind, pt):
                 assert pt.normalize().codes() in span
@@ -538,7 +565,7 @@ def test_shift_and_translation_matrices_act_on_digits(p):
     for k, embed in [(2, [[1, 1]]), (2, [[0, 1]]), (3, [[1, 2, 0]]), (3, [[1, 1, 1], [0, 1, 2]]), (3, [])]:
         embed = [[c % p for c in w] for w in embed]
         ind = mr.induce(mr.trivial_module(p, len(embed), field), embed, ambient_rank=k)
-        pivots = slow_rref([[field.el(c) for c in w] for w in embed])[1]
+        pivots = slow_rref([[el(field, c) for c in w] for w in embed])[1]
         complement = [j for j in range(k) if j not in pivots]
         eye = MatF.identity(field, ind.n)
         for i, x in enumerate(ind.gens):
@@ -574,7 +601,7 @@ def test_endomorphism_basis_examples():
 def canonical_commutant(mod):
     """[I] + rows 1.. of the oracle's RREF of the commutant, as matrices."""
     n, field = mod.n, mod.field
-    rows = slow_commutant_rref([[[x.get(i, j) for j in range(n)] for i in range(n)] for x in mod.gens])
+    rows = slow_commutant_rref([rows_of(x) for x in mod.gens])
     assert rows[0][0] == 1
     return [MatF.identity(field, n)] + [
         MatF.from_rows(field, [row[i * n : (i + 1) * n] for i in range(n)]) for row in rows[1:]
@@ -590,7 +617,7 @@ def conjugate(mod, c):
 def test_endomorphism_basis_is_canonical():
     # the basis is the identity and rows 1.. of the RREF of the flattened
     # commutant, whatever basis the module is written in
-    w = F9.gen()
+    w = gen(F9)
     j2 = EAModule(3, 1, F3, [MatF.from_rows(F3, [[0, 0], [1, 0]])])
 
     def conj(mod, rows):
@@ -671,7 +698,7 @@ def test_rank_zero_constructions_keep_their_dimension():
     assert mr.dual(mod).n == 2 and mr.wedge(mod, 1).n == 2 and mr.wedge(mod, 2).n == 1
     assert mr.lift_to_extension(mod, F9).n == 2
     assert mr.induce(mr.trivial_module(3, 0, F3), [], ambient_rank=0).n == 1
-    assert mr.zero_module(3, 0, F3).n == 0 and mr.regular_module(3, 0, F3).n == 1
+    assert zero_module(3, 0, F3).n == 0 and mr.regular_module(3, 0, F3).n == 1
     with pytest.raises(ValueError, match="needs its dim"):
         EAModule(3, 0, F3, [])
     # a rank-0 module has no points to sample
@@ -709,9 +736,8 @@ def restrict_matrix(mat):
     big = np.zeros((n * m, n * m, 1), dtype=np.int64)
     for i in range(n):
         for j in range(n):
-            entry = tuple(int(v) for v in mat.data[i, j])
             for c, unit in enumerate(units):
-                big[i * m : (i + 1) * m, j * m + c, 0] = field.cmul(entry, unit)
+                big[i * m : (i + 1) * m, j * m + c, 0] = entry(mat, i, j) * el(field, unit)
     return MatF(field_create(field.p, 1), big)
 
 
@@ -724,7 +750,7 @@ def restrict_scalars(module):
 def restricted_line(p, c):
     """The line module through (1, w + c) over F_{p^2}, viewed over F_p."""
     big = field_create(p, 2)
-    return restrict_scalars(mr.linear_variety_module(p, 2, big, [[1, big.gen() + c]]))
+    return restrict_scalars(mr.linear_variety_module(p, 2, big, [[1, gen(big) + c]]))
 
 
 @pytest.mark.parametrize("p", [3, 2])
@@ -776,7 +802,7 @@ def radical_square_zero(field):
 # modules with a 1-dimensional top or socle, and their (dim top, dim socle);
 # each has a commutant of dimension 3, so trials would draw
 CERTIFIED = {
-    "line": (lambda: mr.linear_variety_module(3, 2, F9, [[1, F9.gen()]]), (1, 1)),
+    "line": (lambda: mr.linear_variety_module(3, 2, F9, [[1, gen(F9)]]), (1, 1)),
     "jordan-block": (lambda: EAModule(3, 1, F3, [canonical_nilpotent(F3, JordanType.from_blocks(3, [3]))]),
                      (1, 1)),
     "cyclic": (lambda: radical_square_zero(F3), (1, 2)),
@@ -819,7 +845,7 @@ def test_restricted_line_goes_through_trials(monkeypatch, p):
 
 THETA_MODULES = {
     "restricted-line": lambda: restricted_line(3, 0),
-    "two-lines-f9": lambda: vy.dv_rank2_builder(3, F9, [[1, 0], [1, F9.gen()]]),
+    "two-lines-f9": lambda: vy.dv_rank2_builder(3, F9, [[1, 0], [1, gen(F9)]]),
     "two-lines-f8": lambda: vy.dv_rank2_builder(2, field_create(2, 3), [[1, 0], [0, 1]]),
 }
 
@@ -841,11 +867,11 @@ def test_theta_is_the_combination_of_its_draws(monkeypatch, name):
     field, stream = mod.field, CounterStream(5)
 
     def fel_rows(mat):
-        return [[mat.get(i, j) for j in range(mod.n)] for i in range(mod.n)]
+        return rows_of(mat)
 
     assert len(thetas) == 4
     for theta in thetas:
-        draws = [field.el(field.from_code(stream.below(field.q))) for _ in basis]
+        draws = [from_code(field, stream.below(field.q)) for _ in basis]
         assert fel_rows(theta) == slow_combination(draws, [fel_rows(b) for b in basis])
 
 
@@ -971,7 +997,7 @@ def recorded_parts(monkeypatch, mod):
     return parts
 
 
-# (module, largest part dim checked against the oracle).  The oracle's Fel
+# (module, largest part dim checked against the oracle).  The oracle's El
 # elimination takes about 27 s on a dense dim-12 part and 3 s on a dim-10
 # part of D(4), so dense parts stop at 6 and D(4)'s (10 and up) are checked
 # against endomorphism_basis alone.  A single restricted line has no split,
@@ -1109,15 +1135,25 @@ def test_fitting_summand_digests(name):
     assert (result.status, [s.n for s in result.summands], digests) == SUMMAND_SHA256[name]
 
 
-def test_sweep_and_decomposition_run_no_python_field_arithmetic(monkeypatch):
-    # with FieldCtx.cinv and cpow raising, on fields built fresh (no pivot
-    # table and no log tables yet): the variety of D(2) at (3, 3) over
-    # F_27 against V(p_3), and the decomposition of the ten-line sum
-    def refused(*args):
-        raise AssertionError("Python field arithmetic on the elimination or sweep path")
+# the scalar field arithmetic and coercions that arrays replaced; tests/oracles
+# keeps its own, so none of these may come back to the package
+SCALAR_NAMES = {
+    FieldCtx: ("czero", "cone", "cadd", "csub", "cneg", "cmul", "cinv", "cpow", "el", "zero", "one",
+               "gen", "elements", "code"),
+    gf.Fel: ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
+             "__truediv__", "__pow__", "inverse", "__bool__", "__eq__", "__hash__", "_coerce"),
+    gf.Point: ("of", "k", "is_zero", "is_normalized", "normalize", "codes"),
+}
 
-    monkeypatch.setattr(FieldCtx, "cinv", refused)
-    monkeypatch.setattr(FieldCtx, "cpow", refused)
+
+def test_sweep_and_decomposition_run_no_python_field_arithmetic():
+    # fields built fresh (no pivot table and no log tables yet): the variety
+    # of D(2) at (3, 3) over F_27 against V(p_3), and the decomposition of
+    # the ten-line sum, with no scalar arithmetic defined to run
+    for owner, names in SCALAR_NAMES.items():
+        assert [name for name in names if name in vars(owner)] == [], owner
+    assert vars(gf.Fel)["__slots__"] == ("ctx", "coeffs")
+    assert not {"zero_module"} & set(vars(mr)) and not {"get", "kernel_array"} & set(vars(MatF))
     f27 = FieldCtx(3, 3, field_create(3, 3).irr)
     report = vy.variety_points(sr.d_r(sr.SymContext(3, 3), f27, 2), f27)
     assert vy.compare_sets(report, vy.zero_points(sr.PkPoly(3, 3), f27), target_tag="pk") == "Equal"
@@ -1314,7 +1350,7 @@ def test_fitting_summands_property(pieces):
 
 
 def test_module_file_roundtrip(tmp_path):
-    mod = benson(F9, F9.gen(), 1)
+    mod = benson(F9, gen(F9), 1)
     path = tmp_path / "mod.json"
     mod.save(path)
     loaded = EAModule.load(path)
@@ -1342,10 +1378,10 @@ def _per_entry_dict(mod):
 def test_to_dict_bytes_match_per_entry_lists(tmp_path, name):
     f25 = field_create(5, 2)
     mod = {
-        "benson-f9": lambda: benson(F9, F9.gen(), 1),
+        "benson-f9": lambda: benson(F9, gen(F9), 1),
         "d2-f9": lambda: sr.d_r(sr.SymContext(3, 3), F9, 2),
         "d2-f25": lambda: sr.d_r(sr.SymContext(5, 2), f25, 2),
-        "zero-f25": lambda: mr.zero_module(5, 2, f25),
+        "zero-f25": lambda: zero_module(5, 2, f25),
         "rank-zero-f9": lambda: EAModule(3, 0, F9, [], dim=2),
     }[name]()
     dump = {"sort_keys": True, "separators": (",", ":")}
@@ -1383,7 +1419,7 @@ def test_lift_to_extension():
 
 def test_lift_from_f9_sends_w_to_a_root_of_its_irr():
     f81 = field_create(3, 4)
-    line = mr.linear_variety_module(3, 2, F9, [[F9.gen(), F9.one()]])
+    line = mr.linear_variety_module(3, 2, F9, [[gen(F9), one(F9)]])
     lifted = mr.lift_to_extension(line, f81)
     assert lifted.symmetry == mr.Symmetry.NONE
     # the line through (w, 1) goes to the line through (r, 1), r a root of F_9's irr
@@ -1391,7 +1427,23 @@ def test_lift_from_f9_sends_w_to_a_root_of_its_irr():
     assert len(points) == 1
     x, y = points[0].coords
     ratio = x / y
-    assert not sum((c * ratio ** i for i, c in enumerate(F9.irr)), f81.zero())
+    assert not sum((c * ratio ** i for i, c in enumerate(F9.irr)), zero(f81))
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("p,m,ext_m", [(3, 2, 4), (2, 3, 6), (5, 2, 4)])
+def test_lift_root_is_the_oracles_least_code_root(monkeypatch, block, p, m, ext_m):
+    # the blocked Horner search against the scalar scan over every element in
+    # code order; a block of 7 codes puts the root past the first block
+    if block:
+        monkeypatch.setattr(mr, "ROOT_BLOCK", block)
+    src, ext = field_create(p, m), field_create(p, ext_m)
+    w = gen(src)
+    x = MatF.from_rows(src, [[0, 0, 0], [w, 0, 0], [w ** (m - 1), 0, 0]])
+    lifted = mr.lift_to_extension(EAModule(p, 1, src, [x]), ext).gens[0]
+    root = next(r for r in elements(ext) if not sum((c * r ** i for i, c in enumerate(src.irr)), zero(ext)))
+    assert code(root) > 7
+    assert (entry(lifted, 1, 0), entry(lifted, 2, 0)) == (root, root ** (m - 1))
 
 
 @st.composite
@@ -1417,7 +1469,7 @@ def lifted_prime_field_modules(draw):
     inv = conj.inv()
     mod = EAModule(p, 2, base, [conj @ g @ inv for g in mod.gens])
     coords = draw(st.tuples(st.integers(0, ext.q - 1), st.integers(0, ext.q - 1)).filter(any))
-    return mr.lift_to_extension(mod, ext), [ext.el(ext.from_code(c)) for c in coords]
+    return mr.lift_to_extension(mod, ext), [from_code(ext, c) for c in coords]
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -1427,7 +1479,7 @@ def test_frobenius_invariance_property(case):
     mod, alpha = case
     p = mod.p
     frob = [c ** p for c in alpha]
-    gens = [[[g.get(i, j) for j in range(mod.n)] for i in range(mod.n)] for g in mod.gens]
+    gens = [rows_of(g) for g in mod.gens]
     expect = slow_jordan_mult(slow_combination(alpha, gens), p)
     assert slow_jordan_mult(slow_combination(frob, gens), p) == expect
     assert mr.point_jordan_type(mod, alpha).mult == expect

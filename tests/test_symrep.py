@@ -10,14 +10,21 @@ from eamod.linalg import JordanType, MatF, canonical_nilpotent, compound_matrix
 from eamod import modrep as mr
 from eamod import suites
 from eamod import symrep as sr
-from eamod.modrep import Point
-
 from oracles import (
+    Pt,
+    el,
+    elements,
+    entry,
+    from_code,
+    gen,
     leibniz_compound,
+    one,
     pk_eval,
+    rows_of,
     slow_combination,
     slow_jordan_mult,
     slow_projective_points,
+    zero,
 )
 
 F3 = field_create(3, 1)
@@ -106,7 +113,7 @@ def test_jordan_types_of_d1():
     m22 = sr.block_model_d1(sr.SymContext(3, 2), F3)
     assert mr.point_jordan_type(m22, [1, 1]) == JordanType.from_blocks(3, [3, 1])
     m22_9 = sr.block_model_d1(sr.SymContext(3, 2), F9)
-    w = F9.gen()
+    w = gen(F9)
     assert mr.point_jordan_type(m22_9, [w, 1]) == JordanType.from_blocks(3, [2, 2])
     m33_9 = sr.block_model_d1(sr.SymContext(3, 3), F9)
     assert mr.point_jordan_type(m33_9, [1, 1, w]) == JordanType.from_blocks(3, [3, 3, 1])
@@ -161,12 +168,12 @@ def test_compound_matches_leibniz_on_suite_matrices(name, mats, r):
 
 def test_pk_eval_examples():
     p33 = sr.PkPoly(3, 3)
-    assert not pk_eval(p33, Point.of(F3, [1, 1, 1]))
-    w = F9.gen()
-    assert pk_eval(p33, Point.of(F9, [1, 1, w])) == F9.el(2)
+    assert not pk_eval(p33, Pt.of(F3, [1, 1, 1]))
+    w = gen(F9)
+    assert pk_eval(p33, Pt.of(F9, [1, 1, w])) == el(F9, 2)
     p32 = sr.PkPoly(3, 2)
-    assert not pk_eval(p32, Point.of(F9, [w, 1]))
-    assert pk_eval(sr.PkPoly(3, 1), Point.of(F3, [2])) == F3.one()
+    assert not pk_eval(p32, Pt.of(F9, [w, 1]))
+    assert pk_eval(sr.PkPoly(3, 1), Pt.of(F3, [2])) == one(F3)
 
 
 @pytest.mark.parametrize("p,k,m", [(3, 3, 2), (3, 2, 3), (5, 3, 2), (2, 4, 2), (3, 1, 2)])
@@ -176,16 +183,16 @@ def test_pk_eval_batch_matches_pk_eval(p, k, m):
     codes = np.array(list(product(range(field.q), repeat=k)), dtype=np.int64)
     values = sr.pk_eval_batch(sr.PkPoly(p, k), field, codes)
     assert values.shape == (len(codes), m)
-    points = [Point(tuple(field.el(field.from_code(c)) for c in row)) for row in codes.tolist()]
+    points = [Pt(tuple(from_code(field, c) for c in row)) for row in codes.tolist()]
     assert values.tolist() == [list(pk_eval(sr.PkPoly(p, k), pt).coeffs) for pt in points]
 
 
 def test_pk_vanishes_with_two_zero_coordinates():
     poly = sr.PkPoly(3, 3)
-    for x in F9.elements():
-        assert not pk_eval(poly, Point.of(F9, [x, 0, 0]))
-        assert not pk_eval(poly, Point.of(F9, [0, x, 0]))
-        assert not pk_eval(poly, Point.of(F9, [0, 0, x]))
+    for x in elements(F9):
+        assert not pk_eval(poly, Pt.of(F9, [x, 0, 0]))
+        assert not pk_eval(poly, Pt.of(F9, [0, x, 0]))
+        assert not pk_eval(poly, Pt.of(F9, [0, 0, x]))
     codes = np.kron(np.arange(9)[:, None], np.eye(3, dtype=np.int64))
     assert not sr.pk_eval_batch(poly, F9, codes).any()
 
@@ -307,11 +314,11 @@ def test_perm_model_against_generic_quotient_oracle(p, k):
             ])
             solved, pivots = aug.rref()
             assert dim + 1 not in pivots  # image lies in the span
-            coords = [field.zero()] * (dim + 1)
+            coords = [zero(field)] * (dim + 1)
             for row, col in enumerate(pivots):
-                coords[col] = solved.get(row, dim + 1)
+                coords[col] = entry(solved, row, dim + 1)
             for s in range(dim):
-                g_entry = expected.get(s, j - 3) + (field.one() if s == j - 3 else field.zero())
+                g_entry = entry(expected, s, j - 3) + (one(field) if s == j - 3 else zero(field))
                 assert coords[s] == g_entry
     assert solver.rank() == dim + 1
 
@@ -363,7 +370,7 @@ def d_r_permuted_points(draw):
     p, k, field, r = draw(st.sampled_from(SMALL_D_R))
     codes = draw(st.lists(st.integers(0, field.q - 1), min_size=k, max_size=k).filter(any))
     sigma = draw(st.permutations(range(k)))
-    return sr.d_r(sr.SymContext(p, k), field, r), [field.el(field.from_code(c)) for c in codes], sigma
+    return sr.d_r(sr.SymContext(p, k), field, r), [from_code(field, c) for c in codes], sigma
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -372,7 +379,7 @@ def test_d_r_permutation_invariance_property(case):
     """D(r) has one Jordan type at alpha and at every permutation of its coordinates."""
     mod, alpha, sigma = case
     moved = [alpha[s] for s in sigma]
-    gens = [[[g.get(i, j) for j in range(mod.n)] for i in range(mod.n)] for g in mod.gens]
+    gens = [rows_of(g) for g in mod.gens]
     expect = slow_jordan_mult(slow_combination(alpha, gens), mod.p)
     assert slow_jordan_mult(slow_combination(moved, gens), mod.p) == expect
     assert mr.point_jordan_type(mod, alpha).mult == expect

@@ -13,10 +13,21 @@ from eamod.linalg import Dominance, JordanType, _jordan_types
 from eamod import modrep as mr
 from eamod import symrep as sr
 from eamod import variety as vy
-from eamod.modrep import Point, ZeroPoint
+from eamod.linalg import MatF
+from eamod.modrep import ZeroPoint
 from eamod.variety import DuplicateDirection, TooLarge
 
-from oracles import pk_eval, slow_combination, slow_jordan_mult, slow_projective_points
+from oracles import (
+    Pt,
+    elements,
+    from_code,
+    gen,
+    pk_eval,
+    rows_of,
+    slow_combination,
+    slow_jordan_mult,
+    slow_projective_points,
+)
 
 F3 = field_create(3, 1)
 F9 = field_create(3, 2)
@@ -24,7 +35,7 @@ F27 = field_create(3, 3)
 
 
 def codes(field, coords):
-    return Point.of(field, coords).normalize().codes()
+    return Pt.of(field, coords).normalize().codes()
 
 
 def test_enumerate_projective_counts():
@@ -34,7 +45,7 @@ def test_enumerate_projective_counts():
 
 
 def test_enumerate_projective_normalized_unique():
-    """projective_codes against the Fel enumeration: the same rows, in the same order."""
+    """projective_codes against the El enumeration: the same rows, in the same order."""
     for field, k in [(F9, 2), (F3, 3), (F27, 2), (field_create(2, 2), 3), (field_create(5, 1), 1)]:
         pts = slow_projective_points(field, k)
         assert all(p.is_normalized() for p in pts)
@@ -52,7 +63,7 @@ def code_set(rows):
 
 
 def test_zero_points_p2():
-    w = F9.gen()
+    w = gen(F9)
     zp = vy.zero_points(sr.PkPoly(3, 2), F9)
     assert zp.shape == (2, 2)
     assert zp.tolist() == sorted(zp.tolist())
@@ -71,7 +82,7 @@ def test_variety_points_d2_e2():
     ctx = sr.SymContext(3, 2)
     module = sr.d_r(ctx, F9, 2)
     report = vy.variety_points(module, F9)
-    w = F9.gen()
+    w = gen(F9)
     assert report.variety_codes() == {codes(F9, [w, 1]), codes(F9, [2 * w, 1])}
     assert report.counts() == {"points": 10, "variety": 2, "free": 8}
 
@@ -105,7 +116,7 @@ def test_variety_points_regular_empty():
 @pytest.mark.parametrize(
     "module",
     [
-        mr.zero_module(3, 2, F9),
+        mr.EAModule(3, 2, F9, [MatF.zeros(F9, 0, 0)] * 2, 0),
         mr.trivial_module(3, 2, F9),
         mr.regular_module(3, 2, F9),
         sr.d_r(sr.SymContext(3, 2), F9, 2),
@@ -114,8 +125,8 @@ def test_variety_points_regular_empty():
 )
 def test_variety_points_freeness_matches_is_free_at(module):
     report = vy.variety_points(module, F9)
-    for rec in report.points:
-        assert rec.jordan_type.is_free() == mr.is_free_at(module, rec.point)
+    for row, rec in zip(report.codes, report.points):
+        assert rec.jordan_type.is_free() == mr.is_free_at(module, F9.from_codes(row))
 
 
 def test_variety_points_field_mismatch():
@@ -143,19 +154,19 @@ def test_compare_sets_verdicts():
 
 
 def test_compare_sets_normalizes_targets():
-    w = F9.gen()
-    pt = Point.of(F9, [1, w])
+    w = gen(F9)
+    pt = Pt.of(F9, [1, w])
     assert pt.normalize() is pt
-    scaled = Point.of(F9, [2 * w, 2 * w * w])
+    scaled = Pt.of(F9, [2 * w, 2 * w * w])
     assert scaled.normalize() == pt and scaled.normalize() is not scaled
-    # a target is given by normalized codes and named by its Point
+    # a target is given by normalized codes and named by its point
     empty = vy.variety_points(mr.regular_module(3, 2, F9), F9)
     assert vy.compare_sets(empty, [pt.codes()], "t") == "ProperSubset"
     assert empty.witnesses == {"variety_not_target": [], "target_not_variety": ["(1,w)"]}
 
 
 def test_compare_sets_incomparable_witnesses_in_code_order():
-    """The line through (1,1,0) against V(p_3) over F_9, against per-point Fel oracles."""
+    """The line through (1,1,0) against V(p_3) over F_9, against per-point El oracles."""
     line = mr.linear_variety_module(3, 3, F9, [[1, 1, 0]])
     report = vy.variety_points(line, F9)
     assert vy.compare_sets(report, vy.zero_points(sr.PkPoly(3, 3), F9), "pk") == "Incomparable"
@@ -219,14 +230,14 @@ def test_in_max_jordan_set():
     ctx = sr.SymContext(3, 3)
     module = sr.block_model_d1(ctx, F9)
     generic = JordanType.from_blocks(3, [3, 3, 1])
-    w = F9.gen()
-    assert mr.point_jordan_type(module, Point.of(F9, [1, 1, w])) == generic
-    assert mr.point_jordan_type(module, Point.of(F9, [1, 1, 1])) != generic
+    w = gen(F9)
+    assert mr.point_jordan_type(module, Pt.of(F9, [1, 1, w])) == generic
+    assert mr.point_jordan_type(module, Pt.of(F9, [1, 1, 1])) != generic
     # p = 3 keeps one-zero points maximal (a lone generator attains the
     # maximal type [3]^(k-1)[1] when p - 2 = 1)
-    assert mr.point_jordan_type(module, Point.of(F9, [1, 1, 0])) == generic
+    assert mr.point_jordan_type(module, Pt.of(F9, [1, 1, 0])) == generic
     with pytest.raises(ZeroPoint):
-        mr.point_jordan_type(module, Point.of(F9, [0, 0, 0]))
+        mr.point_jordan_type(module, Pt.of(F9, [0, 0, 0]))
 
 
 def test_free_generic_complement():
@@ -253,11 +264,10 @@ def test_sampled_types_dominated_by_generic():
 
     stream = CounterStream(5)
     for _ in range(30):
-        coords = tuple(f81.el(f81.from_code(stream.below(f81.q))) for _ in range(3))
-        pt = Point(coords)
-        if pt.is_zero():
+        coords = tuple(from_code(f81, stream.below(f81.q)) for _ in range(3))
+        if not any(coords):
             continue
-        t = mr.point_jordan_type(lifted, pt)
+        t = mr.point_jordan_type(lifted, coords)
         assert dominance_compare(generic, t) in (Dominance.GREATER, Dominance.EQUAL)
 
 
@@ -265,12 +275,12 @@ def test_in_max_excludes_one_zero_points_for_p5():
     F5 = field_create(5, 1)
     module = sr.block_model_d1(sr.SymContext(5, 3), F5)
     generic = JordanType.from_blocks(5, [5, 5, 3])
-    assert mr.point_jordan_type(module, Point.of(F5, [1, 1, 1])) == generic
-    assert mr.point_jordan_type(module, Point.of(F5, [1, 1, 0])) != generic
+    assert mr.point_jordan_type(module, Pt.of(F5, [1, 1, 1])) == generic
+    assert mr.point_jordan_type(module, Pt.of(F5, [1, 1, 0])) != generic
 
 
 def test_wreath_act_examples():
-    """The axioms suite's wreath images on F_p codes, against Fel arithmetic at every point."""
+    """The axioms suite's wreath images on F_p codes, against El arithmetic at every point."""
     images = suites._wreath_images(3, np.array([[1, 2]]), [1, 1], [1, 0])
     assert [a.tolist() for a in images] == [[[2, 1]], [[1, 2]]]
     images = suites._wreath_images(3, np.array([[1, 2]]), [2, 1], [0, 1])
@@ -287,8 +297,8 @@ def test_wreath_act_examples():
                     beta = [None] * k
                     for i, (g, c) in enumerate(zip(gamma, pt.coords)):
                         beta[sigma[i]] = c * g
-                    assert tuple(to) == Point(tuple(beta)).codes()
-                    assert tuple(image) == Point(tuple(beta)).normalize().codes()
+                    assert tuple(to) == Pt(tuple(beta)).codes()
+                    assert tuple(image) == Pt(tuple(beta)).normalize().codes()
 
 
 def test_dimension_estimate_examples():
@@ -315,11 +325,11 @@ def test_count_affine_zeros_matches_bruteforce():
     # independent slow count over F_9, k = 3
     poly = sr.PkPoly(3, 3)
     slow = 0
-    els = list(F9.elements())
+    els = elements(F9)
     for a in els:
         for b in els:
             for c in els:
-                if not pk_eval(poly, Point((a, b, c))):
+                if not pk_eval(poly, Pt((a, b, c))):
                     slow += 1
     assert vy.count_affine_zeros(poly, F9) == slow == 57
 
@@ -344,17 +354,17 @@ def test_green_witness_examples():
     ctx = sr.SymContext(3, 2)
     module = sr.d_r(ctx, F9, 2)
     witness = vy.green_witness(module, F9)
-    w = F9.gen()
+    w = gen(F9)
     assert witness is not None
-    assert witness.codes() in {codes(F9, [w, 1]), codes(F9, [2 * w, 1])}
+    assert witness in {codes(F9, [w, 1]), codes(F9, [2 * w, 1])}
     line = mr.linear_variety_module(3, 2, F9, [[1, 1]])
     assert vy.green_witness(line, F9) is None
     assert vy.green_witness(mr.regular_module(3, 2, F9), F9) is None
     # the coordinates of the line's point are F_3-independent exactly when it is a witness
     f27 = field_create(3, 3)
-    u = f27.gen()
+    u = gen(f27)
     line = mr.linear_variety_module(3, 3, f27, [[1, u, u * u]])
-    assert vy.green_witness(line, f27).codes() == codes(f27, [1, u, u * u])
+    assert vy.green_witness(line, f27) == codes(f27, [1, u, u * u])
     assert vy.green_witness(mr.linear_variety_module(3, 3, f27, [[1, u, 1 + u]]), f27) is None
     # three coordinates in the 2-dimensional F_9 are always F_3-dependent
     assert vy.green_witness(mr.linear_variety_module(3, 3, F9, [[1, w, w + 2]]), F9) is None
@@ -389,10 +399,16 @@ def test_dv_rank2_builder():
         vy.dv_rank2_builder(3, F9, [[1, 1], [2, 2]])
     with pytest.raises(ValueError):
         vy.dv_rank2_builder(3, F9, [])
+    # directions are compared normalized and named as given
+    w = gen(F9)
+    with pytest.raises(DuplicateDirection, match=re.escape("direction (2w,2) repeats")):
+        vy.dv_rank2_builder(3, F9, [[1, 0], [w, 1], [2 * w, 2]])
+    with pytest.raises(ZeroPoint):
+        vy.dv_rank2_builder(3, F9, [[1, 0], [0, 0]])
 
 
 def test_dv_rank2_with_extension_direction():
-    w = F9.gen()
+    w = gen(F9)
     module = vy.dv_rank2_builder(3, F9, [[w, 1]])
     assert module.n == 3
     report = vy.variety_points(module, F9)
@@ -400,16 +416,16 @@ def test_dv_rank2_with_extension_direction():
 
 
 def test_point_set_report_serialization(tmp_path):
-    """JSON and CSV bytes against rows typed point by point by the Fel oracles."""
+    """JSON and CSV bytes against rows typed point by point by the El oracles."""
     ctx = sr.SymContext(3, 2)
     cases = [(sr.d_r(ctx, F9, 2), "Equal", 0), (sr.block_model_d1(ctx, F9), "Superset", 8)]
     points = slow_projective_points(F9, 2)
-    # V(p_2) = V(x^2 + y^2) by Fel arithmetic
+    # V(p_2) = V(x^2 + y^2) by El arithmetic
     on_pk = {pt.codes() for pt in points if pt.coords[0] ** 2 + pt.coords[1] ** 2 == 0}
     for module, verdict, extra in cases:
         report = vy.variety_points(module, F9)
         assert vy.compare_sets(report, vy.zero_points(sr.PkPoly(3, 2), F9), "pk") == verdict
-        gens = [[[g.get(i, j) for j in range(module.n)] for i in range(module.n)] for g in module.gens]
+        gens = [rows_of(g) for g in module.gens]
         types = [JordanType(3, slow_jordan_mult(slow_combination(pt.coords, gens), 3)) for pt in points]
         witnesses = {
             "variety_not_target": [
@@ -443,7 +459,7 @@ def test_point_set_report_serialization(tmp_path):
 
 
 def test_sweep_path_makes_no_fel(monkeypatch):
-    # built first: lift_to_extension makes one Fel
+    # a Fel only names a point in output (code_points)
     module = sr.d_r(sr.SymContext(3, 3), F27, 2)
 
     def refuse(self, ctx, coeffs):
@@ -491,7 +507,7 @@ def test_orbit_representatives_match_fel_orbits(field, k, sym):
     reps = vy.orbit_representatives(field, vy.projective_codes(field, k), sym)
     for pt, rep in zip(pts, reps):
         images = [
-            Point(tuple(pt.coords[s] ** (field.p ** j) for s in perm)).normalize().codes()
+            Pt(tuple(pt.coords[s] ** (field.p ** j) for s in perm)).normalize().codes()
             for j in frob_powers
             for perm in perms
         ]
@@ -539,8 +555,8 @@ SWEPT = {
     "linear-f25": (lambda: mr.linear_variety_module(5, 2, F25, [[1, 2]]), mr.Symmetry.FROBENIUS),
     # entries off F_p: no Frobenius.  The generators of the line through
     # (1, w^2) over F_27 are nonzero in planes 0 and 2 only.
-    "line-w-f9": (lambda: mr.linear_variety_module(3, 2, F9, [[F9.gen(), 1]]), mr.Symmetry.NONE),
-    "line-w2-f27": (lambda: mr.linear_variety_module(3, 2, F27, [[1, F27.gen() ** 2]]), mr.Symmetry.NONE),
+    "line-w-f9": (lambda: mr.linear_variety_module(3, 2, F9, [[gen(F9), 1]]), mr.Symmetry.NONE),
+    "line-w2-f27": (lambda: mr.linear_variety_module(3, 2, F27, [[1, gen(F27) ** 2]]), mr.Symmetry.NONE),
 }
 
 
