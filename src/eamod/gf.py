@@ -6,7 +6,9 @@ relative to one such context.  Elements are int64 coefficient vectors
 in ascending powers of the generator w (a root of irr), or their integer
 codes: arrays of them are the one field representation, and
 FieldCtx.coerce the one way in.  Fel and Point are output records that
-name points.  Polynomials over F_p are plain integer lists, ascending.
+name points.  A polynomial over F_p is its companion matrix: the field's
+regular representation and the irreducibility test both raise it by the
+one square-and-multiply on stacks of integer blocks (_block_power).
 """
 
 from __future__ import annotations
@@ -30,18 +32,7 @@ class DegreeOutOfRange(BadParams):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and _prime_factors(n) == [n]
 
 
 def _is_json_int(value) -> bool:
@@ -68,7 +59,7 @@ def check_prime(p: int, m: int = 1) -> None:
     """Raise NonPrime unless p is prime, and BadParams first if F_{p^m} is past the bound of exact_inner.
 
     The bound comes first, at m >= 1: it caps the trial division of
-    is_prime at p <= 9.5e7, where (p-1)^2 passes 2^53.
+    is_prime (_prime_factors) at p <= 9.5e7, where (p-1)^2 passes 2^53.
     """
     if p > 1:
         exact_inner(p, max(m, 1))
@@ -99,25 +90,16 @@ class FieldCtx:
             raise DegreeOutOfRange(f"extension degree {self.m} is below 1")
         self.irr = tuple(int(c) % p for c in irr)
         if len(self.irr) != m + 1 or self.irr[-1] != 1:
-            raise ValueError("irr must be monic of degree m (ascending coefficients)")
+            raise ValueError(f"irr {[int(c) for c in irr]} must be monic of degree m = {self.m} "
+                             f"over F_{self.p} (ascending coefficients)")
         self.max_inner = exact_inner(self.p, self.m)
         if self.m >= 2 and not poly_is_irreducible(self.p, self.irr):
             raise BadParams(f"{list(self.irr)} is reducible over F_{self.p}")
-        # rows d = 0..2m-2: coefficients of x^d reduced mod irr
-        red = []
-        for d in range(self.m):
-            row = [0] * self.m
-            row[d] = 1
-            red.append(tuple(row))
-        for d in range(self.m, 2 * self.m - 1):
-            prev = red[d - 1]
-            shifted = [0] + list(prev[: self.m - 1])
-            top = prev[self.m - 1]
-            row = [(shifted[t] - top * self.irr[t]) % self.p for t in range(self.m)]
-            red.append(tuple(row))
-        # column b of C^t is w^(t+b) mod irr, C the companion matrix of irr
-        self._regular = np.array([[red[t + b] for b in range(self.m)] for t in range(self.m)],
-                                 dtype=np.int64).transpose(0, 2, 1)
+        # C^t for t < m: column b is w^(t+b) mod irr, C the companion matrix of irr
+        powers, c = [np.eye(self.m, dtype=np.int64)], _companion(self.p, self.irr)
+        while len(powers) < self.m:
+            powers.append(powers[-1] @ c % self.p)
+        self._regular = np.array(powers)
         self._regular.flags.writeable = False
         self._logs = None
         self._inverses = {}
@@ -275,18 +257,26 @@ def power_blocks(ctx: FieldCtx, a: np.ndarray, e: int, dtype) -> np.ndarray:
     m (p-1)^2 (an elimination's elim_dtype does, and int64 always).
     """
     m, p = ctx.m, ctx.p
-    regular = ctx.regular().astype(dtype)
-    base = a.astype(dtype, copy=False) @ regular.reshape(m, m * m)
+    base = a.astype(dtype, copy=False) @ ctx.regular().astype(dtype).reshape(m, m * m)
     base %= p
-    base = base.reshape(-1, m, m)
+    return _block_power(base.reshape(-1, m, m), e, p)
+
+
+def _block_power(blocks: np.ndarray, e: int, p: int) -> np.ndarray:
+    """blocks^e mod p, e >= 1, for a stack of integer blocks in 0..p-1, by square-and-multiply.
+
+    Each step is one stacked product reduced mod p, in the dtype of
+    blocks, whose entries sum n terms of at most (p-1)^2 for n x n
+    blocks; e = 1 returns blocks itself.
+    """
     out = None
     while True:
         if e & 1:
-            out = base if out is None else np.remainder(out @ base, p)
+            out = blocks if out is None else np.remainder(out @ blocks, p)
         e >>= 1
         if not e:
             return out
-        base = np.remainder(base @ base, p)
+        blocks = np.remainder(blocks @ blocks, p)
 
 
 def inverse_blocks(ctx: FieldCtx, a: np.ndarray, dtype) -> np.ndarray:
@@ -341,9 +331,6 @@ class Fel:
         return "+".join(terms) if terms else "0"
 
 
-# -- prime-subfield polynomial helpers on bare int lists (irreducibility) --
-
-
 class ZeroPoint(ValueError):
     """Raised when a nonzero point is required."""
 
@@ -358,58 +345,6 @@ class Point:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-def _fp_trim(a):
-    i = len(a) - 1
-    while i >= 0 and a[i] == 0:
-        i -= 1
-    return a[: i + 1]
-
-
-def _fp_sub(a, b, p):
-    n = max(len(a), len(b))
-    return _fp_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)])
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _fp_trim(out)
-
-
-def _fp_divmod(a, b, p):
-    a = _fp_trim(list(a))
-    b = _fp_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while len(r) >= len(b) and r:
-        c = (r[-1] * inv_lead) % p
-        d = len(r) - len(b)
-        q[d] = c
-        for i in range(len(b)):
-            r[d + i] = (r[d + i] - c * b[i]) % p
-        r = _fp_trim(r)
-    return q, r
-
-
-def _fp_powmod(a, e, f, p):
-    """a^e mod f over F_p."""
-    out, base = [1], _fp_divmod(a, f, p)[1]
-    while e:
-        if e & 1:
-            out = _fp_divmod(_fp_mul(out, base, p), f, p)[1]
-        base = _fp_divmod(_fp_mul(base, base, p), f, p)[1]
-        e >>= 1
-    return out
-
-
 # -- field construction --
 
 
@@ -417,10 +352,11 @@ def field_create(p: int, m: int) -> FieldCtx:
     """Build F_{p^m} with the lexicographically least monic irreducible.
 
     Coefficient sequences (a_{m-1}, ..., a_0) are ordered as base-p
-    integers, so the result is deterministic across runs and platforms.
-    For m = 1 the stored polynomial is the placeholder x.  A field past
-    the float64 bound of exact_inner raises BadParams before the primality
-    test and the search (check_prime).
+    integers and tried in that order by poly_is_irreducible, one batched
+    power of companion matrices each, so the result is deterministic
+    across runs and platforms.  For m = 1 the stored polynomial is the
+    placeholder x.  A field past the float64 bound of exact_inner raises
+    BadParams before the primality test and the search (check_prime).
     """
     check_prime(p, m)
     if m < 1 or m > 8:
@@ -435,22 +371,40 @@ def field_create(p: int, m: int) -> FieldCtx:
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
-def poly_is_irreducible(p: int, coeffs) -> bool:
-    """Irreducibility over F_p of the polynomial with ascending coefficients.
+def _companion(p: int, f) -> np.ndarray:
+    """The (n, n) int64 companion matrix of a monic f of degree n over F_p, f ascending.
 
-    f of degree n is reducible iff it shares a factor with x^{p^d} - x
-    for some d <= n/2.
+    Ones on the subdiagonal and -f_0, ..., -f_{n-1} mod p in the last
+    column: multiplication by x on 1, x, ..., x^(n-1) mod f.
     """
-    f = _fp_trim([int(c) % p for c in coeffs])
+    n = len(f) - 1
+    c = np.eye(n, k=-1, dtype=np.int64)
+    c[:, -1] = -np.array(f[:n], dtype=np.int64) % p
+    return c
+
+
+def poly_is_irreducible(p: int, coeffs) -> bool:
+    """Irreducibility over F_p of the polynomial with ascending coefficients (Ben-Or's test).
+
+    p is refused first: NonPrime, or BadParams past the bound of
+    exact_inner at m = len(coeffs) - 1 (check_prime).  With trailing
+    zeros trimmed and f scaled to monic, of degree n >= 1, f is
+    reducible iff gcd(x^(p^d) - x, f) != 1 for some d <= n/2, that is
+    iff G_d = C^(p^d) - C is not a unit of F_p[C] = F_p[x]/(f), C the
+    companion matrix.  A non-unit has no power equal to I, and if f is
+    irreducible F_p[C] is F_{p^n}, so f is irreducible iff G_d^(p^n - 1)
+    = I for every d: one batched power.
+    """
+    check_prime(p, len(coeffs) - 1)
+    f = np.trim_zeros(np.array([int(c) % p for c in coeffs], dtype=np.int64), "b")
     n = len(f) - 1
     if n < 1:
         raise ValueError("degree must be >= 1")
-    h = [0, 1]
+    c = _companion(p, f * pow(int(f[-1]), -1, p) % p)
+    frobenius, gaps = c, []
     for _ in range(n // 2):
-        h = _fp_powmod(h, p, f, p)
-        g, r = f, _fp_sub(h, [0, 1], p)
-        while r:
-            g, r = r, _fp_divmod(g, r, p)[1]
-        if len(g) > 1:
-            return False
-    return True
+        frobenius = _block_power(frobenius, p, p)
+        gaps.append((frobenius - c) % p)
+    if not gaps:
+        return True
+    return bool((_block_power(np.array(gaps), p ** n - 1, p) == np.eye(n, dtype=np.int64)).all())

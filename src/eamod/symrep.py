@@ -183,7 +183,7 @@ def d_r(ctx: SymContext, field: FieldCtx, r: int) -> EAModule:
     it keeps D(r) up to isomorphism and every Jordan type.
     """
     if not 0 <= r <= ctx.n - 2:
-        raise ValueError(f"r must lie in 0..{ctx.n - 2}")
+        raise ValueError(f"D(r) at p = {ctx.p}, k = {ctx.k} needs r in 0..kp - 2 = {ctx.n - 2}, got r = {r}")
     prime = FieldCtx(field.p, 1, (0, 1))
     lifted = lift_to_extension(validate(wedge(block_model_d1(ctx, prime), r)), field)
     return EAModule(lifted.p, lifted.k, field, lifted.gens, symmetry=Symmetry.PERMUTATIONS, proven=True)

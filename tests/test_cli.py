@@ -276,6 +276,7 @@ INVALID_INPUTS = {
     "dr-degree-out-of-range": ["build", "dr", "--p", "3", "--k", "2", "-r", "9", "--out", "{tmp}/x.json"],
     "wedge-degree-out-of-range": ["build", "wedge", "--module", "{d1}", "-r", "9", "--out", "{tmp}/x.json"],
     "rank-lemma-k1": ["verify", "--suite", "rank-lemma", "--p", "3", "--k", "1"],
+    "main-thm-k1": ["verify", "--suite", "main-thm", "--p", "3", "--k", "1"],
     "rank-lemma-past-cap": ["verify", "--suite", "rank-lemma", "--p", "3", "--k", "15"],
     "decomp-k2-p5": ["verify", "--suite", "decomp-k2", "--p", "5"],
     "axioms-p7": ["verify", "--suite", "axioms", "--p", "7"],
@@ -293,6 +294,7 @@ INVALID_INPUTS = {
     "file-dim-null": ["query", "projective", "--module", "{tmp}/dimnull.json"],
     "file-field-m-not-int": ["query", "projective", "--module", "{tmp}/mlist.json"],
     "file-irr-entry-not-int": ["query", "projective", "--module", "{tmp}/irrentry.json"],
+    "file-irr-not-monic": ["query", "projective", "--module", "{tmp}/irrmonic.json"],
     "file-dim-negative": ["query", "generic", "--module", "{tmp}/dimnegative.json"],
     "file-k-negative": ["query", "variety", "--module", "{tmp}/knegative.json"],
     "generic-rank-zero": ["query", "generic", "--module", "{tmp}/rankzero.json"],
@@ -322,6 +324,9 @@ INVALID_INPUTS = {
 # what the message of each refused option or value names
 NAMED_IN_ERROR = {
     "green-p0": "0 is not prime",
+    # D(p - 1) at k = 1 lies past kp - 2, though no -r was given
+    "main-thm-k1": "D(r) at p = 3, k = 1 needs r in 0..kp - 2 = 1, got r = 2",
+    "file-irr-not-monic": "irr [1, 0, 2] must be monic of degree m = 2 over F_3",
     "axioms-p7": "dim C(19, 6) = 27132",
     "dv-rank2-ext0": "extension degree 0",
     "dv-linear-k0": "k must be >= 1, got 0",
@@ -371,6 +376,7 @@ def _write_inputs(tmp_path, capsys):
     (tmp_path / "dimnull.json").write_text(json.dumps(dict(raw, dim=None)))
     (tmp_path / "mlist.json").write_text(json.dumps(dict(raw, field={"p": 3, "m": [1], "irr": [0, 1]})))
     (tmp_path / "irrentry.json").write_text(json.dumps(dict(raw, field={"p": 3, "m": 1, "irr": [[0], 1]})))
+    (tmp_path / "irrmonic.json").write_text(json.dumps(dict(raw, field={"p": 3, "m": 2, "irr": [1, 0, 2]})))
     rank_zero = dict(raw, k=0, dim=2, generators=[])
     (tmp_path / "rankzero.json").write_text(json.dumps(rank_zero))
     (tmp_path / "rankzero5000.json").write_text(json.dumps(dict(rank_zero, dim=5000)))

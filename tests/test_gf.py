@@ -189,11 +189,76 @@ def test_irreducibility_examples():
 
 
 # poly_is_irreducible works over the prime field, so m is 1 throughout
-@pytest.mark.parametrize("p,m,deg", [(3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2), (2, 1, 6)])
+@pytest.mark.parametrize("p,m,deg", [(3, 1, 2), (3, 1, 3), (3, 1, 4), (5, 1, 2), (2, 1, 6), (2, 1, 1),
+                                     (2, 1, 7), (2, 1, 8), (3, 1, 5), (5, 1, 3), (7, 1, 2), (7, 1, 3)])
 def test_irreducibility_against_trial_division(p, m, deg):
     for low in product(range(p), repeat=deg):
         f = list(low) + [1]
         assert poly_is_irreducible(p, f) == brute_irreducible(p, f)
+
+
+@pytest.mark.parametrize("p,deg", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3)])
+def test_irreducibility_of_non_monic_and_padded_inputs(p, deg):
+    # the test scales f to monic and trims trailing zeros, also those that are zero only mod p
+    for low in product(range(p), repeat=deg):
+        for lead in range(2, p):
+            f = list(low) + [lead]
+            expect = brute_irreducible(p, f)
+            assert poly_is_irreducible(p, f) == expect
+            assert poly_is_irreducible(p, [c - p for c in f] + [0, p, -p]) == expect
+        assert poly_is_irreducible(p, list(low) + [1, 0]) == brute_irreducible(p, list(low) + [1])
+    with pytest.raises(ValueError, match="degree"):
+        poly_is_irreducible(p, [p - 1, p, 0])
+
+
+def test_irreducibility_refuses_bad_moduli(monkeypatch):
+    # a composite p once sent the Euclid loop of the list helpers into an endless loop
+    for p, f in ((4, [2, 0, 1]), (6, [1, 0, 1]), (1, [1, 0, 1]), (9, [1, 0, 1]), (0, [1, 1])):
+        with pytest.raises(NonPrime, match=f"{p} is not prime"):
+            poly_is_irreducible(p, f)
+
+    def arithmetic(*args):
+        raise AssertionError("arithmetic past the float64 bound")
+
+    monkeypatch.setattr(gf, "_block_power", arithmetic)
+    monkeypatch.setattr(gf, "is_prime", arithmetic)
+    for p, f in ((2 ** 61 - 1, [3, 0, 1]), (2 ** 26 - 5, [1, 1, 0, 1]), (2 ** 32 + 15, [0, 1])):
+        with pytest.raises(BadParams, match="overflow"):
+            poly_is_irreducible(p, f)
+
+
+def test_is_prime_against_divisors():
+    assert [n for n in range(-3, 200) if is_prime(n)] == [
+        n for n in range(2, 200) if all(n % d for d in range(2, n))]
+    assert is_prime(2 ** 31 - 1) and not is_prime(2 ** 31 + 1) and not is_prime(97 * 89)
+
+
+# the lexicographically least monic irreducibles, as the earlier Euclid-based test found them
+FIELD_IRR = {
+    (2, 3): (1, 1, 0, 1), (3, 3): (1, 2, 0, 1), (5, 2): (2, 0, 1), (11, 3): (4, 1, 0, 1), (97, 3): (2, 0, 0, 1),
+    (257, 2): (3, 0, 1), (7, 4): (1, 1, 0, 0, 1), (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1), (5, 8): (2, 0, 0, 0, 0, 0, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("p,m", list(FIELD_IRR), ids=[f"F_{p}^{m}" for p, m in FIELD_IRR])
+def test_field_create_keeps_its_irreducible(p, m):
+    assert field_create(p, m).irr == FIELD_IRR[p, m]
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 8), (3, 8), (7, 4)])
+def test_regular_is_multiplication_by_powers_of_w(p, m):
+    # column b of C^t is w^(t+b), by the oracle's convolution and reduction by irr
+    ctx = field_create(p, m)
+    w = gen(ctx)
+    regular = ctx.regular()
+    assert regular.shape == (m, m, m) and regular.dtype == np.int64
+    for t in range(m):
+        assert [regular[t][:, b].tolist() for b in range(m)] == [list(w ** (t + b)) for b in range(m)]
+
+
+def test_gf_keeps_no_list_polynomial_helpers():
+    assert not [name for name in vars(gf) if name.startswith("_fp_")]
 
 
 def test_field_refuses_reducible_or_nonprime():
